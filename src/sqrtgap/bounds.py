@@ -25,7 +25,6 @@ concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at most
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -33,12 +32,13 @@ from typing import Callable, Optional, Sequence
 from . import squarefree
 from .exactnum import (
     DEFAULT_PRECISION_CAP,
+    DEFAULT_START_BITS,
     Enclosure,
     LogBound,
-    PrecisionExhausted,
     RadicalSum,
     compare_abs,
     enclose_radical_sum,
+    refine,
 )
 from .lattice import LatticeBasis, build_basis
 from .reduction import ReductionParams, bkz, reduced_profile
@@ -222,18 +222,18 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
     offset = acc // basis.scale
     value = RadicalSum.from_terms(zip(coeffs, basis.radicands), offset=offset)
     rhs = Fraction(2 * abs(first) + sum(abs(a) for a in coeffs), 2 * basis.scale)
-    bits = 64
-    while True:
+
+    def decide(bits: int) -> int | None:
         enc = enclose_radical_sum(value, bits).abs()
         if enc.hi <= rhs:
-            break
+            return bits
         if enc.lo > rhs:
             raise ArithmeticError(
                 f"row inequality violated: |{value}| > {rhs}"
             )  # mathematically impossible for a lattice row
-        if bits >= DEFAULT_PRECISION_CAP:
-            raise PrecisionExhausted(f"row inequality undecided at {bits} bits")
-        bits *= 2
+        return None
+
+    bits = refine(decide, lambda: f"row inequality for {value}")
     certified = enclose_radical_sum(value, 2 * bits).abs()
     if certified.hi > rhs:
         raise ArithmeticError("refined enclosure lost the row inequality")
@@ -318,20 +318,27 @@ class QianWangInstance:
     rhs_sq: Fraction
     rhs_log10: LogBound
 
-    def satisfied(self, *, start_bits: int = 64, max_bits: int = DEFAULT_PRECISION_CAP) -> bool:
+    def satisfied(
+        self, *, start_bits: int = DEFAULT_START_BITS, max_bits: int = DEFAULT_PRECISION_CAP
+    ) -> bool:
         """Exact decision of |value| <= rhs."""
         if self.value.is_zero():
             return True
-        bits = start_bits
-        while True:
+
+        def decide(bits: int) -> bool | None:
             enc = enclose_radical_sum(self.value, bits).abs()
             if enc.hi * enc.hi <= self.rhs_sq:
                 return True
             if enc.lo * enc.lo > self.rhs_sq:
                 return False
-            if bits >= max_bits:
-                raise PrecisionExhausted(f"inequality undecided at {bits} bits")
-            bits *= 2
+            return None
+
+        return refine(
+            decide,
+            lambda: f"|{self.value}| <= rhs",
+            start_bits=start_bits,
+            max_bits=max_bits,
+        )
 
 
 def qian_wang_instance(k: int, t: int) -> QianWangInstance:
@@ -406,21 +413,14 @@ def ratio_scan(
     k_list: Sequence[int],
     log10_scale_list: Sequence[int],
     params: ReductionParams | None = None,
-    threads: int = 1,
 ) -> list[RatioCell]:
     """Reduce a grid of (k, scale) cells and report lambda*/scale^(1/(k+1)).
 
-    Cells are independent; with threads > 1 they run on a thread pool.
-    Results are returned in grid order either way, and each cell's output is
-    deterministic, so the thread count never changes the report.  A cell
-    whose ratio falls at or below 1/k is flagged: that would contradict the
-    expected shortest-vector growth on the certificate side (the reduced
-    lambda* lower bound, not the true shortest length).
+    Cells are independent and deterministic, and are returned in grid
+    order.  A cell whose ratio falls at or below 1/k is flagged: that would
+    contradict the expected shortest-vector growth on the certificate side
+    (the reduced lambda* lower bound, not the true shortest length).
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")
-    cells = [(k, e) for k in k_list for e in log10_scale_list]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda ke: _scan_cell(ke[0], ke[1], params), cells))
-    return [_scan_cell(k, e, params) for k, e in cells]
+    return [_scan_cell(k, e, params) for k in k_list for e in log10_scale_list]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 from fractions import Fraction
 
@@ -32,6 +32,11 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
 
+# Largest base^exponent accepted on the command line, as a size bound in bits
+# (exponent * bit length of the base), checked before exponentiating.  The
+# k = 100 target scale N ~ 10^320 measures 1280 bits.
+MAX_POWER_BITS = 1 << 20
+
 
 class _InputError(Exception):
     pass
@@ -43,12 +48,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_bigint(text: str) -> int:
-    """Accept plain decimal or base^exponent (e.g. 10^50)."""
+    """Accept plain decimal or base^exponent (e.g. 10^50) within MAX_POWER_BITS."""
     text = text.strip()
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
-    return int(text)
+    if "^" not in text:
+        return int(text)
+    base_text, _, exp_text = text.partition("^")
+    base, exp = int(base_text), int(exp_text)
+    if exp < 0:
+        raise ValueError(f"negative exponent in {text}")
+    if exp * base.bit_length() > MAX_POWER_BITS:
+        raise ValueError(f"{text} exceeds {MAX_POWER_BITS} bits")
+    return base**exp
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -62,8 +72,6 @@ def _parse_fraction(text: str) -> Fraction:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqrtgap", description=__doc__)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--sieve-cache", metavar="PATH", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_reduction_flags(p):
@@ -251,18 +259,14 @@ def _run_upper_bound(args) -> dict:
 
 
 def _log10_of(enc: Enclosure) -> float | None:
-    import math
-
     hi = enc.hi
     if hi <= 0:
         return None
     return (math.log(hi.numerator) - math.log(hi.denominator)) / math.log(10)
 
 
-def _run_ratio_scan(args, threads: int) -> dict:
-    cells = bounds.ratio_scan(
-        args.k_list, args.log10_list, _reduction_params(args), threads=threads
-    )
+def _run_ratio_scan(args) -> dict:
+    cells = bounds.ratio_scan(args.k_list, args.log10_list, _reduction_params(args))
     rows = []
     for c in cells:
         if c.error is not None:
@@ -316,14 +320,14 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
 
 
 _DISPATCH = {
-    "sigma": lambda args, threads: (_run_sigma(args), EXIT_OK),
-    "brute-force": lambda args, threads: (_run_brute_force(args), EXIT_OK),
-    "root-separation": lambda args, threads: (_run_root_separation(args), EXIT_OK),
-    "qian-wang": lambda args, threads: (_run_qian_wang(args), EXIT_OK),
-    "certify": lambda args, threads: _run_certify(args),
-    "lower-bound": lambda args, threads: (_run_lower_bound(args), EXIT_OK),
-    "upper-bound": lambda args, threads: (_run_upper_bound(args), EXIT_OK),
-    "ratio-scan": lambda args, threads: (_run_ratio_scan(args, threads), EXIT_OK),
+    "sigma": lambda args: (_run_sigma(args), EXIT_OK),
+    "brute-force": lambda args: (_run_brute_force(args), EXIT_OK),
+    "root-separation": lambda args: (_run_root_separation(args), EXIT_OK),
+    "qian-wang": lambda args: (_run_qian_wang(args), EXIT_OK),
+    "certify": _run_certify,
+    "lower-bound": lambda args: (_run_lower_bound(args), EXIT_OK),
+    "upper-bound": lambda args: (_run_upper_bound(args), EXIT_OK),
+    "ratio-scan": lambda args: (_run_ratio_scan(args), EXIT_OK),
 }
 
 
@@ -335,15 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.sieve_cache and os.path.exists(args.sieve_cache):
-        try:
-            squarefree.load_sieve(args.sieve_cache)
-        except ValueError as exc:
-            print(f"sqrtgap: bad sieve cache: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-
     try:
-        result, code = _DISPATCH[args.command](args, args.threads)
+        result, code = _DISPATCH[args.command](args)
     except (bounds.NoCertificateError, oracle.EnumerationCapError,
             PrecisionExhausted, ReductionError) as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
@@ -354,15 +351,11 @@ def main(argv: list[str] | None = None) -> int:
 
     defaults = {
         "format": args.format,
-        "threads": args.threads,
         "precision_cap_bits": DEFAULT_PRECISION_CAP,
         "reduction": _ser_params(_reduction_params(args)),
     }
     report = {"command": args.command, "defaults": defaults, "result": result}
     _emit(report, args.format)
-
-    if args.sieve_cache:
-        squarefree.save_sieve(args.sieve_cache)
     return code
 
 

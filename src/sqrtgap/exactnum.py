@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from math import isqrt  # re-exported; raises ValueError on negative input
+from typing import Callable, Iterable, TypeVar
 
 from . import squarefree
 
@@ -29,13 +30,6 @@ NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 class PrecisionExhausted(RuntimeError):
     """Raised when a sign could not be separated within the precision cap."""
-
-
-def isqrt(m: int) -> int:
-    """Floor of the square root of a nonnegative integer, exactly."""
-    if m < 0:
-        raise ValueError(f"isqrt of negative value {m}")
-    return math.isqrt(m)
 
 
 def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
@@ -51,6 +45,11 @@ def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
         raise ValueError(f"scale must be >= 1, got {scale}")
     t = math.isqrt(4 * scale * scale * radicand)
     return (t + 1) // 2
+
+
+def round_half_up(x: Fraction) -> int:
+    """Integer nearest a rational, halves rounded up: floor(x + 1/2)."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 @dataclass(frozen=True)
@@ -203,6 +202,33 @@ def enclose_radical_sum(value: RadicalSum, precision_bits: int = DEFAULT_START_B
     return total.shift(-value.offset)
 
 
+_T = TypeVar("_T")
+
+
+def refine(
+    decide: Callable[[int], _T | None],
+    describe: Callable[[], str],
+    *,
+    start_bits: int = DEFAULT_START_BITS,
+    max_bits: int = DEFAULT_PRECISION_CAP,
+) -> _T:
+    """The first decision decide(bits) makes on the precision ladder.
+
+    The ladder runs start_bits, 2*start_bits, ... and stops at max_bits;
+    decide returns None while its enclosures leave the question open.
+    Raises PrecisionExhausted, with describe() naming the question, when
+    max_bits decides nothing.
+    """
+    bits = start_bits
+    while True:
+        decision = decide(bits)
+        if decision is not None:
+            return decision
+        if bits >= max_bits:
+            raise PrecisionExhausted(f"{describe()} undecided at {bits} bits")
+        bits = min(2 * bits, max_bits)
+
+
 def certify_sign(
     value: RadicalSum,
     *,
@@ -219,18 +245,16 @@ def certify_sign(
     if value.is_zero():
         zero = Fraction(0)
         return ZERO, Enclosure(zero, zero, start_bits)
-    bits = start_bits
-    while True:
+
+    def decide(bits: int) -> tuple[int, Enclosure] | None:
         enc = enclose_radical_sum(value, bits)
         if enc.lo > 0:
             return POSITIVE, enc
         if enc.hi < 0:
             return NEGATIVE, enc
-        if bits >= max_bits:
-            raise PrecisionExhausted(
-                f"sign of {value} not separated at {bits} bits"
-            )
-        bits = min(2 * bits, max_bits)
+        return None
+
+    return refine(decide, lambda: f"sign of {value}", start_bits=start_bits, max_bits=max_bits)
 
 
 def compare_abs(
@@ -248,17 +272,19 @@ def compare_abs(
     """
     if left == right or left == right.negate():
         return 0
-    bits = start_bits
-    while True:
+
+    def decide(bits: int) -> int | None:
         el = enclose_radical_sum(left, bits).abs()
         er = enclose_radical_sum(right, bits).abs()
         if el.hi < er.lo:
             return -1
         if er.hi < el.lo:
             return 1
-        if bits >= max_bits:
-            raise PrecisionExhausted(f"could not order |{left}| vs |{right}|")
-        bits = min(2 * bits, max_bits)
+        return None
+
+    return refine(
+        decide, lambda: f"order of |{left}| vs |{right}|", start_bits=start_bits, max_bits=max_bits
+    )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import scaled_nearest_sqrt
+from .exactnum import round_half_up, scaled_nearest_sqrt
 from .squarefree import squarefree_decompose
 
 Row = tuple[int, ...]
@@ -73,7 +73,8 @@ def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
     return LatticeBasis(tuple(rows), tuple(radicands), scale)
 
 
-def _as_rows(basis: "LatticeBasis | Iterable[Sequence[int]]") -> list[Row]:
+def as_rows(basis: "LatticeBasis | Iterable[Sequence[int]]") -> list[Row]:
+    """The rows of a basis, or of any iterable of integer rows, as tuples."""
     if isinstance(basis, LatticeBasis):
         return [tuple(r) for r in basis.rows]
     return [tuple(r) for r in basis]
@@ -126,14 +127,14 @@ class GramSchmidtProfile:
 
 def gram_schmidt(basis: "LatticeBasis | Iterable[Sequence[int]]") -> GramSchmidtProfile:
     """Exact Gram-Schmidt profile (all squared norms and their minimum)."""
-    rows = _as_rows(basis)
+    rows = as_rows(basis)
     _, norms = fraction_gso(rows)
     return GramSchmidtProfile(tuple(norms), min(norms))
 
 
 def determinant(basis: "LatticeBasis | Iterable[Sequence[int]]") -> int:
     """Absolute determinant of a square integer row matrix, by Bareiss."""
-    rows = _as_rows(basis)
+    rows = as_rows(basis)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
@@ -160,10 +161,6 @@ class ShortestVector:
     vector: Row
     norm_sq: Fraction
     coefficients: tuple[int, ...]
-
-
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def _canonical_coeffs(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -217,7 +214,7 @@ def enumerate_block(
         for j in range(level + 1, m):
             if coeffs[j]:
                 center -= mu[start + j][t] * coeffs[j]
-        base = _round_half_up(center)
+        base = round_half_up(center)
         # Walk outward from the center in both directions; each direction
         # has monotonically growing contribution, so it can be cut off
         # independently once it crosses the (shrinking) radius.
@@ -257,7 +254,7 @@ def enumerate_shortest(
     squared norm of the shortest input row, which always contains a lattice
     vector; an explicit smaller radius raises if nothing lies inside it.
     """
-    rows = _as_rows(basis)
+    rows = as_rows(basis)
     n = len(rows)
     if n > ENUMERATION_MAX_DIM:
         raise ValueError(f"enumeration supports dimension <= {ENUMERATION_MAX_DIM}, got {n}")

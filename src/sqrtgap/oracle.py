@@ -32,6 +32,7 @@ from .exactnum import (
     certify_sign,
     compare_abs,
     enclose_radical_sum,
+    round_half_up,
 )
 
 VARIANTS = ("r1", "r2", "R")
@@ -49,10 +50,6 @@ class BruteForceResult:
     instance_count: int
 
 
-def _round_half_up_fraction(x) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def _offset_candidates(value: RadicalSum) -> range:
     """Integers t that can minimize the positive distance |value - t|.
 
@@ -60,7 +57,7 @@ def _offset_candidates(value: RadicalSum) -> range:
     coarse midpoint estimate (width <= 1/8 at 64 bits) always include it.
     """
     enc = enclose_radical_sum(value, 64)
-    mid = _round_half_up_fraction(enc.midpoint())
+    mid = round_half_up(enc.midpoint())
     return range(mid - 2, mid + 3)
 
 

@@ -18,7 +18,8 @@ the window rows and re-reduces.  Every row operation is mirrored on a
 transform matrix, so output = transform @ input with |det(transform)| = 1.
 
 Both reducers finish by re-verifying size reduction and the Lovasz
-condition with an independent exact rational Gram-Schmidt pass.
+condition with an independent exact rational Gram-Schmidt pass, whose
+profile the result keeps: it is the only exact GSO a certificate needs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import LatticeBasis, Row, enumerate_block, fraction_gso
+from .lattice import GramSchmidtProfile, LatticeBasis, Row, as_rows, enumerate_block, fraction_gso
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_BLOCK_SIZE = 10
@@ -59,6 +60,7 @@ class ReducedBasis:
     rows: tuple[Row, ...]
     transform: tuple[Row, ...]
     params: ReductionParams
+    profile: GramSchmidtProfile  # exact, from verify_reduced
 
 
 def _swap_budget(rows: Sequence[Sequence[int]], params: ReductionParams) -> int:
@@ -163,8 +165,11 @@ class _IntegralLLL:
         ]
 
 
-def verify_reduced(rows: Sequence[Row], delta: Fraction) -> None:
-    """Check size reduction and the Lovasz condition with exact rational GS."""
+def verify_reduced(rows: Sequence[Row], delta: Fraction) -> GramSchmidtProfile:
+    """Check size reduction and the Lovasz condition with exact rational GS.
+
+    Returns the exact Gram-Schmidt profile that the check computed.
+    """
     mu, norms = fraction_gso(list(rows))
     n = len(rows)
     for i in range(n):
@@ -176,12 +181,13 @@ def verify_reduced(rows: Sequence[Row], delta: Fraction) -> None:
         rhs = norms[k] + mu[k][k - 1] ** 2 * norms[k - 1]
         if lhs > rhs:
             raise ReductionError(f"Lovasz condition violated between rows {k - 1} and {k}")
+    return GramSchmidtProfile(tuple(norms), min(norms))
 
 
-def _as_row_list(basis: "LatticeBasis | Sequence[Sequence[int]]") -> list[list[int]]:
-    if isinstance(basis, LatticeBasis):
-        return [list(r) for r in basis.rows]
-    return [list(r) for r in basis]
+def _finish(state: _IntegralLLL, params: ReductionParams) -> ReducedBasis:
+    rows = tuple(tuple(r) for r in state.rows)
+    profile = verify_reduced(rows, params.delta)
+    return ReducedBasis(rows, tuple(tuple(r) for r in state.trans), params, profile)
 
 
 def lll(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams | None = None) -> ReducedBasis:
@@ -189,15 +195,10 @@ def lll(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams
     satisfies the Lovasz condition with the given delta, both re-verified
     by an independent rational Gram-Schmidt pass."""
     params = params or ReductionParams()
-    rows = _as_row_list(basis)
+    rows = as_rows(basis)
     state = _IntegralLLL(rows)
     state.reduce(params.delta, _swap_budget(rows, params))
-    verify_reduced([tuple(r) for r in state.rows], params.delta)
-    return ReducedBasis(
-        tuple(tuple(r) for r in state.rows),
-        tuple(tuple(r) for r in state.trans),
-        params,
-    )
+    return _finish(state, params)
 
 
 def complete_to_unimodular(coeffs: Sequence[int]) -> list[list[int]]:
@@ -246,7 +247,7 @@ def bkz(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams
     coefficient, so results are deterministic.
     """
     params = params or ReductionParams()
-    rows = _as_row_list(basis)
+    rows = as_rows(basis)
     n = len(rows)
     state = _IntegralLLL(rows)
     budget = _swap_budget(rows, params)
@@ -284,16 +285,9 @@ def bkz(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams
             state._init_gso()
             state.reduce(params.delta, budget)
             changed = True
-    verify_reduced([tuple(r) for r in state.rows], params.delta)
-    return ReducedBasis(
-        tuple(tuple(r) for r in state.rows),
-        tuple(tuple(r) for r in state.trans),
-        params,
-    )
+    return _finish(state, params)
 
 
-def reduced_profile(reduced: ReducedBasis):
-    """Exact Gram-Schmidt profile of a reduced basis (independent recompute)."""
-    from .lattice import gram_schmidt
-
-    return gram_schmidt(reduced.rows)
+def reduced_profile(reduced: ReducedBasis) -> GramSchmidtProfile:
+    """Exact Gram-Schmidt profile of a reduced basis, as verification computed it."""
+    return reduced.profile

@@ -8,14 +8,10 @@ integers is 6/pi^2, hence the i-th entry is near pi^2*i/6.
 from __future__ import annotations
 
 import math
-import struct
 import threading
 
 _SEGMENT = 1 << 16
 _DECOMPOSE_LIMIT = 1 << 64
-
-_MAGIC = b"SQFS"
-_VERSION = 1
 
 
 class _SieveCache:
@@ -59,17 +55,6 @@ class _SieveCache:
     def is_squarefree(self, n: int) -> bool:
         self.ensure_limit(n + 1)
         return bool(self._flags[n])
-
-    def snapshot(self) -> tuple[int, bytes]:
-        with self._lock:
-            return self._limit, bytes(self._flags)
-
-    def adopt(self, limit: int, flags: bytes) -> None:
-        with self._lock:
-            if limit > self._limit:
-                self._flags = bytearray(flags)
-                self._values = [n for n in range(2, limit) if flags[n]]
-                self._limit = limit
 
 
 _sieve = _SieveCache()
@@ -116,7 +101,7 @@ def is_squarefree(n: int) -> bool:
     """True iff no perfect square > 1 divides n."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    if n < _DECOMPOSE_LIMIT and n < (1 << 24):
+    if n < (1 << 24):
         return _sieve.is_squarefree(n)
     return squarefree_decompose(n)[0] == 1
 
@@ -174,52 +159,3 @@ def prime_count(n: int) -> int:
         else:
             hi = mid
     return lo
-
-
-def save_sieve(path: str) -> None:
-    """Write the current sieve state in the SQFS cache format.
-
-    Layout: magic "SQFS", u32 version, u32 segment count, then per segment
-    u64 start, u64 bit count, and ceil(bits/8) bytes of LSB-first bitmap.
-    """
-    limit, flags = _sieve.snapshot()
-    bitmap = bytearray((limit + 7) // 8)
-    for n in range(limit):
-        if flags[n]:
-            bitmap[n >> 3] |= 1 << (n & 7)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, 1))
-        fh.write(struct.pack("<QQ", 0, limit))
-        fh.write(bytes(bitmap))
-
-
-def load_sieve(path: str) -> int:
-    """Load an SQFS cache file; returns the sieve limit adopted."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise ValueError("not an SQFS sieve cache (bad magic)")
-    version, n_segments = struct.unpack_from("<II", data, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported SQFS version {version}")
-    offset = 12
-    expected_start = 0
-    flags = bytearray()
-    for _ in range(n_segments):
-        start, bits = struct.unpack_from("<QQ", data, offset)
-        offset += 16
-        if start != expected_start:
-            raise ValueError("SQFS segments must be contiguous from 0")
-        nbytes = (bits + 7) // 8
-        bitmap = data[offset : offset + nbytes]
-        if len(bitmap) != nbytes:
-            raise ValueError("truncated SQFS segment")
-        offset += nbytes
-        for n in range(bits):
-            flags.append((bitmap[n >> 3] >> (n & 7)) & 1)
-        expected_start = start + bits
-    limit = expected_start
-    if limit:
-        _sieve.adopt(limit, bytes(flags))
-    return limit

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtgap.cli import main
+from sqrtgap.cli import MAX_POWER_BITS, _parse_bigint, main
 
 
 def _run(capsys, *argv):
@@ -111,26 +111,18 @@ def test_enumeration_cap_exit_code(capsys):
     assert code == 2  # default cap exceeded
 
 
-def test_sieve_cache_flag(tmp_path, capsys):
-    path = tmp_path / "sieve.sqfs"
-    code, out, _ = _run(capsys, "--sieve-cache", str(path), "sigma", "--i", "25")
-    assert code == 0
-    assert path.exists() and path.read_bytes()[:4] == b"SQFS"
-    # second run loads the cache
-    code, out, _ = _run(capsys, "--sieve-cache", str(path), "sigma", "--i", "25")
-    assert code == 0
-    assert json.loads(out)["result"]["value"] == "39"
-
-
 def test_deterministic_output(capsys):
     _, first, _ = _run(capsys, "ratio-scan", "--k", "3", "--log10n", "10")
     _, second, _ = _run(capsys, "ratio-scan", "--k", "3", "--log10n", "10")
     assert first == second
 
 
-def test_threads_do_not_change_results(capsys):
-    _, one, _ = _run(capsys, "ratio-scan", "--k", "3,4", "--log10n", "8,10")
-    _, four, _ = _run(capsys, "--threads", "4", "ratio-scan", "--k", "3,4", "--log10n", "8,10")
-    one_r = json.loads(one)["result"]
-    four_r = json.loads(four)["result"]
-    assert one_r == four_r
+def test_parse_bigint_bounds(capsys):
+    assert _parse_bigint("10^50") == 10**50
+    assert _parse_bigint(" 123 ") == 123
+    with pytest.raises(ValueError):
+        _parse_bigint("10^-5")
+    assert 2 * 1048577 > MAX_POWER_BITS
+    with pytest.raises(ValueError):
+        _parse_bigint("2^1048577")  # rejected before the power is formed
+    assert _run(capsys, "certify", "--k", "3", "--N", "10^-5")[0] == 1

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from sqrtgap.bounds import qian_wang_instance
 from sqrtgap.exactnum import (
     Enclosure,
     LogBound,
     NEGATIVE,
     POSITIVE,
+    PrecisionExhausted,
     RadicalSum,
     ZERO,
     certify_sign,
@@ -177,6 +179,26 @@ def test_certify_sign_escalates_on_pell_near_misses():
     assert sign == (POSITIVE if p * p - 2 * q * q > 0 else NEGATIVE)
     assert not enc.contains_zero()
     assert enc.precision_bits > 64  # escalation actually happened
+
+
+def _pell_near_miss(min_q: int) -> RadicalSum:
+    p, q = 3, 2
+    while q < min_q:
+        p, q = p + 2 * q, p + q
+    return RadicalSum.from_terms([(-q, 2)], offset=-p)  # p - q*sqrt(2)
+
+
+def test_refinement_stops_at_the_precision_cap():
+    pell = _pell_near_miss(10**11)
+    assert certify_sign(pell)[1].precision_bits == 128  # the 64, 128, ... ladder
+    with pytest.raises(PrecisionExhausted):
+        certify_sign(pell, max_bits=64)
+    with pytest.raises(PrecisionExhausted):
+        compare_abs(pell, _pell_near_miss(10**12), max_bits=64)
+    inst = qian_wang_instance(4, 10**6)
+    assert inst.satisfied()
+    with pytest.raises(PrecisionExhausted):
+        inst.satisfied(max_bits=64)
 
 
 def test_compare_abs():

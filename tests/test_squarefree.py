@@ -5,10 +5,8 @@ import pytest
 
 from sqrtgap.squarefree import (
     is_squarefree,
-    load_sieve,
     nth_squarefree,
     prime_count,
-    save_sieve,
     squarefree_decompose,
     squarefree_upto,
 )
@@ -86,24 +84,6 @@ def test_prime_count():
     assert prime_count(15) == 6
     assert prime_count(165) == 38
     assert prime_count(10**6) == 78498
-
-
-def test_sieve_cache_roundtrip(tmp_path):
-    nth_squarefree(50)  # make sure some state exists
-    path = tmp_path / "cache.sqfs"
-    save_sieve(str(path))
-    raw = path.read_bytes()
-    assert raw[:4] == b"SQFS"
-    limit = load_sieve(str(path))
-    assert limit >= 50
-    assert nth_squarefree(10) == 15
-
-
-def test_sieve_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.sqfs"
-    path.write_bytes(b"NOPE1234")
-    with pytest.raises(ValueError):
-        load_sieve(str(path))
 
 
 def test_concurrent_sieve_reads():
