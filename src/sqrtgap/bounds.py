@@ -123,7 +123,7 @@ def certify_lower_bound(
         raise ValueError(f"scale must be >= 1, got {scale}")
     radicands = squarefree.squarefree_upto(k)
     basis = build_basis(radicands, scale)
-    reduced = bkz(basis, params or ReductionParams())
+    reduced = bkz(basis, params)
     profile = reduced_profile(reduced)
     threshold = certification_threshold(k)
     min_norm = profile.min_norm_sq
@@ -266,7 +266,7 @@ def upper_bound_from_reduction(
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
     basis = build_basis(squarefree.squarefree_upto(k), scale)
-    reduced = bkz(basis, params or ReductionParams())
+    reduced = bkz(basis, params)
     best: Optional[UpperBoundWitness] = None
     for row in reduced.rows:
         witness = row_witness(basis, row)
@@ -295,7 +295,9 @@ def root_separation_log10(n: int, k: int, variant: str = "R") -> LogBound:
         raise ValueError(f"variant must be 'r1' or 'R', got {variant!r}")
     factor = k if variant == "r1" else 2 * k
     base_log10 = math.log10(factor) + 0.5 * math.log10(n)
-    exponent = 1 << (min(k, squarefree.prime_count(n)) - 1)
+    # pi(8192) = 1028: any min(k, pi(n)) above 1024 overflows the double
+    # exponent anyway, so primes past 8192 never change the result.
+    exponent = 1 << (min(k, squarefree.prime_count(min(n, 8192))) - 1)
     try:
         value = -float(exponent) * base_log10
     except OverflowError:
@@ -388,7 +390,7 @@ def _scan_cell(k: int, log10_scale: int, params: ReductionParams | None) -> Rati
     try:
         scale = 10**log10_scale
         basis = build_basis(squarefree.squarefree_upto(k), scale)
-        reduced = bkz(basis, params or ReductionParams())
+        reduced = bkz(basis, params)
         profile = reduced_profile(reduced)
         min_norm = profile.min_norm_sq
         l_sq = min(sum(c * c for c in row) for row in reduced.rows)

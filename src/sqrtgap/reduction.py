@@ -81,13 +81,10 @@ def _swap_budget(rows: Sequence[Sequence[int]], params: ReductionParams) -> int:
 class _IntegralLLL:
     """All-integer LLL state over basis rows plus a mirrored transform."""
 
-    def __init__(self, rows: Sequence[Sequence[int]], trans: Sequence[Sequence[int]] | None = None):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = [list(r) for r in rows]
         n = len(self.rows)
-        if trans is None:
-            self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        else:
-            self.trans = [list(r) for r in trans]
+        self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         self.n = n
         self.swaps = 0
         self._init_gso()
@@ -184,6 +181,18 @@ def verify_reduced(rows: Sequence[Row], delta: Fraction) -> GramSchmidtProfile:
     return GramSchmidtProfile(tuple(norms), min(norms))
 
 
+def _lll_state(
+    basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams | None
+) -> tuple[_IntegralLLL, ReductionParams, int]:
+    """LLL-reduced state of the basis, the effective params and the swap budget."""
+    params = params or ReductionParams()
+    rows = as_rows(basis)
+    state = _IntegralLLL(rows)
+    budget = _swap_budget(rows, params)
+    state.reduce(params.delta, budget)
+    return state, params, budget
+
+
 def _finish(state: _IntegralLLL, params: ReductionParams) -> ReducedBasis:
     rows = tuple(tuple(r) for r in state.rows)
     profile = verify_reduced(rows, params.delta)
@@ -194,10 +203,7 @@ def lll(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams
     """LLL-reduce integer rows; the result is exactly size-reduced and
     satisfies the Lovasz condition with the given delta, both re-verified
     by an independent rational Gram-Schmidt pass."""
-    params = params or ReductionParams()
-    rows = as_rows(basis)
-    state = _IntegralLLL(rows)
-    state.reduce(params.delta, _swap_budget(rows, params))
+    state, params, _ = _lll_state(basis, params)
     return _finish(state, params)
 
 
@@ -236,6 +242,12 @@ def complete_to_unimodular(coeffs: Sequence[int]) -> list[list[int]]:
     return w
 
 
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer matrix product a @ b, as a list of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def bkz(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams | None = None) -> ReducedBasis:
     """Block reduction: LLL, then sliding-window exact enumeration.
 
@@ -246,13 +258,8 @@ def bkz(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams
     the lexicographically smallest coefficient vector with positive leading
     coefficient, so results are deterministic.
     """
-    params = params or ReductionParams()
-    rows = as_rows(basis)
-    n = len(rows)
-    state = _IntegralLLL(rows)
-    budget = _swap_budget(rows, params)
-    state.reduce(params.delta, budget)
-
+    state, params, budget = _lll_state(basis, params)
+    n = state.n
     passes = 0
     max_passes = params.max_rounds if params.max_rounds is not None else max(10, 10 * n)
     changed = True
@@ -271,17 +278,8 @@ def bkz(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams
             if norm >= norms[i]:
                 continue
             unimod = complete_to_unimodular(coeffs)
-            block_rows = [state.rows[i + t] for t in range(m)]
-            block_trans = [state.trans[i + t] for t in range(m)]
-            for t in range(m):
-                state.rows[i + t] = [
-                    sum(unimod[t][u] * block_rows[u][c] for u in range(m))
-                    for c in range(len(block_rows[0]))
-                ]
-                state.trans[i + t] = [
-                    sum(unimod[t][u] * block_trans[u][c] for u in range(m))
-                    for c in range(n)
-                ]
+            state.rows[i : i + m] = _matmul(unimod, state.rows[i : i + m])
+            state.trans[i : i + m] = _matmul(unimod, state.trans[i : i + m])
             state._init_gso()
             state.reduce(params.delta, budget)
             changed = True

@@ -19,7 +19,7 @@ from sqrtgap.bounds import (
 from sqrtgap.exactnum import enclose_radical_sum, sqrt_enclosure
 from sqrtgap.lattice import build_basis
 from sqrtgap.reduction import ReductionParams, bkz
-from sqrtgap.squarefree import nth_squarefree, squarefree_upto
+from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
 
 def test_threshold_values():
@@ -182,6 +182,25 @@ def test_root_separation_monotone():
             if prev is not None:
                 assert cur <= prev + 1e-9
             prev = cur
+
+
+def test_root_separation_counts_primes_only_as_far_as_the_exponent_needs():
+    # pi(8160) = 1023, pi(8161) = 1024, pi(8192) = pi(8193) = 1028; the cases
+    # that do not raise all overflow to -inf, on both sides of the comparison
+    for n in (8160, 8161, 8192, 8193, 10**6):
+        for k in (1023, 1024, 1025, 2000):
+            exponent = min(k, prime_count(n)) - 1
+            if exponent > 1023:
+                with pytest.raises(ValueError):
+                    root_separation_log10(n, k)
+            else:
+                expected = -(2.0**exponent) * (math.log10(2 * k) + 0.5 * math.log10(n))
+                assert root_separation_log10(n, k).log10 == expected, (n, k)
+
+
+def test_root_separation_beyond_old_prime_count_range():
+    # n >= 2**32 was rejected while pi(n) was sieved in full
+    assert root_separation_log10(10**12, 10).log10 == -(2**9) * (math.log10(20) + 6)
 
 
 def test_root_separation_validates():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sqrtgap.cli import MAX_POWER_BITS, _parse_bigint, main
+from sqrtgap.squarefree import MAX_SIEVE_LIMIT
 
 
 def _run(capsys, *argv):
@@ -23,6 +24,12 @@ def test_sigma_json_roundtrip(capsys):
     assert report["command"] == "sigma"
     assert report["result"]["value"] == "165"
     assert "reduction" in report["defaults"]  # defaults recorded in the header
+
+
+def test_sigma_past_sieve_cap_is_input_error(capsys):
+    code, out, err = _run(capsys, "sigma", "--i", str(MAX_SIEVE_LIMIT + 1))
+    assert code == 1
+    assert out == "" and "MAX_SIEVE_LIMIT" in err
 
 
 def test_brute_force_json(capsys):

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from sqrtgap.squarefree import (
+    MAX_SIEVE_LIMIT,
     is_squarefree,
     nth_squarefree,
     prime_count,
@@ -76,6 +78,43 @@ def test_is_squarefree():
     assert not is_squarefree(8)
     assert not is_squarefree(49)
     assert is_squarefree(165)
+
+
+def _peak_bytes(call):
+    """Result of call() and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_is_squarefree_below_old_branch_allocates_no_sieve():
+    # is_squarefree once sieved every n < 2**24; 2**24 - 1 = 9*5*7*13*17*241
+    result, peak = _peak_bytes(lambda: is_squarefree((1 << 24) - 1))
+    assert result is False
+    assert peak < 1 << 20
+
+
+def test_is_squarefree_matches_trial_division_across_old_sieve_branch():
+    for n in list(range(1, 2000)) + list(range((1 << 24) - 200, (1 << 24) + 200)):
+        assert is_squarefree(n) == _is_squarefree_by_trial(n), n
+
+
+def test_sieve_cap_rejects_before_allocating():
+    # the smallest count whose sieve [0, 2i + 16) passes the cap
+    count = (MAX_SIEVE_LIMIT - 16) // 2 + 1
+    for call, arg in (
+        (nth_squarefree, count),
+        (squarefree_upto, count),
+        (prime_count, MAX_SIEVE_LIMIT + 1),
+    ):
+        def attempt():
+            with pytest.raises(ValueError, match="MAX_SIEVE_LIMIT"):
+                call(arg)
+
+        assert _peak_bytes(attempt)[1] < 1 << 20, call.__name__
 
 
 def test_prime_count():
