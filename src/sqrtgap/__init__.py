@@ -40,7 +40,6 @@ from .lattice import (
 from .reduction import (
     ReducedBasis,
     ReductionError,
-    ReductionParams,
     bkz,
     lll,
     reduced_profile,

@@ -41,7 +41,7 @@ from .exactnum import (
     refine,
 )
 from .lattice import LatticeBasis, build_basis
-from .reduction import ReductionParams, bkz, reduced_profile
+from .reduction import DEFAULT_BLOCK_SIZE, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
 DEFAULT_MAX_ITERS = 200
@@ -107,7 +107,7 @@ class LowerBoundCertificate:
 def certify_lower_bound(
     k: int,
     scale: int,
-    params: ReductionParams | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> LowerBoundCertificate:
     """Attempt to certify G(k) >= 1/scale at the given scale.
 
@@ -123,7 +123,7 @@ def certify_lower_bound(
         raise ValueError(f"scale must be >= 1, got {scale}")
     radicands = squarefree.squarefree_upto(k)
     basis = build_basis(radicands, scale)
-    reduced = bkz(basis, params)
+    reduced = bkz(basis, block_size)
     profile = reduced_profile(reduced)
     threshold = certification_threshold(k)
     min_norm = profile.min_norm_sq
@@ -145,7 +145,7 @@ def find_lower_bound(
     step: int = DEFAULT_STEP,
     start_scale: int | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    params: ReductionParams | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     progress: Callable[[LowerBoundCertificate], None] | None = None,
 ) -> LowerBoundCertificate:
     """Grow the scale geometrically until a lower bound certifies.
@@ -165,7 +165,7 @@ def find_lower_bound(
         raise ValueError(f"start_scale must be >= 1, got {scale}")
     last: Optional[LowerBoundCertificate] = None
     for _ in range(max_iters):
-        cert = certify_lower_bound(k, scale, params)
+        cert = certify_lower_bound(k, scale, block_size)
         if progress is not None:
             progress(cert)
         if cert.threshold_passed:
@@ -252,7 +252,7 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
 def upper_bound_from_reduction(
     k: int,
     scale: int,
-    params: ReductionParams | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> UpperBoundWitness:
     """Best constructive upper-bound witness from one block reduction.
 
@@ -266,7 +266,7 @@ def upper_bound_from_reduction(
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
     basis = build_basis(squarefree.squarefree_upto(k), scale)
-    reduced = bkz(basis, params)
+    reduced = bkz(basis, block_size)
     best: Optional[UpperBoundWitness] = None
     for row in reduced.rows:
         witness = row_witness(basis, row)
@@ -297,12 +297,11 @@ def root_separation_log10(n: int, k: int, variant: str = "R") -> LogBound:
     base_log10 = math.log10(factor) + 0.5 * math.log10(n)
     # pi(8192) = 1028: any min(k, pi(n)) above 1024 overflows the double
     # exponent anyway, so primes past 8192 never change the result.
-    exponent = 1 << (min(k, squarefree.prime_count(min(n, 8192))) - 1)
-    try:
-        value = -float(exponent) * base_log10
+    e = min(k, squarefree.prime_count(min(n, 8192))) - 1
+    try:  # ldexp is the exact product 2**e * base_log10, and raises where it overflows
+        return LogBound(-math.ldexp(base_log10, e))
     except OverflowError:
-        raise ValueError(f"exponent 2**{exponent.bit_length() - 1} exceeds double range")
-    return LogBound(value)
+        raise ValueError(f"2**{e} * {base_log10:.6g} exceeds double range") from None
 
 
 @dataclass(frozen=True)
@@ -386,11 +385,11 @@ def _ln_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _scan_cell(k: int, log10_scale: int, params: ReductionParams | None) -> RatioCell:
+def _scan_cell(k: int, log10_scale: int, block_size: int) -> RatioCell:
     try:
         scale = 10**log10_scale
         basis = build_basis(squarefree.squarefree_upto(k), scale)
-        reduced = bkz(basis, params)
+        reduced = bkz(basis, block_size)
         profile = reduced_profile(reduced)
         min_norm = profile.min_norm_sq
         l_sq = min(sum(c * c for c in row) for row in reduced.rows)
@@ -414,7 +413,7 @@ def _scan_cell(k: int, log10_scale: int, params: ReductionParams | None) -> Rati
 def ratio_scan(
     k_list: Sequence[int],
     log10_scale_list: Sequence[int],
-    params: ReductionParams | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[RatioCell]:
     """Reduce a grid of (k, scale) cells and report lambda*/scale^(1/(k+1)).
 
@@ -425,4 +424,6 @@ def ratio_scan(
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")
-    return [_scan_cell(k, e, params) for k in k_list for e in log10_scale_list]
+    if block_size < 2:  # checked here too: each cell turns its own errors into RatioCell.error
+        raise ValueError(f"block_size must be >= 2, got {block_size}")
+    return [_scan_cell(k, e, block_size) for k in k_list for e in log10_scale_list]

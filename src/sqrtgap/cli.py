@@ -2,10 +2,11 @@
 
 Reports go to stdout as JSON (default) or CSV; progress goes to stderr.
 Exit codes: 0 success, 1 input error, 2 computation failure (no
-certificate within the iteration budget, enumeration cap exceeded,
-precision cap exhausted).  Integers that can exceed native JSON number
-range are serialized as decimal strings, enclosures as exact decimal
-dyadic endpoints, so every report re-parses losslessly.
+certificate within the iteration budget, reduction swap or tour budget
+exhausted, enumeration cap exceeded, precision cap exhausted).  Integers
+that can exceed native JSON number range are serialized as decimal
+strings, enclosures as exact decimal dyadic endpoints, so every report
+re-parses losslessly.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from fractions import Fraction
 from . import bounds, oracle, squarefree
 from .exactnum import (
     DEFAULT_PRECISION_CAP,
+    MIN_PRECISION_BITS,
     Enclosure,
     PrecisionExhausted,
     RadicalSum,
     dyadic_decimal,
     enclose_radical_sum,
 )
-from .reduction import ReductionError, ReductionParams
+from .reduction import DEFAULT_BLOCK_SIZE, DEFAULT_DELTA, ReductionError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
+def _check_power(base: int, exp: int) -> None:
+    """Reject base^exp with a negative exponent or a size past MAX_POWER_BITS."""
+    if exp < 0:
+        raise ValueError(f"negative exponent in {base}^{exp}")
+    if exp * base.bit_length() > MAX_POWER_BITS:
+        raise ValueError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
+
+
 def _parse_bigint(text: str) -> int:
     """Accept plain decimal or base^exponent (e.g. 10^50) within MAX_POWER_BITS."""
     text = text.strip()
@@ -54,10 +64,7 @@ def _parse_bigint(text: str) -> int:
         return int(text)
     base_text, _, exp_text = text.partition("^")
     base, exp = int(base_text), int(exp_text)
-    if exp < 0:
-        raise ValueError(f"negative exponent in {text}")
-    if exp * base.bit_length() > MAX_POWER_BITS:
-        raise ValueError(f"{text} exceeds {MAX_POWER_BITS} bits")
+    _check_power(base, exp)
     return base**exp
 
 
@@ -65,8 +72,19 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_log10_list(text: str) -> list[int]:
+    """Comma-separated exponents e, each bounded like --N 10^e."""
+    exps = _parse_int_list(text)
+    for e in exps:
+        _check_power(10, e)
+    return exps
+
+
+def _parse_precision_bits(text: str) -> int:
+    bits = int(text)
+    if not MIN_PRECISION_BITS <= bits <= DEFAULT_PRECISION_CAP:
+        raise ValueError(f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]")
+    return bits
 
 
 def _build_parser() -> _Parser:
@@ -75,10 +93,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_reduction_flags(p):
-        p.add_argument("--delta", type=_parse_fraction, default=None,
-                       help="Lovasz parameter as a fraction, e.g. 99/100")
-        p.add_argument("--block-size", type=int, default=None)
-        p.add_argument("--max-rounds", type=int, default=None)
+        p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
 
     p = sub.add_parser("sigma", help="i-th square-free integer (from 2)")
     p.add_argument("--i", type=int, required=True)
@@ -97,7 +112,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("qian-wang", help="alternating binomial upper-bound instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=_parse_bigint, required=True)
-    p.add_argument("--precision-bits", type=int, default=128)
+    p.add_argument("--precision-bits", type=_parse_precision_bits, default=128)
 
     p = sub.add_parser("certify", help="attempt a lower-bound certificate at one scale")
     p.add_argument("--k", type=int, required=True)
@@ -119,22 +134,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ratio-scan", help="lambda*/N^(1/(k+1)) over a (k, N) grid")
     p.add_argument("--k", type=_parse_int_list, required=True, dest="k_list",
                    help="comma-separated k values")
-    p.add_argument("--log10n", type=_parse_int_list, required=True, dest="log10_list",
+    p.add_argument("--log10n", type=_parse_log10_list, required=True, dest="log10_list",
                    help="comma-separated log10(N) values")
     add_reduction_flags(p)
 
     return parser
-
-
-def _reduction_params(args) -> ReductionParams:
-    kwargs = {}
-    if getattr(args, "delta", None) is not None:
-        kwargs["delta"] = args.delta
-    if getattr(args, "block_size", None) is not None:
-        kwargs["block_size"] = args.block_size
-    if getattr(args, "max_rounds", None) is not None:
-        kwargs["max_rounds"] = args.max_rounds
-    return ReductionParams(**kwargs)
 
 
 def _ser_enclosure(enc: Enclosure) -> dict:
@@ -154,14 +158,6 @@ def _ser_radical_sum(v: RadicalSum) -> dict:
         "terms": [{"coefficient": str(c), "radicand": str(s)} for c, s in v.terms],
         "offset": str(v.offset),
         "display": str(v),
-    }
-
-
-def _ser_params(params: ReductionParams) -> dict:
-    return {
-        "delta": f"{params.delta.numerator}/{params.delta.denominator}",
-        "block_size": params.block_size,
-        "max_rounds": params.max_rounds,
     }
 
 
@@ -218,7 +214,7 @@ def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
 
 
 def _run_certify(args) -> tuple[dict, int]:
-    cert = bounds.certify_lower_bound(args.k, args.scale, _reduction_params(args))
+    cert = bounds.certify_lower_bound(args.k, args.scale, args.block_size)
     return _ser_certificate(cert), EXIT_OK if cert.threshold_passed else EXIT_COMPUTE
 
 
@@ -236,14 +232,14 @@ def _run_lower_bound(args) -> dict:
         step=args.step,
         start_scale=args.start_scale,
         max_iters=args.max_iters,
-        params=_reduction_params(args),
+        block_size=args.block_size,
         progress=progress,
     )
     return _ser_certificate(cert)
 
 
 def _run_upper_bound(args) -> dict:
-    witness = bounds.upper_bound_from_reduction(args.k, args.scale, _reduction_params(args))
+    witness = bounds.upper_bound_from_reduction(args.k, args.scale, args.block_size)
     return {
         "k": args.k,
         "N": str(args.scale),
@@ -266,7 +262,7 @@ def _log10_of(enc: Enclosure) -> float | None:
 
 
 def _run_ratio_scan(args) -> dict:
-    cells = bounds.ratio_scan(args.k_list, args.log10_list, _reduction_params(args))
+    cells = bounds.ratio_scan(args.k_list, args.log10_list, args.block_size)
     rows = []
     for c in cells:
         if c.error is not None:
@@ -352,7 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     defaults = {
         "format": args.format,
         "precision_cap_bits": DEFAULT_PRECISION_CAP,
-        "reduction": _ser_params(_reduction_params(args)),
+        "reduction": {
+            "delta": f"{DEFAULT_DELTA.numerator}/{DEFAULT_DELTA.denominator}",
+            "block_size": getattr(args, "block_size", DEFAULT_BLOCK_SIZE),
+        },
     }
     report = {"command": args.command, "defaults": defaults, "result": result}
     _emit(report, args.format)

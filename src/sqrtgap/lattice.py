@@ -28,6 +28,9 @@ from .squarefree import squarefree_decompose
 Row = tuple[int, ...]
 
 ENUMERATION_MAX_DIM = 6
+# Largest basis build_basis will allocate: it admits the k = 100 target
+# (dimension 101) with room, and is checked before any row exists.
+BASIS_MAX_DIM = 256
 
 
 class DependentRowsError(ValueError):
@@ -53,6 +56,8 @@ def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
     """Construct the lattice basis for the given radicands and scale."""
     if not radicands:
         raise ValueError("need at least one radicand")
+    if len(radicands) >= BASIS_MAX_DIM:
+        raise ValueError(f"{len(radicands) + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     seen = set()

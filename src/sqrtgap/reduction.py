@@ -35,47 +35,29 @@ DEFAULT_BLOCK_SIZE = 10
 
 
 class ReductionError(RuntimeError):
-    """Reduction failed to terminate within its operation budget."""
-
-
-@dataclass(frozen=True)
-class ReductionParams:
-    delta: Fraction = DEFAULT_DELTA
-    block_size: int = DEFAULT_BLOCK_SIZE
-    max_rounds: int | None = None  # None: sized from the input, see _swap_budget
-
-    def __post_init__(self) -> None:
-        delta = Fraction(self.delta)
-        if not Fraction(1, 4) < delta < 1:
-            raise ValueError(f"delta must lie in (1/4, 1), got {delta}")
-        object.__setattr__(self, "delta", delta)
-        if self.block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {self.block_size}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+    """Reduction ran out of its swap or tour budget, or failed verification."""
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
     rows: tuple[Row, ...]
     transform: tuple[Row, ...]
-    params: ReductionParams
     profile: GramSchmidtProfile  # exact, from verify_reduced
 
 
-def _swap_budget(rows: Sequence[Sequence[int]], params: ReductionParams) -> int:
-    """Swap budget: 10*n^2 scaled by entry size.
+def _swap_budget(rows: Sequence[Sequence[int]]) -> int:
+    """LLL swap budget: 10*n^2 scaled by the bit length of the largest entry.
 
-    The classic 10*n^2 margin is enough for small inputs but is genuinely
-    exceeded by legitimate reductions once entries reach hundreds of bits
-    (the swap count grows with log of the entry size), so the default
-    budget scales with the bit length of the largest entry.
+    The classic 10*n^2 margin is genuinely exceeded by legitimate reductions
+    once entries reach hundreds of bits (the swap count grows with the log
+    of the entry size).
     """
-    if params.max_rounds is not None:
-        return params.max_rounds
-    n = len(rows)
-    maxbits = max(max(abs(e) for e in row) for row in rows).bit_length()
-    return 10 * n * n * max(1, maxbits)
+    return 10 * len(rows) ** 2 * max(1, max(abs(e) for row in rows for e in row).bit_length())
+
+
+def _tour_budget(dim: int) -> int:
+    """BKZ tour cap: a safety valve polynomial in the dimension, not a tuning knob."""
+    return max(10, 10 * dim)
 
 
 class _IntegralLLL:
@@ -181,30 +163,28 @@ def verify_reduced(rows: Sequence[Row], delta: Fraction) -> GramSchmidtProfile:
     return GramSchmidtProfile(tuple(norms), min(norms))
 
 
-def _lll_state(
-    basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams | None
-) -> tuple[_IntegralLLL, ReductionParams, int]:
-    """LLL-reduced state of the basis, the effective params and the swap budget."""
-    params = params or ReductionParams()
+def _lll_state(basis: "LatticeBasis | Sequence[Sequence[int]]") -> tuple[_IntegralLLL, int]:
+    """LLL-reduced state of the basis and the swap budget it was given."""
     rows = as_rows(basis)
     state = _IntegralLLL(rows)
-    budget = _swap_budget(rows, params)
-    state.reduce(params.delta, budget)
-    return state, params, budget
+    budget = _swap_budget(rows)
+    state.reduce(DEFAULT_DELTA, budget)
+    return state, budget
 
 
-def _finish(state: _IntegralLLL, params: ReductionParams) -> ReducedBasis:
+def _finish(state: _IntegralLLL) -> ReducedBasis:
     rows = tuple(tuple(r) for r in state.rows)
-    profile = verify_reduced(rows, params.delta)
-    return ReducedBasis(rows, tuple(tuple(r) for r in state.trans), params, profile)
+    profile = verify_reduced(rows, DEFAULT_DELTA)
+    return ReducedBasis(rows, tuple(tuple(r) for r in state.trans), profile)
 
 
-def lll(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams | None = None) -> ReducedBasis:
+def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
     """LLL-reduce integer rows; the result is exactly size-reduced and
-    satisfies the Lovasz condition with the given delta, both re-verified
-    by an independent rational Gram-Schmidt pass."""
-    state, params, _ = _lll_state(basis, params)
-    return _finish(state, params)
+    satisfies the Lovasz condition with delta = DEFAULT_DELTA, both
+    re-verified by an independent rational Gram-Schmidt pass.  Raises
+    ReductionError if the swap budget runs out."""
+    state, _ = _lll_state(basis)
+    return _finish(state)
 
 
 def complete_to_unimodular(coeffs: Sequence[int]) -> list[list[int]]:
@@ -248,42 +228,42 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def bkz(basis: "LatticeBasis | Sequence[Sequence[int]]", params: ReductionParams | None = None) -> ReducedBasis:
+def bkz(
+    basis: "LatticeBasis | Sequence[Sequence[int]]", block_size: int = DEFAULT_BLOCK_SIZE
+) -> ReducedBasis:
     """Block reduction: LLL, then sliding-window exact enumeration.
 
-    After termination each window of block_size consecutive Gram-Schmidt
-    projected vectors starts with a vector achieving the exact projected
-    shortest length; passes repeat until one makes no change (or the round
-    budget runs out).  Within enumeration, equal-norm candidates resolve to
-    the lexicographically smallest coefficient vector with positive leading
-    coefficient, so results are deterministic.
+    On return each window of block_size consecutive Gram-Schmidt projected
+    vectors starts with a vector achieving the exact projected shortest
+    length: tours repeat until one makes no change, and ReductionError is
+    raised if _tour_budget tours pass without that.  Within enumeration,
+    equal-norm candidates resolve to the lexicographically smallest
+    coefficient vector with positive leading coefficient, so results are
+    deterministic.
     """
-    state, params, budget = _lll_state(basis, params)
+    if block_size < 2:
+        raise ValueError(f"block_size must be >= 2, got {block_size}")
+    state, budget = _lll_state(basis)
     n = state.n
-    passes = 0
-    max_passes = params.max_rounds if params.max_rounds is not None else max(10, 10 * n)
-    changed = True
-    while changed and passes < max_passes:
+    tours = _tour_budget(n)
+    for _ in range(tours):
         changed = False
-        passes += 1
         for i in range(n - 1):
-            m = min(params.block_size, n - i)
-            if m < 2:
-                continue
+            m = min(block_size, n - i)
             mu, norms = state.mu(), state.norms_sq()
-            found = enumerate_block(mu, norms, i, i + m, norms[i])
-            if found is None:
-                continue
-            coeffs, norm = found
+            # The window's first row lies on the radius, so a vector is always found.
+            coeffs, norm = enumerate_block(mu, norms, i, i + m, norms[i])
             if norm >= norms[i]:
                 continue
             unimod = complete_to_unimodular(coeffs)
             state.rows[i : i + m] = _matmul(unimod, state.rows[i : i + m])
             state.trans[i : i + m] = _matmul(unimod, state.trans[i : i + m])
             state._init_gso()
-            state.reduce(params.delta, budget)
+            state.reduce(DEFAULT_DELTA, budget)
             changed = True
-    return _finish(state, params)
+        if not changed:
+            return _finish(state)
+    raise ReductionError(f"BKZ windows still improving after {tours} tours")
 
 
 def reduced_profile(reduced: ReducedBasis) -> GramSchmidtProfile:

@@ -39,7 +39,7 @@ from sqrtgap.bounds import (
 from sqrtgap.exactnum import RadicalSum, compare_abs, enclose_radical_sum
 from sqrtgap.lattice import build_basis, enumerate_shortest, gram_schmidt
 from sqrtgap.oracle import brute_force
-from sqrtgap.reduction import ReductionParams, bkz, reduced_profile
+from sqrtgap.reduction import bkz, reduced_profile
 from sqrtgap.squarefree import nth_squarefree, squarefree_upto
 
 

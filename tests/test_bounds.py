@@ -18,7 +18,7 @@ from sqrtgap.bounds import (
 )
 from sqrtgap.exactnum import enclose_radical_sum, sqrt_enclosure
 from sqrtgap.lattice import build_basis
-from sqrtgap.reduction import ReductionParams, bkz
+from sqrtgap.reduction import bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
 
@@ -185,17 +185,18 @@ def test_root_separation_monotone():
 
 
 def test_root_separation_counts_primes_only_as_far_as_the_exponent_needs():
-    # pi(8160) = 1023, pi(8161) = 1024, pi(8192) = pi(8193) = 1028; the cases
-    # that do not raise all overflow to -inf, on both sides of the comparison
+    # pi(8160) = 1023, pi(8161) = 1024, pi(8192) = pi(8193) = 1028; k = 1000
+    # gives finite values, every other case here overflows a double and raises
     for n in (8160, 8161, 8192, 8193, 10**6):
-        for k in (1023, 1024, 1025, 2000):
+        for k in (1000, 1023, 1024, 1025, 2000):
             exponent = min(k, prime_count(n)) - 1
-            if exponent > 1023:
+            base_log10 = math.log10(2 * k) + 0.5 * math.log10(n)
+            expected = -(2.0**exponent) * base_log10 if exponent <= 1023 else -math.inf
+            if math.isfinite(expected):
+                assert root_separation_log10(n, k).log10 == expected, (n, k)
+            else:
                 with pytest.raises(ValueError):
                     root_separation_log10(n, k)
-            else:
-                expected = -(2.0**exponent) * (math.log10(2 * k) + 0.5 * math.log10(n))
-                assert root_separation_log10(n, k).log10 == expected, (n, k)
 
 
 def test_root_separation_beyond_old_prime_count_range():

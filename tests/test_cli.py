@@ -1,9 +1,15 @@
+import argparse
 import json
+import re
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sqrtgap.cli import MAX_POWER_BITS, _parse_bigint, main
+from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
+from sqrtgap.exactnum import DEFAULT_PRECISION_CAP, MIN_PRECISION_BITS
+from sqrtgap.lattice import BASIS_MAX_DIM
 from sqrtgap.squarefree import MAX_SIEVE_LIMIT
 
 
@@ -133,3 +139,69 @@ def test_parse_bigint_bounds(capsys):
     with pytest.raises(ValueError):
         _parse_bigint("2^1048577")  # rejected before the power is formed
     assert _run(capsys, "certify", "--k", "3", "--N", "10^-5")[0] == 1
+
+
+def test_root_separation_overflow_is_input_error(capsys):
+    # 2**1023 * log10(2048 * sqrt(8192)) overflows a double; -Infinity is not JSON
+    code, out, err = _run(capsys, "root-separation", "--n", "8192", "--k", "1024")
+    assert code == 1
+    assert out == "" and "double range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
+        ("ratio-scan", "--k", "3", "--log10n", "8,-1"),
+        ("ratio-scan", "--k", "3", "--log10n", "8", "--block-size", "1"),
+        ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(DEFAULT_PRECISION_CAP + 1)),
+        ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(MIN_PRECISION_BITS - 1)),
+        ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
+    ],
+)
+def test_first_value_past_each_limit_fails_fast(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    assert peak < 1 << 20
+
+
+def test_log10n_limit_matches_base_power_limit():
+    e = MAX_POWER_BITS // 4  # 10 has bit length 4
+    assert _parse_log10_list(f"0,{e}") == [0, e]
+    assert _parse_bigint(f"10^{e}").bit_length() <= MAX_POWER_BITS
+    with pytest.raises(ValueError):
+        _parse_bigint(f"10^{e + 1}")
+
+
+def _fenced_command_lines(text: str):
+    fenced = False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("sqrtgap "):
+            yield line.split("#")[0]
+
+
+def test_documented_flags_are_accepted():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def options(p):
+        return {opt for action in p._actions for opt in action.option_strings}
+
+    root = Path(__file__).resolve().parents[1]
+    checked = 0
+    for doc in ("README.md", "PAPER.md"):
+        for line in _fenced_command_lines((root / doc).read_text()):
+            command = next((w for w in line.split() if w in commands), None)
+            accepted = options(parser) | (options(commands[command]) if command else set())
+            for flag in re.findall(r"--[\w-]+", line):
+                assert flag in accepted, f"{doc}: {flag} in {line.strip()!r}"
+                checked += 1
+    assert checked > 20

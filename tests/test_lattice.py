@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sqrtgap.lattice import (
+    BASIS_MAX_DIM,
     DependentRowsError,
     build_basis,
     determinant,
@@ -12,6 +14,19 @@ from sqrtgap.lattice import (
     gram_schmidt,
 )
 from sqrtgap.squarefree import squarefree_upto
+
+
+def test_basis_dimension_cap_rejects_before_allocating():
+    radicands = squarefree_upto(BASIS_MAX_DIM)  # one row past the cap
+    assert build_basis(radicands[:-1], 10**50).dim == BASIS_MAX_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="BASIS_MAX_DIM"):
+            build_basis(radicands, 10**50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_build_basis_examples():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from sqrtgap import cli, reduction
 from sqrtgap.lattice import build_basis, determinant, enumerate_shortest, fraction_gso, gram_schmidt
 from sqrtgap.reduction import (
+    DEFAULT_DELTA,
     ReductionError,
-    ReductionParams,
     bkz,
     complete_to_unimodular,
     lll,
@@ -32,15 +33,9 @@ def _apply(transform, rows):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ReductionParams(delta=Fraction(1, 4))
-    with pytest.raises(ValueError):
-        ReductionParams(delta=Fraction(1))
-    with pytest.raises(ValueError):
-        ReductionParams(block_size=1)
-    with pytest.raises(ValueError):
-        ReductionParams(max_rounds=0)
-    assert ReductionParams(delta=Fraction(3, 4)).delta == Fraction(3, 4)
+    # dependent rows: the block size must be rejected before any reduction work
+    with pytest.raises(ValueError, match="block_size"):
+        bkz([(1, 0), (2, 0)], block_size=1)
 
 
 def test_lll_identity_unchanged():
@@ -66,7 +61,7 @@ def test_lll_conditions_and_transform_on_randoms():
         assert _apply(rb.transform, rows) == rb.rows
         assert determinant(rb.transform) == 1
         assert determinant(rb.rows) == determinant(rows)
-        verify_reduced(rb.rows, rb.params.delta)  # exact recheck, raises on failure
+        verify_reduced(rb.rows, DEFAULT_DELTA)  # exact recheck, raises on failure
 
 
 def test_lll_size_reduction_explicit():
@@ -85,10 +80,29 @@ def test_lll_gs_floor_under_shortest_row():
     assert prof.min_norm_sq <= shortest_row
 
 
-def test_lll_swap_budget_error():
+def test_lll_swap_budget_error(monkeypatch, capsys):
     rows = build_basis(squarefree_upto(6), 10**30).rows
+    monkeypatch.setattr(reduction, "_swap_budget", lambda rows: 3)
     with pytest.raises(ReductionError):
-        lll(rows, ReductionParams(max_rounds=3))
+        lll(rows)
+    assert cli.main(["certify", "--k", "4", "--N", "10^10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "swap budget" in out.err
+
+
+def test_bkz_tour_budget_error(monkeypatch, capsys):
+    # k = 4 at N = 10^10 takes two tours: one that improves a window, one that confirms
+    basis = build_basis(squarefree_upto(4), 10**10)
+    monkeypatch.setattr(reduction, "_tour_budget", lambda dim: 2)
+    converged = bkz(basis)
+    monkeypatch.setattr(reduction, "_tour_budget", lambda dim: 1)
+    with pytest.raises(ReductionError, match="1 tours"):
+        bkz(basis)
+    assert cli.main(["certify", "--k", "4", "--N", "10^10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "tours" in out.err
+    monkeypatch.undo()
+    assert bkz(basis) == converged
 
 
 def test_lll_deterministic():
@@ -124,7 +138,7 @@ def test_bkz_block2_is_pairwise_optimal():
     # with block size 2 every consecutive projected pair must start with its
     # shortest vector (the classic pairwise swap condition)
     basis = build_basis(squarefree_upto(5), 10**12)
-    rb = bkz(basis, ReductionParams(block_size=2))
+    rb = bkz(basis, block_size=2)
     from sqrtgap.lattice import enumerate_block
 
     mu, norms = fraction_gso(list(rb.rows))
@@ -138,7 +152,7 @@ def test_bkz_block2_is_pairwise_optimal():
 def test_bkz_no_worse_than_lll():
     basis = build_basis(squarefree_upto(10), 10**50)
     lll_min = reduced_profile(lll(basis)).min_norm_sq
-    bkz_min = reduced_profile(bkz(basis, ReductionParams(block_size=10))).min_norm_sq
+    bkz_min = reduced_profile(bkz(basis, block_size=10)).min_norm_sq
     assert bkz_min >= lll_min
 
 
@@ -147,7 +161,7 @@ def test_bkz_transform_and_lattice_preservation():
     for _ in range(10):
         n = rng.randint(2, 5)
         rows = _random_invertible(rng, n, span=40)
-        rb = bkz(rows, ReductionParams(block_size=min(10, n)))
+        rb = bkz(rows, block_size=min(10, n))
         assert _apply(rb.transform, rows) == rb.rows
         assert determinant(rb.transform) == 1
         assert determinant(rb.rows) == determinant(rows)
@@ -186,7 +200,7 @@ def test_bkz_window_optimality_postcondition():
     from sqrtgap.lattice import enumerate_block
 
     for k, scale, block in [(6, 10**18, 3), (8, 10**24, 5)]:
-        rb = bkz(build_basis(squarefree_upto(k), scale), ReductionParams(block_size=block))
+        rb = bkz(build_basis(squarefree_upto(k), scale), block_size=block)
         mu, norms = fraction_gso(list(rb.rows))
         n = len(norms)
         for i in range(n - 1):
