@@ -44,6 +44,12 @@ class _InputError(Exception):
     pass
 
 
+class _BoundError(ValueError, argparse.ArgumentTypeError):
+    """A value past a documented limit.  As an ArgumentTypeError it keeps its
+    message when argparse reports it; as a ValueError it stays an input error
+    for direct callers."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); remap to input error
         raise _InputError(message)
@@ -52,9 +58,9 @@ class _Parser(argparse.ArgumentParser):
 def _check_power(base: int, exp: int) -> None:
     """Reject base^exp with a negative exponent or a size past MAX_POWER_BITS."""
     if exp < 0:
-        raise ValueError(f"negative exponent in {base}^{exp}")
+        raise _BoundError(f"negative exponent in {base}^{exp}")
     if exp * base.bit_length() > MAX_POWER_BITS:
-        raise ValueError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
+        raise _BoundError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
 
 
 def _parse_bigint(text: str) -> int:
@@ -83,7 +89,7 @@ def _parse_log10_list(text: str) -> list[int]:
 def _parse_precision_bits(text: str) -> int:
     bits = int(text)
     if not MIN_PRECISION_BITS <= bits <= DEFAULT_PRECISION_CAP:
-        raise ValueError(f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]")
+        raise _BoundError(f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]")
     return bits
 
 

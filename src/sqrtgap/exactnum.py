@@ -12,6 +12,7 @@ rationals, and any nonzero value separates from zero at finite precision.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,9 +322,11 @@ def dyadic_decimal(value: Fraction) -> str:
     e = den.bit_length() - 1
     if den != 1 << e:
         raise ValueError(f"{value} is not dyadic")
+    # Decimal(int) is exact and, unlike str(int), not bound by the
+    # interpreter's int-to-str digit limit.
     if e == 0:
-        return str(num)
+        return str(decimal.Decimal(num))
     scaled = num * 5**e  # value = scaled / 10^e
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(e + 1, "0")
+    digits = str(decimal.Decimal(abs(scaled))).rjust(e + 1, "0")
     return f"{sign}{digits[:-e]}.{digits[-e:]}"

@@ -11,18 +11,22 @@ lattice is spanned by the k+1 rows
 
 where [x] is the nearest integer.  A generic vector is
 (sum a_i [N*sqrt(s_i)] - b*N, a_1, ..., a_k), so short vectors encode good
-rational approximations b to sum a_i sqrt(s_i).  Everything here is exact:
-Gram-Schmidt runs over Fraction, the determinant uses Bareiss elimination,
-and the shortest-vector search is a complete depth-first enumeration.
+rational approximations b to sum a_i sqrt(s_i).  Everything here is exact.
+Gram-Schmidt comes in two forms: over Fraction (fraction_gso, the
+independent check) and all-integer (integral_gso, the reducer's working
+data).  The determinant uses Bareiss elimination.  The shortest-vector
+search is a complete Schnorr-Euchner enumeration carried out in integer
+arithmetic on the integral Gram-Schmidt data, with no Fraction and no float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import round_half_up, scaled_nearest_sqrt
+from .exactnum import scaled_nearest_sqrt
 from .squarefree import squarefree_decompose
 
 Row = tuple[int, ...]
@@ -31,6 +35,11 @@ ENUMERATION_MAX_DIM = 6
 # Largest basis build_basis will allocate: it admits the k = 100 target
 # (dimension 101) with room, and is checked before any row exists.
 BASIS_MAX_DIM = 256
+# Largest dim * scale.bit_length() build_basis will take, checked before the
+# first square root: it bounds their time as BASIS_MAX_DIM bounds memory.  The
+# worst admitted case, one square root of a 2^20-bit radicand, takes about
+# 0.5 s on a 2-CPU Xeon; the k = 100 target at N = 10^320 measures about 107k.
+BASIS_MAX_BITS = 1 << 20
 
 
 class DependentRowsError(ValueError):
@@ -60,6 +69,9 @@ def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
         raise ValueError(f"{len(radicands) + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
+    size = (len(radicands) + 1) * scale.bit_length()
+    if size > BASIS_MAX_BITS:
+        raise ValueError(f"dim * scale bits = {size} exceeds BASIS_MAX_BITS = {BASIS_MAX_BITS}")
     seen = set()
     for s in radicands:
         if s < 2:
@@ -120,6 +132,47 @@ def fraction_gso(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[Fracti
     return mu, norms
 
 
+def integral_gso(rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
+    """All-integer Gram-Schmidt data (d, lam) of integer rows.
+
+    d[i] is the determinant of the Gram matrix of the first i rows (d[0] = 1)
+    and lam[i][j] = d[j+1] * mu[i][j] for j < i; both are integers, and
+    ||v*_i||^2 = d[i+1] / d[i].  Raises DependentRowsError if any v*_i
+    vanishes.
+    """
+    n = len(rows)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    update_integral_gso(rows, d, lam, 0, n)
+    return d, lam
+
+
+def update_integral_gso(
+    rows: Sequence[Sequence[int]], d: list[int], lam: list[list[int]], lo: int, hi: int
+) -> None:
+    """Bring integral_gso data up to date, in place, after rows [lo, hi) were
+    replaced by a unimodular combination of themselves.
+
+    Only what the replacement changes is recomputed: every entry of rows
+    [lo, hi), d[lo+1 .. hi-1] with them, and columns [lo, hi) of the later
+    rows.  Columns before lo depend only on the unchanged prefix, and columns
+    from hi on only on spans the replacement keeps.
+    """
+    for r in range(lo, len(rows)):
+        row, lam_r = rows[r], lam[r]
+        for j in range(r + 1) if r < hi else range(lo, hi):
+            lam_j = lam[j]
+            u = _dot(row, rows[j])
+            for t in range(j):
+                u = (d[t + 1] * u - lam_r[t] * lam_j[t]) // d[t]
+            if j < r:
+                lam_r[j] = u
+            elif u > 0:
+                d[r + 1] = u
+            else:
+                raise DependentRowsError(f"row {r} is dependent on earlier rows")
+
+
 @dataclass(frozen=True)
 class GramSchmidtProfile:
     norms_sq: tuple[Fraction, ...]
@@ -178,75 +231,78 @@ def _canonical_coeffs(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def enumerate_block(
-    mu: list[list[Fraction]],
-    norms_sq: list[Fraction],
+    d: Sequence[int],
+    lam: Sequence[Sequence[int]],
     start: int,
     end: int,
-    radius_sq: Fraction,
-) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    radius_q: int,
+) -> Optional[tuple[tuple[int, ...], int]]:
     """Shortest nonzero combination of rows [start, end) in the lattice
     projected orthogonally to rows before start.
 
-    Complete depth-first enumeration over integer coefficients; returns the
-    canonical coefficient vector (first nonzero coefficient positive,
-    lexicographically smallest among equal-norm candidates) and its exact
-    squared projected norm, or None if nothing lies within radius_sq.
+    d and lam are the integral Gram-Schmidt data of integral_gso.  Lengths
+    are carried as q = d[start] * ||pi_start(v)||^2, an integer for every
+    lattice vector v; the search covers q <= radius_q.  Returns the canonical
+    coefficient vector (first nonzero coefficient positive, lexicographically
+    smallest among equal-norm candidates) and its q, or None if nothing lies
+    within radius_q.
+
+    Schnorr-Euchner zig-zag enumeration, iterative and all-integer: at
+    absolute level a the partial length Q = d[a] * ||pi_a(v)||^2 is again an
+    integer, Q = (d[a] * Q_above + g^2) / d[a+1] exactly, with
+    g = x * d[a+1] - C and C = -sum of x_j * lam[j][a] over the levels above.
+    A level is cut once Q * d[start] > best_q * d[a], and every vector whose
+    length ties the best is still visited, so the result depends only on
+    the window, not on the visiting order.
     """
     m = end - start
-    best: list = [None, radius_sq]  # coeffs, norm_sq
-
-    coeffs = [0] * m
-
-    def visit(level: int, x: int, total: Fraction) -> None:
-        coeffs[level] = x
-        if level == 0:
-            if any(coeffs):
-                cand = _canonical_coeffs(tuple(coeffs))
-                if total < best[1] or (
-                    total == best[1] and (best[0] is None or cand < best[0])
-                ):
-                    best[0] = cand
-                    best[1] = total
+    dd = d[start : end + 1]
+    cols = [[lam[start + j][start + t] for j in range(m)] for t in range(m)]
+    x = [0] * m
+    center = [0] * m
+    step = [0] * m  # next zig-zag move at each level
+    q_above = [0] * (m + 1)  # q_above[t]: Q of levels t and above
+    best: Optional[tuple[int, ...]] = None
+    best_q = radius_q
+    # limit[t]: the largest Q at level t that can still lead to best_q or less
+    limit = [best_q * di // dd[0] for di in dd[:m]]
+    t = m - 1
+    while True:
+        den = dd[t + 1]
+        g = x[t] * den - center[t]
+        q = (dd[t] * q_above[t + 1] + g * g) // den
+        if q <= limit[t]:
+            if t:
+                q_above[t] = q
+                t -= 1
+                col = cols[t]
+                c = -sum(x[j] * col[j] for j in range(t + 1, m) if x[j])
+                den = dd[t + 1]
+                base = (2 * c + den) // (2 * den)  # nearest integer to c / den
+                center[t], x[t] = c, base
+                step[t] = 1 if c >= base * den else -1
+                continue
+            if q:
+                cand = _canonical_coeffs(tuple(x))
+                if q < best_q:
+                    best_q, best = q, cand
+                    limit = [best_q * di // dd[0] for di in dd[:m]]
+                elif best is None or cand < best:
+                    best = cand
         else:
-            descend(level - 1, total)
-        coeffs[level] = 0
-
-    def descend(level: int, partial: Fraction) -> None:
-        # partial is the squared norm contributed by the levels above.
-        t = start + level
-        norm = norms_sq[t]
-        center = Fraction(0)
-        for j in range(level + 1, m):
-            if coeffs[j]:
-                center -= mu[start + j][t] * coeffs[j]
-        base = round_half_up(center)
-        # Walk outward from the center in both directions; each direction
-        # has monotonically growing contribution, so it can be cut off
-        # independently once it crosses the (shrinking) radius.
-        up: int | None = base
-        down: int | None = base - 1
-        while up is not None or down is not None:
-            if up is not None:
-                gap = up - center
-                total = partial + gap * gap * norm
-                if total <= best[1]:
-                    visit(level, up, total)
-                    up += 1
-                else:
-                    up = None
-            if down is not None:
-                gap = down - center
-                total = partial + gap * gap * norm
-                if total <= best[1]:
-                    visit(level, down, total)
-                    down -= 1
-                else:
-                    down = None
-
-    descend(m - 1, Fraction(0))
-    if best[0] is None:
+            t += 1
+            if t == m:
+                break
+        # Next value at level t, in order of nondecreasing distance from the
+        # center; while every level above is zero, only x >= 0 (v and -v).
+        if q_above[t + 1]:
+            x[t] += step[t]
+            step[t] = -step[t] - (1 if step[t] > 0 else -1)
+        else:
+            x[t] += 1
+    if best is None:
         return None
-    return best[0], best[1]
+    return best, best_q
 
 
 def enumerate_shortest(
@@ -263,10 +319,12 @@ def enumerate_shortest(
     n = len(rows)
     if n > ENUMERATION_MAX_DIM:
         raise ValueError(f"enumeration supports dimension <= {ENUMERATION_MAX_DIM}, got {n}")
-    mu, norms = fraction_gso(rows)
-    min_row = min(Fraction(_dot(r, r)) for r in rows)
-    radius = min_row if radius_sq is None else min(Fraction(radius_sq), min_row)
-    found = enumerate_block(mu, norms, 0, n, radius)
+    d, lam = integral_gso(rows)
+    # d[0] = 1, so q is the squared norm itself and a rational radius floors.
+    radius = min(_dot(r, r) for r in rows)
+    if radius_sq is not None:
+        radius = min(math.floor(radius_sq), radius)
+    found = enumerate_block(d, lam, 0, n, radius)
     if found is None:
         raise ValueError(f"no nonzero vector within squared radius {radius_sq}")
     coeffs, norm = found
@@ -275,4 +333,4 @@ def enumerate_shortest(
         if c:
             for idx, entry in enumerate(row):
                 vec[idx] += c * entry
-    return ShortestVector(tuple(vec), norm, coeffs)
+    return ShortestVector(tuple(vec), Fraction(norm), coeffs)

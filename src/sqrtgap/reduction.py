@@ -12,10 +12,14 @@ d[i+1]/d[i].  The Lovasz test with parameter delta = p/q becomes the
 integer comparison  q*(d[k-1]*d[k+1] + lam[k][k-1]^2) < p*d[k]^2.
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
-Gram-Schmidt-projected basis and, whenever a strictly shorter projected
-vector exists, lifts its coefficient vector to a unimodular transform of
-the window rows and re-reduces.  Every row operation is mirrored on a
-transform matrix, so output = transform @ input with |det(transform)| = 1.
+Gram-Schmidt-projected basis, on the same integer d and lam, and whenever a
+strictly shorter projected vector exists, lifts its coefficient vector to a
+unimodular transform of the window rows and re-reduces.  An insertion
+into the window [i, i+m) changes only those rows, so the integer
+Gram-Schmidt data is brought up to date from row i on
+(lattice.update_integral_gso) rather than rebuilt, and LLL resumes at row
+i: the rows before it are unchanged and already reduced.  Every row operation is mirrored on a transform matrix, so
+output = transform @ input with |det(transform)| = 1.
 
 Both reducers finish by re-verifying size reduction and the Lovasz
 condition with an independent exact rational Gram-Schmidt pass, whose
@@ -28,7 +32,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import GramSchmidtProfile, LatticeBasis, Row, as_rows, enumerate_block, fraction_gso
+from .lattice import (
+    GramSchmidtProfile,
+    LatticeBasis,
+    Row,
+    as_rows,
+    enumerate_block,
+    fraction_gso,
+    integral_gso,
+    update_integral_gso,
+)
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_BLOCK_SIZE = 10
@@ -69,26 +82,7 @@ class _IntegralLLL:
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         self.n = n
         self.swaps = 0
-        self._init_gso()
-
-    def _init_gso(self) -> None:
-        n, rows = self.n, self.rows
-        d = [0] * (n + 1)
-        d[0] = 1
-        lam = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                u = sum(a * b for a, b in zip(rows[i], rows[j]))
-                for t in range(j):
-                    u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-                if j < i:
-                    lam[i][j] = u
-                else:
-                    d[i + 1] = u
-            if d[i + 1] <= 0:
-                raise ValueError(f"row {i} is dependent on earlier rows")
-        self.d = d
-        self.lam = lam
+        self.d, self.lam = integral_gso(self.rows)
 
     def _red(self, k: int, j: int) -> None:
         lam, d = self.lam, self.d
@@ -117,10 +111,10 @@ class _IntegralLLL:
             lam[i][k - 1] = (d_new * t + lam_mid * lam[i][k]) // d[k + 1]
         d[k] = d_new
 
-    def reduce(self, delta: Fraction, max_swaps: int) -> None:
+    def reduce(self, delta: Fraction, max_swaps: int, k: int = 1) -> None:
+        """LLL from row k on; the rows before k must already be reduced."""
         num, den = delta.numerator, delta.denominator
         lam, d = self.lam, self.d
-        k = 1
         while k < self.n:
             self._red(k, k - 1)
             if den * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
@@ -133,15 +127,6 @@ class _IntegralLLL:
                 for j in range(k - 2, -1, -1):
                     self._red(k, j)
                 k += 1
-
-    def norms_sq(self) -> list[Fraction]:
-        return [Fraction(self.d[i + 1], self.d[i]) for i in range(self.n)]
-
-    def mu(self) -> list[list[Fraction]]:
-        return [
-            [Fraction(self.lam[i][j], self.d[j + 1]) for j in range(self.n)]
-            for i in range(self.n)
-        ]
 
 
 def verify_reduced(rows: Sequence[Row], delta: Fraction) -> GramSchmidtProfile:
@@ -250,16 +235,16 @@ def bkz(
         changed = False
         for i in range(n - 1):
             m = min(block_size, n - i)
-            mu, norms = state.mu(), state.norms_sq()
-            # The window's first row lies on the radius, so a vector is always found.
-            coeffs, norm = enumerate_block(mu, norms, i, i + m, norms[i])
-            if norm >= norms[i]:
+            # The window's first row has q = d[i+1], the radius, so a vector
+            # is always found; a strictly smaller q is a shorter one.
+            coeffs, q = enumerate_block(state.d, state.lam, i, i + m, state.d[i + 1])
+            if q >= state.d[i + 1]:
                 continue
             unimod = complete_to_unimodular(coeffs)
             state.rows[i : i + m] = _matmul(unimod, state.rows[i : i + m])
             state.trans[i : i + m] = _matmul(unimod, state.trans[i : i + m])
-            state._init_gso()
-            state.reduce(DEFAULT_DELTA, budget)
+            update_integral_gso(state.rows, state.d, state.lam, i, i + m)
+            state.reduce(DEFAULT_DELTA, budget, max(i, 1))
             changed = True
         if not changed:
             return _finish(state)

@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import re
 import tracemalloc
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
-from sqrtgap.exactnum import DEFAULT_PRECISION_CAP, MIN_PRECISION_BITS
+from sqrtgap.bounds import qian_wang_instance
+from sqrtgap.exactnum import DEFAULT_PRECISION_CAP, MIN_PRECISION_BITS, enclose_radical_sum
 from sqrtgap.lattice import BASIS_MAX_DIM
 from sqrtgap.squarefree import MAX_SIEVE_LIMIT
 
@@ -20,7 +22,8 @@ def _run(capsys, *argv):
 
 
 def _decimal_to_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    # through Decimal: Fraction(text) is bound by the int-to-str digit limit
+    return Fraction(decimal.Decimal(text))
 
 
 def test_sigma_json_roundtrip(capsys):
@@ -169,6 +172,33 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv):
     assert code == 1
     assert capsys.readouterr().out == ""
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
+         f"exceeds {MAX_POWER_BITS} bits"),
+        (("certify", "--k", "3", "--N", "10^-5"), "negative exponent in 10^-5"),
+        (("qian-wang", "--k", "2", "--t", "1", "--precision-bits", "15"),
+         f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]"),
+    ],
+)
+def test_rejected_argument_names_the_bound(capsys, argv, reason):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert reason in err
+
+
+def test_precision_past_int_str_digit_limit_prints(capsys):
+    # 20000 bits need over 4300 decimal digits per endpoint
+    code, out, _ = _run(capsys, "qian-wang", "--k", "2", "--t", "1", "--precision-bits", "20000")
+    assert code == 0
+    printed = json.loads(out)["result"]["abs_value"]
+    enc = enclose_radical_sum(qian_wang_instance(2, 1).value, 20000).abs()
+    assert len(printed["hi"]) > 4300
+    assert _decimal_to_fraction(printed["lo"]) == enc.lo
+    assert _decimal_to_fraction(printed["hi"]) == enc.hi
 
 
 def test_log10n_limit_matches_base_power_limit():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -5,14 +7,18 @@ from fractions import Fraction
 import pytest
 
 from sqrtgap.lattice import (
+    BASIS_MAX_BITS,
     BASIS_MAX_DIM,
     DependentRowsError,
     build_basis,
     determinant,
+    enumerate_block,
     enumerate_shortest,
     fraction_gso,
     gram_schmidt,
+    integral_gso,
 )
+from sqrtgap.reduction import lll
 from sqrtgap.squarefree import squarefree_upto
 
 
@@ -27,6 +33,21 @@ def test_basis_dimension_cap_rejects_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_basis_size_cap_rejects_before_any_square_root():
+    # dim * scale bits past BASIS_MAX_BITS: 2 rows of 2^19 + 1 bits, never built
+    scale = 1 << (BASIS_MAX_BITS // 2)
+    assert 2 * scale.bit_length() == BASIS_MAX_BITS + 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="BASIS_MAX_BITS"):
+            build_basis([2], scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert build_basis([2], 10**50).dim == 2
 
 
 def test_build_basis_examples():
@@ -181,3 +202,61 @@ def test_fraction_gso_shapes():
     mu, norms = fraction_gso([(2, 0), (1, 2)])
     assert norms == [Fraction(4), Fraction(4)]
     assert mu[1][0] == Fraction(1, 2)
+
+
+def _box_search(rows, start, end):
+    """The sorted canonical coefficient vectors of least projected norm in the
+    window [start, end), and that norm, by exhaustive search of a box that
+    holds every vector no longer than the window's first row.
+
+    |x_i|^2 <= R * (G^-1)_ii for the projected window Gram matrix G, and
+    1 / (G^-1)_ii is the last Gram-Schmidt norm once row i is put after the
+    prefix and the other window rows.
+    """
+    mu, norms = fraction_gso(rows)
+    radius = norms[start]
+    box = []
+    for i in range(start, end):
+        others = rows[:start] + [rows[j] for j in range(start, end) if j != i]
+        last = fraction_gso(others + [rows[i]])[1][-1]
+        box.append(math.isqrt(math.floor(radius / last)))
+    found = []
+    for x in itertools.product(*(range(-b, b + 1) for b in box)):
+        if not any(x) or next(c for c in x if c) < 0:
+            continue
+        norm = Fraction(0)
+        for t in range(start, end):
+            y = x[t - start] + sum(x[j - start] * mu[j][t] for j in range(t + 1, end))
+            norm += y * y * norms[t]
+        found.append((norm, x))
+    best = min(norm for norm, _ in found)
+    return sorted(x for norm, x in found if norm == best), best
+
+
+def test_enumerate_block_matches_box_search():
+    rng = random.Random(31)
+    bases = [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(1, 1, 0), (1, 0, 1), (0, 1, 1)],
+        [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)],
+    ]
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)]
+        if determinant(rows):
+            bases.append(list(lll(rows).rows))
+    ties = 0
+    for rows in bases:
+        d, lam = integral_gso(rows)
+        for start in range(len(rows)):
+            for end in range(start + 1, len(rows) + 1):
+                minima, norm = _box_search(rows, start, end)
+                ties += len(minima) > 1
+                q = norm * d[start]
+                assert q.denominator == 1
+                assert enumerate_block(d, lam, start, end, d[start + 1]) == (minima[0], q)
+                assert enumerate_block(d, lam, start, end, int(q) - 1) is None
+    assert ties >= 10
+    # the tie-break: among e_0, e_1, e_2 the smallest coefficient vector wins
+    d, lam = integral_gso(bases[0])
+    assert enumerate_block(d, lam, 0, 3, 1) == ((0, 0, 1), 1)

@@ -1,10 +1,20 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from sqrtgap import cli, reduction
-from sqrtgap.lattice import build_basis, determinant, enumerate_shortest, fraction_gso, gram_schmidt
+from sqrtgap.lattice import (
+    build_basis,
+    determinant,
+    enumerate_block,
+    enumerate_shortest,
+    fraction_gso,
+    gram_schmidt,
+    integral_gso,
+    update_integral_gso,
+)
 from sqrtgap.reduction import (
     DEFAULT_DELTA,
     ReductionError,
@@ -139,14 +149,12 @@ def test_bkz_block2_is_pairwise_optimal():
     # shortest vector (the classic pairwise swap condition)
     basis = build_basis(squarefree_upto(5), 10**12)
     rb = bkz(basis, block_size=2)
-    from sqrtgap.lattice import enumerate_block
-
-    mu, norms = fraction_gso(list(rb.rows))
-    for i in range(len(norms) - 1):
-        found = enumerate_block(mu, norms, i, i + 2, norms[i])
+    d, lam = integral_gso(rb.rows)
+    for i in range(len(rb.rows) - 1):
+        found = enumerate_block(d, lam, i, i + 2, d[i + 1])
         assert found is not None
-        _, best_norm = found
-        assert best_norm == norms[i]
+        _, best_q = found
+        assert best_q == d[i + 1]
 
 
 def test_bkz_no_worse_than_lll():
@@ -197,33 +205,28 @@ def test_unreduced_vs_reduced_profile():
 def test_bkz_window_optimality_postcondition():
     # after termination, the first vector of every sliding window achieves
     # the exact shortest projected length within that window
-    from sqrtgap.lattice import enumerate_block
-
     for k, scale, block in [(6, 10**18, 3), (8, 10**24, 5)]:
         rb = bkz(build_basis(squarefree_upto(k), scale), block_size=block)
-        mu, norms = fraction_gso(list(rb.rows))
-        n = len(norms)
+        d, lam = integral_gso(rb.rows)
+        n = len(rb.rows)
         for i in range(n - 1):
             m = min(block, n - i)
-            found = enumerate_block(mu, norms, i, i + m, norms[i])
+            found = enumerate_block(d, lam, i, i + m, d[i + 1])
             assert found is not None
-            assert found[1] == norms[i], f"window {i} has a shorter projected vector"
+            assert found[1] == d[i + 1], f"window {i} has a shorter projected vector"
 
 
 def test_integral_gso_matches_rational_gso():
-    from sqrtgap.reduction import _IntegralLLL
-
     rng = random.Random(25)
     for _ in range(20):
         n = rng.randint(2, 6)
         rows = _random_invertible(rng, n, span=20)
-        state = _IntegralLLL(rows)
+        d, lam = integral_gso(rows)
         mu, norms = fraction_gso([tuple(r) for r in rows])
-        assert state.norms_sq() == norms
-        got_mu = state.mu()
         for i in range(n):
+            assert Fraction(d[i + 1], d[i]) == norms[i]
             for j in range(i):
-                assert got_mu[i][j] == mu[i][j]
+                assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
 
 
 def test_integral_swap_bookkeeping_consistent():
@@ -240,3 +243,41 @@ def test_integral_swap_bookkeeping_consistent():
         fresh = _IntegralLLL(state.rows)
         assert fresh.d == state.d
         assert fresh.lam == state.lam
+
+
+# SHA-256 of the reduction outputs below, taken before the enumerator and the
+# Gram-Schmidt update were rewritten over integers; any change to what lll or
+# bkz returns shows here.
+PINNED_REDUCTION_DIGEST = "681276fbd0a766a0b1979c48b240e2addb6e6ede290b846e58e96cbb588535ff"
+
+
+def test_reduction_outputs_are_pinned():
+    rng = random.Random(27)
+    inputs = [build_basis(squarefree_upto(k), 10 ** (2 * k)).rows for k in range(3, 16)]
+    inputs += [_random_invertible(rng, rng.randint(2, 8), span=60) for _ in range(20)]
+    h = hashlib.sha256()
+    for rows in inputs:
+        for rb in [lll(rows)] + [bkz(rows, block_size=b) for b in (2, 3, 5, 10)]:
+            h.update(repr((rb.rows, rb.transform, rb.profile.norms_sq)).encode())
+    assert h.hexdigest() == PINNED_REDUCTION_DIGEST
+
+
+def test_incremental_gso_matches_fresh_gso_after_each_insertion(monkeypatch):
+    windows = []
+
+    def checked_update(rows, d, lam, lo, hi):
+        update_integral_gso(rows, d, lam, lo, hi)
+        assert (d, lam) == integral_gso(rows)
+        windows.append((lo, hi, len(rows)))
+
+    monkeypatch.setattr(reduction, "update_integral_gso", checked_update)
+    rng = random.Random(28)
+    for k in range(3, 11):
+        for block in (2, 3, 5):
+            bkz(build_basis(squarefree_upto(k), 10 ** (2 * k)), block_size=block)
+    for _ in range(10):
+        bkz(_random_invertible(rng, rng.randint(2, 6), span=60), block_size=3)
+    # insertions at the first row, in the middle, and at the last window
+    assert any(lo == 0 for lo, _, _ in windows)
+    assert any(0 < lo and hi < n for lo, hi, n in windows)
+    assert any(hi == n for _, hi, n in windows)
