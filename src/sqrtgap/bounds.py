@@ -15,9 +15,10 @@ integers s_i up to the k-th square-free integer.  The certification route:
     |sum(a_i*sqrt(sf_i)) - b| >= 1/N.
 
 The reduction pipeline only ever certifies a lower bound on lambda via the
-minimum Gram-Schmidt norm of a reduced basis, so every certificate here is
-sound regardless of reduction quality; quality only affects how small an N
-can be certified.  In the other direction, any short reduced row yields a
+minimum Gram-Schmidt norm of a reduced basis, and first checks from the rows
+alone that they are a basis of the input lattice, so every certificate here
+is sound regardless of reduction quality; quality only affects how small an
+N can be certified.  In the other direction, any short reduced row yields a
 concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at most
 (|s| + sum|a_i|/2) / N, a constructive upper bound.
 """
@@ -40,8 +41,8 @@ from .exactnum import (
     enclose_radical_sum,
     refine,
 )
-from .lattice import LatticeBasis, build_basis
-from .reduction import DEFAULT_BLOCK_SIZE, bkz, reduced_profile
+from .lattice import LatticeBasis, build_basis, determinant
+from .reduction import DEFAULT_BLOCK_SIZE, ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
 DEFAULT_MAX_ITERS = 200
@@ -104,6 +105,28 @@ class LowerBoundCertificate:
     claimed_bound: LogBound
 
 
+def _reduce_checked(k: int, scale: int, block_size: int) -> tuple[LatticeBasis, ReducedBasis]:
+    """Block-reduce the level-k lattice at this scale, and check that the
+    reduced rows generate exactly that lattice.
+
+    Every row must have integer coordinates in the input basis, so the rows
+    span a sublattice, and their determinant must equal the input's, which
+    is scale: a full-rank sublattice of the same determinant is the lattice
+    itself.  Raises ReductionError otherwise, so nothing is ever derived
+    from rows that are not a basis of the lattice, whatever the reducer did.
+    """
+    basis = build_basis(squarefree.squarefree_upto(k), scale)
+    reduced = bkz(basis, block_size)
+    try:
+        for row in reduced.rows:
+            basis.coordinates(row)
+    except ValueError:
+        raise ReductionError("a reduced row is not a vector of the input lattice") from None
+    if len(reduced.rows) != basis.dim or determinant(reduced.rows) != scale:
+        raise ReductionError("reduced rows span a proper sublattice of the input lattice")
+    return basis, reduced
+
+
 def certify_lower_bound(
     k: int,
     scale: int,
@@ -121,15 +144,13 @@ def certify_lower_bound(
         raise ValueError(f"k must be >= 1, got {k}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    radicands = squarefree.squarefree_upto(k)
-    basis = build_basis(radicands, scale)
-    reduced = bkz(basis, block_size)
+    basis, reduced = _reduce_checked(k, scale, block_size)
     profile = reduced_profile(reduced)
     threshold = certification_threshold(k)
     min_norm = profile.min_norm_sq
     return LowerBoundCertificate(
         k=k,
-        sigma_k=radicands[-1],
+        sigma_k=basis.radicands[-1],
         scale=scale,
         min_gs_norm_sq=min_norm,
         threshold=threshold,
@@ -215,11 +236,7 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
     coeffs = tuple(row[1:])
     if not any(coeffs):
         return None
-    scaled_roots = [r[0] for r in basis.rows[1:]]
-    acc = sum(a * m for a, m in zip(coeffs, scaled_roots)) - first
-    if acc % basis.scale != 0:
-        raise ValueError("row is not a vector of this lattice")
-    offset = acc // basis.scale
+    offset = -basis.coordinates(row)[0]
     value = RadicalSum.from_terms(zip(coeffs, basis.radicands), offset=offset)
     rhs = Fraction(2 * abs(first) + sum(abs(a) for a in coeffs), 2 * basis.scale)
 
@@ -265,8 +282,7 @@ def upper_bound_from_reduction(
         raise ValueError(f"k must be >= 1, got {k}")
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
-    basis = build_basis(squarefree.squarefree_upto(k), scale)
-    reduced = bkz(basis, block_size)
+    basis, reduced = _reduce_checked(k, scale, block_size)
     best: Optional[UpperBoundWitness] = None
     for row in reduced.rows:
         witness = row_witness(basis, row)
@@ -388,8 +404,7 @@ def _ln_fraction(x: Fraction) -> float:
 def _scan_cell(k: int, log10_scale: int, block_size: int) -> RatioCell:
     try:
         scale = 10**log10_scale
-        basis = build_basis(squarefree.squarefree_upto(k), scale)
-        reduced = bkz(basis, block_size)
+        _, reduced = _reduce_checked(k, scale, block_size)
         profile = reduced_profile(reduced)
         min_norm = profile.min_norm_sq
         l_sq = min(sum(c * c for c in row) for row in reduced.rows)

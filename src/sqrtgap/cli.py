@@ -25,6 +25,7 @@ from .exactnum import (
     Enclosure,
     PrecisionExhausted,
     RadicalSum,
+    decimal_str,
     dyadic_decimal,
     enclose_radical_sum,
 )
@@ -156,19 +157,27 @@ def _ser_enclosure(enc: Enclosure) -> dict:
 
 
 def _ser_fraction(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
+
+
+def _approx(x: Fraction) -> float | None:
+    """float(x), or None (JSON null) where x lies outside double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def _ser_radical_sum(v: RadicalSum) -> dict:
     return {
-        "terms": [{"coefficient": str(c), "radicand": str(s)} for c, s in v.terms],
-        "offset": str(v.offset),
+        "terms": [{"coefficient": decimal_str(c), "radicand": decimal_str(s)} for c, s in v.terms],
+        "offset": decimal_str(v.offset),
         "display": str(v),
     }
 
 
 def _run_sigma(args) -> dict:
-    return {"i": args.i, "value": str(squarefree.nth_squarefree(args.i))}
+    return {"i": args.i, "value": decimal_str(squarefree.nth_squarefree(args.i))}
 
 
 def _run_brute_force(args) -> dict:
@@ -194,7 +203,7 @@ def _run_qian_wang(args) -> dict:
     enc = enclose_radical_sum(inst.value, args.precision_bits).abs()
     return {
         "k": args.k,
-        "t": str(args.t),
+        "t": decimal_str(args.t),
         "sum": _ser_radical_sum(inst.value),
         "abs_value": _ser_enclosure(enc),
         "rhs_log10": inst.rhs_log10.log10,
@@ -206,10 +215,10 @@ def _run_qian_wang(args) -> dict:
 def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
     return {
         "k": cert.k,
-        "sigma_k": str(cert.sigma_k),
-        "N": str(cert.scale),
+        "sigma_k": decimal_str(cert.sigma_k),
+        "N": decimal_str(cert.scale),
         "min_gs_norm_sq": _ser_fraction(cert.min_gs_norm_sq),
-        "min_gs_norm_sq_approx": float(cert.min_gs_norm_sq),
+        "min_gs_norm_sq_approx": _approx(cert.min_gs_norm_sq),
         "threshold_sq_approx": cert.threshold.approx(),
         "threshold_rational_part": _ser_fraction(cert.threshold.rational_part),
         "threshold_radical": f"{cert.threshold.radical_coeff}*sqrt({cert.threshold.radicand})",
@@ -226,9 +235,11 @@ def _run_certify(args) -> tuple[dict, int]:
 
 def _run_lower_bound(args) -> dict:
     def progress(cert):
+        norm = _approx(cert.min_gs_norm_sq)
         print(
-            f"scale 10^{len(str(cert.scale)) - 1}: min GS norm^2 ~ "
-            f"{float(cert.min_gs_norm_sq):.4g} vs {cert.threshold.approx():.4g} "
+            f"scale 10^{len(decimal_str(cert.scale)) - 1}: min GS norm^2 ~ "
+            f"{'(beyond double range)' if norm is None else format(norm, '.4g')} "
+            f"vs {cert.threshold.approx():.4g} "
             f"-> {'pass' if cert.threshold_passed else 'fail'}",
             file=sys.stderr,
         )
@@ -248,11 +259,11 @@ def _run_upper_bound(args) -> dict:
     witness = bounds.upper_bound_from_reduction(args.k, args.scale, args.block_size)
     return {
         "k": args.k,
-        "N": str(args.scale),
-        "coefficients": [str(a) for a in witness.coefficients],
-        "offset_b": str(witness.offset),
-        "first_coord": str(witness.first_coord),
-        "n_effective": str(witness.n_effective),
+        "N": decimal_str(args.scale),
+        "coefficients": [decimal_str(a) for a in witness.coefficients],
+        "offset_b": decimal_str(witness.offset),
+        "first_coord": decimal_str(witness.first_coord),
+        "n_effective": decimal_str(witness.n_effective),
         "value": _ser_radical_sum(witness.value),
         "abs_value": _ser_enclosure(witness.bound),
         "abs_value_log10": _log10_of(witness.bound),
@@ -278,8 +289,8 @@ def _run_ratio_scan(args) -> dict:
             {
                 "k": c.k,
                 "log10N": c.log10_scale,
-                "l_sq": str(c.shortest_row_norm_sq),
-                "lambda_star_sq": float(c.min_gs_norm_sq),
+                "l_sq": decimal_str(c.shortest_row_norm_sq),
+                "lambda_star_sq": _approx(c.min_gs_norm_sq),
                 "ratio": round(c.ratio, 4),
                 "conjecture_violation": c.conjecture_violation,
             }

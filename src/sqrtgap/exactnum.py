@@ -173,16 +173,16 @@ class RadicalSum:
             return "0"
         pieces: list[str] = []
         for c, s in self.terms:
-            term = f"{'' if abs(c) == 1 else abs(c)}√{s}"
+            term = f"{'' if abs(c) == 1 else decimal_str(abs(c))}√{decimal_str(s)}"
             if not pieces:
                 pieces.append(term if c > 0 else f"-{term}")
             else:
                 pieces.append(f"{'+' if c > 0 else '-'} {term}")
         if self.offset:
             if not pieces:
-                pieces.append(str(-self.offset))
+                pieces.append(decimal_str(-self.offset))
             else:
-                pieces.append(f"{'-' if self.offset > 0 else '+'} {abs(self.offset)}")
+                pieces.append(f"{'-' if self.offset > 0 else '+'} {decimal_str(abs(self.offset))}")
         return " ".join(pieces)
 
 
@@ -316,17 +316,21 @@ class LogBound:
         return f"LogBound(10^{self.log10:.6g})"
 
 
+def decimal_str(n: int) -> str:
+    """str(n), through Decimal(n): exact, and unlike str(int) not bound by
+    the interpreter's int-to-str digit limit."""
+    return str(decimal.Decimal(n))
+
+
 def dyadic_decimal(value: Fraction) -> str:
     """Exact decimal string of a dyadic rational (denominator a power of 2)."""
     num, den = value.numerator, value.denominator
     e = den.bit_length() - 1
     if den != 1 << e:
         raise ValueError(f"{value} is not dyadic")
-    # Decimal(int) is exact and, unlike str(int), not bound by the
-    # interpreter's int-to-str digit limit.
     if e == 0:
-        return str(decimal.Decimal(num))
+        return decimal_str(num)
     scaled = num * 5**e  # value = scaled / 10^e
     sign = "-" if scaled < 0 else ""
-    digits = str(decimal.Decimal(abs(scaled))).rjust(e + 1, "0")
+    digits = decimal_str(abs(scaled)).rjust(e + 1, "0")
     return f"{sign}{digits[:-e]}.{digits[-e:]}"

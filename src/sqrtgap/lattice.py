@@ -60,6 +60,22 @@ class LatticeBasis:
     def dim(self) -> int:
         return len(self.rows)
 
+    def coordinates(self, row: Sequence[int]) -> Row:
+        """Integer coefficients (c0, c1, ..., ck) with row = sum(c_i * rows[i]).
+
+        The tail of a vector of this lattice is (c1, ..., ck) itself, so the
+        first entry fixes c0 = (row[0] - sum(c_i * [N*sqrt(s_i)])) / N.  Stacked
+        for every row of another basis, the coordinates are its transform.
+        Raises ValueError when row is not a vector of this lattice.
+        """
+        if len(row) == self.dim:
+            tail = tuple(row[1:])
+            first = row[0] - sum(c * r[0] for c, r in zip(tail, self.rows[1:]))
+            c0, rem = divmod(first, self.scale)
+            if not rem:
+                return (c0,) + tail
+        raise ValueError("row is not a vector of this lattice")
+
 
 def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
     """Construct the lattice basis for the given radicands and scale."""

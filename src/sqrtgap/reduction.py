@@ -18,8 +18,9 @@ unimodular transform of the window rows and re-reduces.  An insertion
 into the window [i, i+m) changes only those rows, so the integer
 Gram-Schmidt data is brought up to date from row i on
 (lattice.update_integral_gso) rather than rebuilt, and LLL resumes at row
-i: the rows before it are unchanged and already reduced.  Every row operation is mirrored on a transform matrix, so
-output = transform @ input with |det(transform)| = 1.
+i: the rows before it are unchanged and already reduced.  Every row
+operation is unimodular; the transform is not kept, since
+LatticeBasis.coordinates recovers it from the rows.
 
 Both reducers finish by re-verifying size reduction and the Lovasz
 condition with an independent exact rational Gram-Schmidt pass, whose
@@ -54,7 +55,6 @@ class ReductionError(RuntimeError):
 @dataclass(frozen=True)
 class ReducedBasis:
     rows: tuple[Row, ...]
-    transform: tuple[Row, ...]
     profile: GramSchmidtProfile  # exact, from verify_reduced
 
 
@@ -74,15 +74,14 @@ def _tour_budget(dim: int) -> int:
 
 
 class _IntegralLLL:
-    """All-integer LLL state over basis rows plus a mirrored transform."""
+    """All-integer LLL state over basis rows, with its own swap budget."""
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = [list(r) for r in rows]
-        n = len(self.rows)
-        self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.n = n
+        self.n = len(self.rows)
         self.swaps = 0
         self.d, self.lam = integral_gso(self.rows)
+        self.max_swaps = _swap_budget(rows)
 
     def _red(self, k: int, j: int) -> None:
         lam, d = self.lam, self.d
@@ -91,8 +90,6 @@ class _IntegralLLL:
         q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
         rk, rj = self.rows[k], self.rows[j]
         self.rows[k] = [a - q * b for a, b in zip(rk, rj)]
-        tk, tj = self.trans[k], self.trans[j]
-        self.trans[k] = [a - q * b for a, b in zip(tk, tj)]
         for t in range(j):
             lam[k][t] -= q * lam[j][t]
         lam[k][j] -= q * d[j + 1]
@@ -100,7 +97,6 @@ class _IntegralLLL:
     def _swap(self, k: int) -> None:
         lam, d = self.lam, self.d
         self.rows[k], self.rows[k - 1] = self.rows[k - 1], self.rows[k]
-        self.trans[k], self.trans[k - 1] = self.trans[k - 1], self.trans[k]
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lam_mid = lam[k][k - 1]
@@ -111,16 +107,16 @@ class _IntegralLLL:
             lam[i][k - 1] = (d_new * t + lam_mid * lam[i][k]) // d[k + 1]
         d[k] = d_new
 
-    def reduce(self, delta: Fraction, max_swaps: int, k: int = 1) -> None:
-        """LLL from row k on; the rows before k must already be reduced."""
-        num, den = delta.numerator, delta.denominator
+    def reduce(self, k: int = 1) -> None:
+        """LLL with DEFAULT_DELTA from row k on; the rows before k must be reduced."""
+        num, den = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
         lam, d = self.lam, self.d
         while k < self.n:
             self._red(k, k - 1)
             if den * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
                 self._swap(k)
                 self.swaps += 1
-                if self.swaps > max_swaps:
+                if self.swaps > self.max_swaps:
                     raise ReductionError(f"swap budget exhausted after {self.swaps} swaps")
                 k = max(k - 1, 1)
             else:
@@ -129,8 +125,8 @@ class _IntegralLLL:
                 k += 1
 
 
-def verify_reduced(rows: Sequence[Row], delta: Fraction) -> GramSchmidtProfile:
-    """Check size reduction and the Lovasz condition with exact rational GS.
+def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
+    """Check size reduction and the DEFAULT_DELTA Lovasz condition with exact rational GS.
 
     Returns the exact Gram-Schmidt profile that the check computed.
     """
@@ -141,26 +137,16 @@ def verify_reduced(rows: Sequence[Row], delta: Fraction) -> GramSchmidtProfile:
             if 2 * abs(mu[i][j]) > 1:
                 raise ReductionError(f"size reduction violated at ({i}, {j}): mu = {mu[i][j]}")
     for k in range(1, n):
-        lhs = delta * norms[k - 1]
+        lhs = DEFAULT_DELTA * norms[k - 1]
         rhs = norms[k] + mu[k][k - 1] ** 2 * norms[k - 1]
         if lhs > rhs:
             raise ReductionError(f"Lovasz condition violated between rows {k - 1} and {k}")
     return GramSchmidtProfile(tuple(norms), min(norms))
 
 
-def _lll_state(basis: "LatticeBasis | Sequence[Sequence[int]]") -> tuple[_IntegralLLL, int]:
-    """LLL-reduced state of the basis and the swap budget it was given."""
-    rows = as_rows(basis)
-    state = _IntegralLLL(rows)
-    budget = _swap_budget(rows)
-    state.reduce(DEFAULT_DELTA, budget)
-    return state, budget
-
-
 def _finish(state: _IntegralLLL) -> ReducedBasis:
     rows = tuple(tuple(r) for r in state.rows)
-    profile = verify_reduced(rows, DEFAULT_DELTA)
-    return ReducedBasis(rows, tuple(tuple(r) for r in state.trans), profile)
+    return ReducedBasis(rows, verify_reduced(rows))
 
 
 def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
@@ -168,7 +154,8 @@ def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
     satisfies the Lovasz condition with delta = DEFAULT_DELTA, both
     re-verified by an independent rational Gram-Schmidt pass.  Raises
     ReductionError if the swap budget runs out."""
-    state, _ = _lll_state(basis)
+    state = _IntegralLLL(as_rows(basis))
+    state.reduce()
     return _finish(state)
 
 
@@ -228,7 +215,8 @@ def bkz(
     """
     if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
-    state, budget = _lll_state(basis)
+    state = _IntegralLLL(as_rows(basis))
+    state.reduce()
     n = state.n
     tours = _tour_budget(n)
     for _ in range(tours):
@@ -242,9 +230,8 @@ def bkz(
                 continue
             unimod = complete_to_unimodular(coeffs)
             state.rows[i : i + m] = _matmul(unimod, state.rows[i : i + m])
-            state.trans[i : i + m] = _matmul(unimod, state.trans[i : i + m])
             update_integral_gso(state.rows, state.d, state.lam, i, i + m)
-            state.reduce(DEFAULT_DELTA, budget, max(i, 1))
+            state.reduce(max(i, 1))
             changed = True
         if not changed:
             return _finish(state)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtgap import lattice, reduction
+from sqrtgap import bounds, cli, lattice, reduction
 from sqrtgap.bounds import (
     NoCertificateError,
     certification_threshold,
@@ -18,7 +18,7 @@ from sqrtgap.bounds import (
 )
 from sqrtgap.exactnum import enclose_radical_sum, sqrt_enclosure
 from sqrtgap.lattice import build_basis
-from sqrtgap.reduction import bkz
+from sqrtgap.reduction import ReducedBasis, ReductionError, bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
 
@@ -149,6 +149,30 @@ def test_row_witness_rejects_non_lattice_row():
     basis = build_basis([2, 3], 10)
     with pytest.raises(ValueError):
         row_witness(basis, (11, 1, 0))  # 11 != 14*1 - b*10 for any integer b
+
+
+@pytest.mark.parametrize("fault", ["sublattice", "off_lattice"])
+def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys, fault):
+    def faulty_bkz(basis, block_size):
+        if fault == "sublattice":  # a doubled row: still lattice vectors, but det 2N
+            reduced = bkz(basis, block_size)
+            doubled = tuple(2 * x for x in reduced.rows[0])
+            return ReducedBasis((doubled,) + reduced.rows[1:], reduced.profile)
+        # a generator moved one unit off the lattice: the rows reduce a lattice
+        # of the same determinant N, so only the coordinates can tell
+        rows = list(basis.rows)
+        rows[1] = (rows[1][0] + 1,) + rows[1][1:]
+        return bkz(rows, block_size)
+
+    monkeypatch.setattr(bounds, "bkz", faulty_bkz)
+    with pytest.raises(ReductionError, match="lattice"):
+        certify_lower_bound(4, 10**10)
+    with pytest.raises(ReductionError, match="lattice"):
+        upper_bound_from_reduction(4, 10**10)
+    assert ratio_scan([4], [10])[0].error.startswith("ReductionError")
+    assert cli.main(["certify", "--k", "4", "--N", "10^10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "lattice" in out.err
 
 
 def test_upper_bound_validates():

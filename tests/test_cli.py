@@ -2,6 +2,7 @@ import argparse
 import decimal
 import json
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,13 @@ from pathlib import Path
 import pytest
 
 from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
-from sqrtgap.bounds import qian_wang_instance
-from sqrtgap.exactnum import DEFAULT_PRECISION_CAP, MIN_PRECISION_BITS, enclose_radical_sum
+from sqrtgap.bounds import certify_lower_bound, qian_wang_instance
+from sqrtgap.exactnum import (
+    DEFAULT_PRECISION_CAP,
+    MIN_PRECISION_BITS,
+    RadicalSum,
+    enclose_radical_sum,
+)
 from sqrtgap.lattice import BASIS_MAX_DIM
 from sqrtgap.squarefree import MAX_SIEVE_LIMIT
 
@@ -199,6 +205,59 @@ def test_precision_past_int_str_digit_limit_prints(capsys):
     assert len(printed["hi"]) > 4300
     assert _decimal_to_fraction(printed["lo"]) == enc.lo
     assert _decimal_to_fraction(printed["hi"]) == enc.hi
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    # Python's smallest int-to-str digit limit: a 701-digit N then stands in
+    # for one past the default 4300 digits, at a small part of the reduction work
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _int_back(text: str) -> int:
+    return int(decimal.Decimal(text))
+
+
+def test_integers_past_int_str_digit_limit_print(capsys, lowest_digit_limit):
+    scale = 10**700
+    code, out, err = _run(capsys, "certify", "--k", "1", "--N", "10^700")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert _int_back(result["N"]) == scale
+    frac = result["min_gs_norm_sq"]
+    exact = certify_lower_bound(1, scale).min_gs_norm_sq
+    assert Fraction(_int_back(frac["num"]), _int_back(frac["den"])) == exact
+    code, out, err = _run(capsys, "upper-bound", "--k", "2", "--N", "10^700")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert _int_back(result["N"]) == scale
+    assert _int_back(result["row_inequality_rhs"]["den"]) % scale == 0
+    code, _, err = _run(capsys, "lower-bound", "--k", "1", "--n-start", "10^700")
+    assert code == 0 and err.startswith("scale 10^700:")
+    big = RadicalSum.from_terms([(scale, 2)], offset=scale)
+    assert str(big) == f"{decimal.Decimal(scale)}√2 - {decimal.Decimal(scale)}"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["certify", "--k", "3", "--N", "10^700"], "min_gs_norm_sq_approx"),
+        (["lower-bound", "--k", "3", "--n-start", "10^700"], "min_gs_norm_sq_approx"),
+        (["ratio-scan", "--k", "2", "--log10n", "700"], "lambda_star_sq"),
+    ],
+)
+def test_values_past_double_range_approximate_to_null(capsys, argv, field):
+    code, out, err = _run(capsys, *argv)
+    result = json.loads(out)["result"]
+    result = result["cells"][0] if "cells" in result else result
+    assert code == (0 if result.get("threshold_passed", True) else 2), err
+    assert result[field] is None
+    assert "error" not in result
 
 
 def test_log10n_limit_matches_base_power_limit():

@@ -18,7 +18,7 @@ from sqrtgap.lattice import (
     gram_schmidt,
     integral_gso,
 )
-from sqrtgap.reduction import lll
+from sqrtgap.reduction import bkz, lll
 from sqrtgap.squarefree import squarefree_upto
 
 
@@ -78,6 +78,29 @@ def test_basis_first_column_is_nearest():
         m = 4 * b.scale * b.scale * s
         r = row[0]
         assert (2 * r - 1) ** 2 <= m < (2 * r + 1) ** 2
+
+
+def test_coordinates_of_basis_rows_are_unit_vectors():
+    basis = build_basis(squarefree_upto(6), 10**12)
+    for i, row in enumerate(basis.rows):
+        assert basis.coordinates(row) == tuple(int(i == j) for j in range(basis.dim))
+
+
+def test_coordinates_reject_vectors_off_the_lattice():
+    basis = build_basis([2, 3], 10)
+    with pytest.raises(ValueError, match="row is not a vector of this lattice"):
+        basis.coordinates((11, 1, 0))  # 11 != 14*1 - b*10 for any integer b
+    with pytest.raises(ValueError, match="row is not a vector of this lattice"):
+        basis.coordinates((10, 0))
+
+
+def test_coordinates_of_reduced_rows_give_the_rows_back():
+    for k in range(3, 16):
+        basis = build_basis(squarefree_upto(k), 10 ** (2 * k))
+        for row in bkz(basis).rows:
+            coords = basis.coordinates(row)
+            back = [sum(c * b[j] for c, b in zip(coords, basis.rows)) for j in range(basis.dim)]
+            assert tuple(back) == row
 
 
 def test_gram_schmidt_orthogonal_rows():

@@ -16,7 +16,6 @@ from sqrtgap.lattice import (
     update_integral_gso,
 )
 from sqrtgap.reduction import (
-    DEFAULT_DELTA,
     ReductionError,
     bkz,
     complete_to_unimodular,
@@ -42,6 +41,33 @@ def _apply(transform, rows):
     )
 
 
+def _solve_transform(reduced, rows):
+    """T with T @ rows == reduced, by exact Gauss-Jordan elimination over Fraction.
+
+    Solves rows^T @ T^T = reduced^T; the right half of the reduced augmented
+    matrix is T^T."""
+    n = len(rows)
+    aug = [[Fraction(rows[j][i]) for j in range(n)] + [Fraction(r[i]) for r in reduced]
+           for i in range(n)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [[aug[j][n + r] for j in range(n)] for r in range(n)]
+
+
+def _assert_unimodular_image(reduced, rows):
+    transform = _solve_transform(reduced, rows)
+    assert all(x.denominator == 1 for row in transform for x in row)
+    transform = [[int(x) for x in row] for row in transform]
+    assert _apply(transform, rows) == tuple(tuple(r) for r in reduced)
+    assert determinant(transform) == 1  # |det T|
+
+
 def test_params_validation():
     # dependent rows: the block size must be rejected before any reduction work
     with pytest.raises(ValueError, match="block_size"):
@@ -52,7 +78,6 @@ def test_lll_identity_unchanged():
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     rb = lll(rows)
     assert rb.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert rb.transform == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_lll_small_example_short_and_preserving():
@@ -68,10 +93,9 @@ def test_lll_conditions_and_transform_on_randoms():
         n = rng.randint(2, 6)
         rows = _random_invertible(rng, n)
         rb = lll(rows)
-        assert _apply(rb.transform, rows) == rb.rows
-        assert determinant(rb.transform) == 1
+        _assert_unimodular_image(rb.rows, rows)
         assert determinant(rb.rows) == determinant(rows)
-        verify_reduced(rb.rows, DEFAULT_DELTA)  # exact recheck, raises on failure
+        verify_reduced(rb.rows)  # exact recheck, raises on failure
 
 
 def test_lll_size_reduction_explicit():
@@ -119,7 +143,7 @@ def test_lll_deterministic():
     basis = build_basis(squarefree_upto(8), 10**30)
     a = lll(basis)
     b = lll(basis)
-    assert a.rows == b.rows and a.transform == b.transform
+    assert a.rows == b.rows
 
 
 def test_complete_to_unimodular():
@@ -170,8 +194,7 @@ def test_bkz_transform_and_lattice_preservation():
         n = rng.randint(2, 5)
         rows = _random_invertible(rng, n, span=40)
         rb = bkz(rows, block_size=min(10, n))
-        assert _apply(rb.transform, rows) == rb.rows
-        assert determinant(rb.transform) == 1
+        _assert_unimodular_image(rb.rows, rows)
         assert determinant(rb.rows) == determinant(rows)
 
 
@@ -179,7 +202,7 @@ def test_bkz_deterministic():
     basis = build_basis(squarefree_upto(6), 10**25)
     a = bkz(basis)
     b = bkz(basis)
-    assert a.rows == b.rows and a.transform == b.transform
+    assert a.rows == b.rows
 
 
 def test_reduced_profile_positive_and_sandwich_small():
@@ -239,16 +262,16 @@ def test_integral_swap_bookkeeping_consistent():
         n = rng.randint(2, 6)
         rows = _random_invertible(rng, n, span=40)
         state = _IntegralLLL(rows)
-        state.reduce(Fraction(3, 4), 10**6)
+        state.reduce()
         fresh = _IntegralLLL(state.rows)
         assert fresh.d == state.d
         assert fresh.lam == state.lam
 
 
-# SHA-256 of the reduction outputs below, taken before the enumerator and the
-# Gram-Schmidt update were rewritten over integers; any change to what lll or
-# bkz returns shows here.
-PINNED_REDUCTION_DIGEST = "681276fbd0a766a0b1979c48b240e2addb6e6ede290b846e58e96cbb588535ff"
+# SHA-256 of the rows and exact Gram-Schmidt norms that lll and bkz return on
+# the inputs below, taken from the reducer that still tracked a transform; any
+# change to what lll or bkz returns shows here.
+PINNED_REDUCTION_DIGEST = "247b27468080d89e5f38d72a5031879cb1094c0f607eba38fb124397803db950"
 
 
 def test_reduction_outputs_are_pinned():
@@ -258,7 +281,7 @@ def test_reduction_outputs_are_pinned():
     h = hashlib.sha256()
     for rows in inputs:
         for rb in [lll(rows)] + [bkz(rows, block_size=b) for b in (2, 3, 5, 10)]:
-            h.update(repr((rb.rows, rb.transform, rb.profile.norms_sq)).encode())
+            h.update(repr((rb.rows, rb.profile.norms_sq)).encode())
     assert h.hexdigest() == PINNED_REDUCTION_DIGEST
 
 
