@@ -9,7 +9,6 @@ certificates whose threshold comparison is an exact rational decision.
 
 from .exactnum import (
     Enclosure,
-    LogBound,
     PrecisionExhausted,
     RadicalSum,
     certify_sign,

@@ -32,10 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from . import squarefree
 from .exactnum import (
-    DEFAULT_PRECISION_CAP,
-    DEFAULT_START_BITS,
     Enclosure,
-    LogBound,
     RadicalSum,
     compare_abs,
     enclose_radical_sum,
@@ -46,6 +43,9 @@ from .reduction import DEFAULT_BLOCK_SIZE, ReducedBasis, ReductionError, bkz, re
 
 DEFAULT_STEP = 10**5
 DEFAULT_MAX_ITERS = 200
+# Largest qian-wang k, checked before any binomial: the coefficients alone
+# take about k^2/2 bits, so k = 10^6 would need about 62 GB.
+QIAN_WANG_MAX_K = 4096
 
 
 class NoCertificateError(RuntimeError):
@@ -102,7 +102,6 @@ class LowerBoundCertificate:
     threshold: SqrtThreshold
     difference: Fraction  # min_gs_norm_sq - threshold.rational_part
     threshold_passed: bool
-    claimed_bound: LogBound
 
 
 def _reduce_checked(k: int, scale: int, block_size: int) -> tuple[LatticeBasis, ReducedBasis]:
@@ -156,7 +155,6 @@ def certify_lower_bound(
         threshold=threshold,
         difference=min_norm - threshold.rational_part,
         threshold_passed=threshold.exceeded_by(min_norm),
-        claimed_bound=LogBound.from_reciprocal_int(scale),
     )
 
 
@@ -295,7 +293,7 @@ def upper_bound_from_reduction(
     return best
 
 
-def root_separation_log10(n: int, k: int, variant: str = "R") -> LogBound:
+def root_separation_log10(n: int, k: int, variant: str = "R") -> float:
     """Classic root-separation lower bound, as a base-10 logarithm.
 
     The gap is at least max(base**eneg1, base**eneg2) with base = k*sqrt(n)
@@ -315,7 +313,7 @@ def root_separation_log10(n: int, k: int, variant: str = "R") -> LogBound:
     # exponent anyway, so primes past 8192 never change the result.
     e = min(k, squarefree.prime_count(min(n, 8192))) - 1
     try:  # ldexp is the exact product 2**e * base_log10, and raises where it overflows
-        return LogBound(-math.ldexp(base_log10, e))
+        return -math.ldexp(base_log10, e)
     except OverflowError:
         raise ValueError(f"2**{e} * {base_log10:.6g} exceeds double range") from None
 
@@ -333,11 +331,9 @@ class QianWangInstance:
     t: int
     value: RadicalSum
     rhs_sq: Fraction
-    rhs_log10: LogBound
+    rhs_log10: float
 
-    def satisfied(
-        self, *, start_bits: int = DEFAULT_START_BITS, max_bits: int = DEFAULT_PRECISION_CAP
-    ) -> bool:
+    def satisfied(self) -> bool:
         """Exact decision of |value| <= rhs."""
         if self.value.is_zero():
             return True
@@ -350,12 +346,7 @@ class QianWangInstance:
                 return False
             return None
 
-        return refine(
-            decide,
-            lambda: f"|{self.value}| <= rhs",
-            start_bits=start_bits,
-            max_bits=max_bits,
-        )
+        return refine(decide, lambda: f"|{self.value}| <= rhs")
 
 
 def qian_wang_instance(k: int, t: int) -> QianWangInstance:
@@ -365,8 +356,8 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     RadicalSum, so perfect-square parts fold into the rational offset and
     shared square-free parts merge.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if not 2 <= k <= QIAN_WANG_MAX_K:
+        raise ValueError(f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {k}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     terms = []
@@ -378,9 +369,7 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     for odd in range(1, 2 * k - 2, 2):
         odd_product *= odd
     rhs_sq = Fraction(odd_product * odd_product, 4**k * t ** (2 * k - 1))
-    rhs_log10 = LogBound(
-        math.log10(odd_product) - k * math.log10(2) - (k - 0.5) * math.log10(t)
-    )
+    rhs_log10 = math.log10(odd_product) - k * math.log10(2) - (k - 0.5) * math.log10(t)
     return QianWangInstance(k=k, t=t, value=value, rhs_sq=rhs_sq, rhs_log10=rhs_log10)
 
 

@@ -195,7 +195,7 @@ def _run_brute_force(args) -> dict:
 
 def _run_root_separation(args) -> dict:
     bound = bounds.root_separation_log10(args.n, args.k, args.variant)
-    return {"n": args.n, "k": args.k, "variant": args.variant, "log10_bound": bound.log10}
+    return {"n": args.n, "k": args.k, "variant": args.variant, "log10_bound": bound}
 
 
 def _run_qian_wang(args) -> dict:
@@ -206,7 +206,7 @@ def _run_qian_wang(args) -> dict:
         "t": decimal_str(args.t),
         "sum": _ser_radical_sum(inst.value),
         "abs_value": _ser_enclosure(enc),
-        "rhs_log10": inst.rhs_log10.log10,
+        "rhs_log10": inst.rhs_log10,
         "rhs_sq": _ser_fraction(inst.rhs_sq),
         "inequality_holds": inst.satisfied(),
     }
@@ -224,7 +224,7 @@ def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
         "threshold_radical": f"{cert.threshold.radical_coeff}*sqrt({cert.threshold.radicand})",
         "difference": _ser_fraction(cert.difference),
         "threshold_passed": cert.threshold_passed,
-        "claimed_lower_bound_log10": cert.claimed_bound.log10 if cert.threshold_passed else None,
+        "claimed_lower_bound_log10": -math.log10(cert.scale) if cert.threshold_passed else None,
     }
 
 

@@ -1,13 +1,16 @@
 """Exact integer, rational, and interval arithmetic for sums of square roots.
 
 Everything here is exact or outward-rounded.  An Enclosure is a pair of
-dyadic rationals guaranteed to bracket a real value; the only rounding in
-the whole library happens when a square root is bracketed, and that step
-rounds outward.  Sign decisions are therefore certificates, never floating
-point guesses: a RadicalSum is exactly zero iff its canonical form (integer
-coefficients over distinct square-free radicands) vanishes, because square
-roots of distinct square-free integers are linearly independent over the
-rationals, and any nonzero value separates from zero at finite precision.
+dyadic rationals guaranteed to bracket a real value; a RadicalSum's
+enclosure at p bits is two exact integer sums over 2^p, built from
+integer square-root brackets.  The only rounding in the whole library
+happens when a square root is bracketed, and that step rounds outward.
+Every decision climbs one precision ladder (refine).  Sign decisions are
+therefore certificates, never floating point guesses: a RadicalSum is
+exactly zero iff its canonical form (integer coefficients over distinct
+square-free radicands) vanishes, because square roots of distinct
+square-free integers are linearly independent over the rationals, and any
+nonzero value separates from zero at finite precision.
 """
 
 from __future__ import annotations
@@ -89,21 +92,6 @@ class Enclosure:
 
     def __neg__(self) -> "Enclosure":
         return Enclosure(-self.hi, -self.lo, self.precision_bits)
-
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(
-            self.lo + other.lo,
-            self.hi + other.hi,
-            min(self.precision_bits, other.precision_bits),
-        )
-
-    def shift(self, c: int | Fraction) -> "Enclosure":
-        return Enclosure(self.lo + c, self.hi + c, self.precision_bits)
-
-    def scaled(self, c: int) -> "Enclosure":
-        if c >= 0:
-            return Enclosure(c * self.lo, c * self.hi, self.precision_bits)
-        return Enclosure(c * self.hi, c * self.lo, self.precision_bits)
 
     def approx(self) -> float:
         return float(self.midpoint())
@@ -189,38 +177,38 @@ class RadicalSum:
 def enclose_radical_sum(value: RadicalSum, precision_bits: int = DEFAULT_START_BITS) -> Enclosure:
     """Outward-rounded enclosure of a RadicalSum.
 
-    Endpoint arithmetic on dyadic rationals is exact, so the only width
-    comes from the square-root brackets: at p bits the result is at most
-    sum(|a_i|) * 2^-p wide, and enclosures at higher precision nest inside
-    enclosures at lower precision.
+    Each endpoint is one exact integer sum over 2^p: coefficient times the
+    lower or upper square-root bracket, the two swapped for a negative
+    coefficient, minus the offset.  So the only width comes from the
+    brackets: at p bits the result is at most sum(|a_i|) * 2^-p wide, and
+    enclosures at higher precision nest inside those at lower precision.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-    zero = Fraction(0)
-    total = Enclosure(zero, zero, precision_bits)
+    lo = hi = -value.offset << precision_bits
     for coeff, radicand in value.terms:
-        total = total + sqrt_enclosure(radicand, precision_bits).scaled(coeff)
-    return total.shift(-value.offset)
+        m_lo, m_hi = _sqrt_bracket(radicand, precision_bits)
+        if coeff < 0:
+            m_lo, m_hi = m_hi, m_lo
+        lo += coeff * m_lo
+        hi += coeff * m_hi
+    unit = 1 << precision_bits
+    return Enclosure(Fraction(lo, unit), Fraction(hi, unit), precision_bits)
 
 
 _T = TypeVar("_T")
 
 
-def refine(
-    decide: Callable[[int], _T | None],
-    describe: Callable[[], str],
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_PRECISION_CAP,
-) -> _T:
+def refine(decide: Callable[[int], _T | None], describe: Callable[[], str]) -> _T:
     """The first decision decide(bits) makes on the precision ladder.
 
-    The ladder runs start_bits, 2*start_bits, ... and stops at max_bits;
-    decide returns None while its enclosures leave the question open.
-    Raises PrecisionExhausted, with describe() naming the question, when
-    max_bits decides nothing.
+    The ladder is the library's one precision policy: it runs
+    DEFAULT_START_BITS, twice that, ... and stops at DEFAULT_PRECISION_CAP,
+    both read when refine is called; decide returns None while its
+    enclosures leave the question open.  Raises PrecisionExhausted, with
+    describe() naming the question, when the cap decides nothing.
     """
-    bits = start_bits
+    bits, max_bits = DEFAULT_START_BITS, DEFAULT_PRECISION_CAP
     while True:
         decision = decide(bits)
         if decision is not None:
@@ -230,22 +218,17 @@ def refine(
         bits = min(2 * bits, max_bits)
 
 
-def certify_sign(
-    value: RadicalSum,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_PRECISION_CAP,
-) -> tuple[int, Enclosure]:
+def certify_sign(value: RadicalSum) -> tuple[int, Enclosure]:
     """Certified sign of a RadicalSum, with the separating enclosure.
 
     Zero is decided exactly from the canonical form; otherwise precision is
     doubled until the enclosure excludes zero.  Never returns a wrong sign.
-    Raises PrecisionExhausted past max_bits (unreachable for canonical input,
-    kept as a safety valve).
+    Raises PrecisionExhausted past the precision cap (unreachable for
+    canonical input, kept as a safety valve).
     """
     if value.is_zero():
         zero = Fraction(0)
-        return ZERO, Enclosure(zero, zero, start_bits)
+        return ZERO, Enclosure(zero, zero, DEFAULT_START_BITS)
 
     def decide(bits: int) -> tuple[int, Enclosure] | None:
         enc = enclose_radical_sum(value, bits)
@@ -255,16 +238,10 @@ def certify_sign(
             return NEGATIVE, enc
         return None
 
-    return refine(decide, lambda: f"sign of {value}", start_bits=start_bits, max_bits=max_bits)
+    return refine(decide, lambda: f"sign of {value}")
 
 
-def compare_abs(
-    left: RadicalSum,
-    right: RadicalSum,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_PRECISION_CAP,
-) -> int:
+def compare_abs(left: RadicalSum, right: RadicalSum) -> int:
     """Compare |left| with |right| exactly: -1, 0, or +1.
 
     Because canonical forms represent values uniquely, |left| == |right|
@@ -283,37 +260,7 @@ def compare_abs(
             return 1
         return None
 
-    return refine(
-        decide, lambda: f"order of |{left}| vs |{right}|", start_bits=start_bits, max_bits=max_bits
-    )
-
-
-@dataclass(frozen=True)
-class LogBound:
-    """A positive real recorded as its base-10 logarithm.
-
-    Used for bounds far outside floating-point range, e.g. root-separation
-    values like 10^-468635490828.  The exponent itself is a double; the
-    represented value is 10**log10.
-    """
-
-    log10: float
-
-    @classmethod
-    def from_reciprocal_int(cls, n: int) -> "LogBound":
-        if n < 1:
-            raise ValueError(f"expected a positive integer, got {n}")
-        return cls(-math.log10(n))
-
-    def value(self) -> float:
-        """The bound as a double; underflows to 0.0 or overflows to inf."""
-        try:
-            return 10.0 ** self.log10
-        except OverflowError:
-            return math.inf
-
-    def __repr__(self) -> str:
-        return f"LogBound(10^{self.log10:.6g})"
+    return refine(decide, lambda: f"order of |{left}| vs |{right}|")
 
 
 def decimal_str(n: int) -> str:

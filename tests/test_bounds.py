@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sqrtgap import bounds, cli, lattice, reduction
 from sqrtgap.bounds import (
+    QIAN_WANG_MAX_K,
     NoCertificateError,
     certification_threshold,
     certify_lower_bound,
@@ -80,7 +82,6 @@ def test_certify_pass_and_fields():
     cert = certify_lower_bound(3, 10**8)
     assert cert.threshold_passed
     assert cert.k == 3 and cert.sigma_k == 5 and cert.scale == 10**8
-    assert cert.claimed_bound.log10 == -8.0
     assert cert.difference == cert.min_gs_norm_sq - cert.threshold.rational_part
     # passing means the isolated-radical inequality holds exactly
     assert cert.difference > 0
@@ -183,12 +184,12 @@ def test_upper_bound_validates():
 
 
 def test_root_separation_values():
-    assert abs(root_separation_log10(165, 100, "R").log10 - (-468635490828)) <= 1
-    assert abs(root_separation_log10(15, 10, "R").log10 - (-60)) <= 2
+    assert abs(root_separation_log10(165, 100, "R") - (-468635490828)) <= 1
+    assert abs(root_separation_log10(15, 10, "R") - (-60)) <= 2
     # k=1: exponent 2^0 = 1, bound 1/(2*sqrt(n))
-    assert abs(root_separation_log10(9, 1, "R").log10 - (-math.log10(2 * 3))) < 1e-12
+    assert abs(root_separation_log10(9, 1, "R") - (-math.log10(2 * 3))) < 1e-12
     # r1 variant uses k*sqrt(n)
-    assert abs(root_separation_log10(9, 1, "r1").log10 - (-math.log10(3))) < 1e-12
+    assert abs(root_separation_log10(9, 1, "r1") - (-math.log10(3))) < 1e-12
 
 
 def test_root_separation_monotone():
@@ -196,13 +197,13 @@ def test_root_separation_monotone():
     for variant in ("r1", "R"):
         prev = None
         for k in (1, 2, 3, 5, 8, 13):
-            cur = root_separation_log10(100, k, variant).log10
+            cur = root_separation_log10(100, k, variant)
             if prev is not None:
                 assert cur <= prev + 1e-9
             prev = cur
         prev = None
         for n in (2, 5, 10, 100, 1000):
-            cur = root_separation_log10(n, 7, variant).log10
+            cur = root_separation_log10(n, 7, variant)
             if prev is not None:
                 assert cur <= prev + 1e-9
             prev = cur
@@ -217,7 +218,7 @@ def test_root_separation_counts_primes_only_as_far_as_the_exponent_needs():
             base_log10 = math.log10(2 * k) + 0.5 * math.log10(n)
             expected = -(2.0**exponent) * base_log10 if exponent <= 1023 else -math.inf
             if math.isfinite(expected):
-                assert root_separation_log10(n, k).log10 == expected, (n, k)
+                assert root_separation_log10(n, k) == expected, (n, k)
             else:
                 with pytest.raises(ValueError):
                     root_separation_log10(n, k)
@@ -225,7 +226,7 @@ def test_root_separation_counts_primes_only_as_far_as_the_exponent_needs():
 
 def test_root_separation_beyond_old_prime_count_range():
     # n >= 2**32 was rejected while pi(n) was sieved in full
-    assert root_separation_log10(10**12, 10).log10 == -(2**9) * (math.log10(20) + 6)
+    assert root_separation_log10(10**12, 10) == -(2**9) * (math.log10(20) + 6)
 
 
 def test_root_separation_validates():
@@ -269,6 +270,15 @@ def test_qian_wang_validates():
         qian_wang_instance(1, 1)
     with pytest.raises(ValueError):
         qian_wang_instance(2, 0)
+    # coefficients take about k^2/2 bits, so the cap is checked before them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="QIAN_WANG_MAX_K"):
+            qian_wang_instance(QIAN_WANG_MAX_K + 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ratio_scan_shape_and_determinism():

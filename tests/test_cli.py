@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
-from sqrtgap.bounds import certify_lower_bound, qian_wang_instance
+from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_instance
 from sqrtgap.exactnum import (
     DEFAULT_PRECISION_CAP,
     MIN_PRECISION_BITS,
@@ -166,6 +166,7 @@ def test_root_separation_overflow_is_input_error(capsys):
         ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(DEFAULT_PRECISION_CAP + 1)),
         ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(MIN_PRECISION_BITS - 1)),
         ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
+        ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
     ],
 )
 def test_first_value_past_each_limit_fails_fast(capsys, argv):
@@ -188,6 +189,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv):
         (("certify", "--k", "3", "--N", "10^-5"), "negative exponent in 10^-5"),
         (("qian-wang", "--k", "2", "--t", "1", "--precision-bits", "15"),
          f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]"),
+        (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
     ],
 )
 def test_rejected_argument_names_the_bound(capsys, argv, reason):

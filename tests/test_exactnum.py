@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from sqrtgap import exactnum
 from sqrtgap.bounds import qian_wang_instance
 from sqrtgap.exactnum import (
     Enclosure,
-    LogBound,
     NEGATIVE,
     POSITIVE,
     PrecisionExhausted,
@@ -121,6 +121,35 @@ def test_enclose_examples():
     assert abs(enc.approx() - 0.41421356237309515) < 1e-15
 
 
+def _interval_sum_reference(value: RadicalSum, bits: int) -> tuple[Fraction, Fraction]:
+    """Endpoints by interval arithmetic on Fractions: each sqrt_enclosure
+    scaled by its coefficient (endpoints swapped when it is negative),
+    summed, then shifted by the offset."""
+    lo = hi = Fraction(-value.offset)
+    for coeff, radicand in value.terms:
+        enc = sqrt_enclosure(radicand, bits)
+        a, b = (enc.lo, enc.hi) if coeff >= 0 else (enc.hi, enc.lo)
+        lo += coeff * a
+        hi += coeff * b
+    return lo, hi
+
+
+def test_enclosure_endpoints_are_the_exact_interval_sum():
+    rng = random.Random(5)
+    for _ in range(200):
+        # radicands up to 60 include squares and square multiples, which fold
+        terms = [(rng.randint(-10**6, 10**6), rng.randint(1, 60)) for _ in range(rng.randint(0, 6))]
+        v = RadicalSum.from_terms(terms, offset=rng.randint(-10**9, 10**9))
+        for bits in (16, 64, 1024):
+            enc = enclose_radical_sum(v, bits)
+            assert (enc.lo, enc.hi) == _interval_sum_reference(v, bits)
+            assert enc.precision_bits == bits
+    folded = RadicalSum.from_terms([(-3, 8), (2, 9), (5, 2)], offset=4)  # -6√2 + 6 + 5√2 - 4
+    assert folded.terms == ((-1, 2),) and folded.offset == -2
+    enc = enclose_radical_sum(folded, 64)
+    assert (enc.lo, enc.hi) == _interval_sum_reference(folded, 64)
+
+
 def test_enclose_rejects_low_precision():
     with pytest.raises(ValueError):
         enclose_radical_sum(RadicalSum.from_terms([(1, 2)]), 8)
@@ -188,17 +217,18 @@ def _pell_near_miss(min_q: int) -> RadicalSum:
     return RadicalSum.from_terms([(-q, 2)], offset=-p)  # p - q*sqrt(2)
 
 
-def test_refinement_stops_at_the_precision_cap():
+def test_refinement_stops_at_the_precision_cap(monkeypatch):
     pell = _pell_near_miss(10**11)
     assert certify_sign(pell)[1].precision_bits == 128  # the 64, 128, ... ladder
-    with pytest.raises(PrecisionExhausted):
-        certify_sign(pell, max_bits=64)
-    with pytest.raises(PrecisionExhausted):
-        compare_abs(pell, _pell_near_miss(10**12), max_bits=64)
     inst = qian_wang_instance(4, 10**6)
     assert inst.satisfied()
+    monkeypatch.setattr(exactnum, "DEFAULT_PRECISION_CAP", 64)
     with pytest.raises(PrecisionExhausted):
-        inst.satisfied(max_bits=64)
+        certify_sign(pell)
+    with pytest.raises(PrecisionExhausted):
+        compare_abs(pell, _pell_near_miss(10**12))
+    with pytest.raises(PrecisionExhausted):
+        inst.satisfied()
 
 
 def test_compare_abs():
@@ -213,8 +243,6 @@ def test_compare_abs():
 def test_enclosure_algebra():
     e = Enclosure(Fraction(1, 4), Fraction(1, 2), 16)
     assert (-e).lo == Fraction(-1, 2)
-    assert e.scaled(-2).lo == -1
-    assert e.shift(1).hi == Fraction(3, 2)
     assert e.abs() == e
     f = Enclosure(Fraction(-1, 4), Fraction(1, 8), 16)
     assert f.abs().lo == 0 and f.abs().hi == Fraction(1, 4)
@@ -228,11 +256,3 @@ def test_dyadic_decimal():
     assert dyadic_decimal(Fraction(7)) == "7"
     with pytest.raises(ValueError):
         dyadic_decimal(Fraction(1, 3))
-
-
-def test_log_bound():
-    lb = LogBound.from_reciprocal_int(10**20)
-    assert lb.log10 == -20.0
-    assert lb.value() == 1e-20
-    tiny = LogBound(-468635490828.0)
-    assert tiny.value() == 0.0  # underflows cleanly
