@@ -6,7 +6,8 @@ certificate within the iteration budget, reduction swap or tour budget
 exhausted, enumeration cap exceeded, precision cap exhausted).  Integers
 that can exceed native JSON number range are serialized as decimal
 strings, enclosures as exact decimal dyadic endpoints, so every report
-re-parses losslessly.
+re-parses losslessly.  A reader that closes stdout early (as `| head`
+does) leaves the exit code that of the computation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -371,7 +373,16 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     report = {"command": args.command, "defaults": defaults, "result": result}
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left after the result was computed.  As the Python docs
+        # advise for SIGPIPE, point stdout at devnull so that the flush at
+        # exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

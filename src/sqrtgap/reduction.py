@@ -10,6 +10,12 @@ which are integers throughout, so no floating point ever enters and the
 output is bit-reproducible.  Squared Gram-Schmidt norms are recovered as
 d[i+1]/d[i].  The Lovasz test with parameter delta = p/q becomes the
 integer comparison  q*(d[k-1]*d[k+1] + lam[k][k-1]^2) < p*d[k]^2.
+As in Cohen's integral LLL (A Course in Computational Algebraic Number
+Theory, Algorithm 2.6.7), d and lam are kept only for the rows LLL has
+reached so far, up to kmax: a row's data is built the first time LLL gets
+to it, and a swap at k updates rows k+1 .. kmax only.  d[i] and lam[i]
+depend on rows 0..i alone, so a row built late gets exactly the values an
+eager update would have given it, and every decision is the same.
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
 Gram-Schmidt-projected basis, on the same integer d and lam, and whenever a
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import lattice
 from .lattice import (
     GramSchmidtProfile,
     LatticeBasis,
@@ -40,7 +47,6 @@ from .lattice import (
     as_rows,
     enumerate_block,
     fraction_gso,
-    integral_gso,
     update_integral_gso,
 )
 
@@ -56,6 +62,7 @@ class ReductionError(RuntimeError):
 class ReducedBasis:
     rows: tuple[Row, ...]
     profile: GramSchmidtProfile  # exact, from verify_reduced
+    swaps: int  # LLL swaps over the whole reduction
 
 
 def _swap_budget(rows: Sequence[Sequence[int]]) -> int:
@@ -74,14 +81,29 @@ def _tour_budget(dim: int) -> int:
 
 
 class _IntegralLLL:
-    """All-integer LLL state over basis rows, with its own swap budget."""
+    """All-integer LLL state over basis rows, with its own swap budget.
+
+    d[: kmax + 2] and lam[: kmax + 1] hold the integral Gram-Schmidt data of
+    rows[: kmax + 1]; the later entries stay zero until reduce reaches them.
+    """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
+        if not rows:
+            raise ValueError("need at least one row")
         self.rows = [list(r) for r in rows]
         self.n = len(self.rows)
         self.swaps = 0
-        self.d, self.lam = integral_gso(self.rows)
+        self.d = [1] + [0] * self.n
+        self.lam = [[0] * self.n for _ in range(self.n)]
+        self.kmax = 0
+        self._extend(0)
         self.max_swaps = _swap_budget(rows)
+
+    def _extend(self, k: int) -> None:
+        """Build d[k+1] and lam[k] from rows 0..k; raises DependentRowsError."""
+        # Through the module: this module's own update_integral_gso name is
+        # the BKZ insertion's, which tests wrap to check each insertion.
+        lattice.update_integral_gso(self.rows[: k + 1], self.d, self.lam, k, k + 1)
 
     def _red(self, k: int, j: int) -> None:
         lam, d = self.lam, self.d
@@ -101,7 +123,7 @@ class _IntegralLLL:
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lam_mid = lam[k][k - 1]
         d_new = (d[k - 1] * d[k + 1] + lam_mid * lam_mid) // d[k]
-        for i in range(k + 1, self.n):
+        for i in range(k + 1, self.kmax + 1):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_mid * t) // d[k]
             lam[i][k - 1] = (d_new * t + lam_mid * lam[i][k]) // d[k + 1]
@@ -112,6 +134,9 @@ class _IntegralLLL:
         num, den = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
         lam, d = self.lam, self.d
         while k < self.n:
+            if k > self.kmax:
+                self._extend(k)
+                self.kmax = k
             self._red(k, k - 1)
             if den * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
                 self._swap(k)
@@ -146,7 +171,7 @@ def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
 
 def _finish(state: _IntegralLLL) -> ReducedBasis:
     rows = tuple(tuple(r) for r in state.rows)
-    return ReducedBasis(rows, verify_reduced(rows))
+    return ReducedBasis(rows, verify_reduced(rows), state.swaps)
 
 
 def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:

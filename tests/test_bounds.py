@@ -158,7 +158,7 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
         if fault == "sublattice":  # a doubled row: still lattice vectors, but det 2N
             reduced = bkz(basis, block_size)
             doubled = tuple(2 * x for x in reduced.rows[0])
-            return ReducedBasis((doubled,) + reduced.rows[1:], reduced.profile)
+            return ReducedBasis((doubled,) + reduced.rows[1:], reduced.profile, reduced.swaps)
         # a generator moved one unit off the lattice: the rows reduce a lattice
         # of the same determinant N, so only the coordinates can tell
         rows = list(basis.rows)

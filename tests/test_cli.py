@@ -1,7 +1,9 @@
 import argparse
 import decimal
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -77,6 +79,36 @@ def test_certify_exit_codes(capsys):
     assert result["N"] == "100000000"
     frac = result["min_gs_norm_sq"]
     assert Fraction(int(frac["num"]), int(frac["den"])) > 0
+
+
+def _closed_pipe() -> int:
+    """Write end of a pipe whose reader has gone: writing to it raises BrokenPipeError."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("scale, expected", [("10^8", 0), ("2", 2)])
+def test_closed_stdout_keeps_the_exit_code(monkeypatch, scale, expected):
+    with open(_closed_pipe(), "w", buffering=1) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(BrokenPipeError):
+            stdout.write("\n")
+        assert main(["certify", "--k", "3", "--N", scale]) == expected
+
+
+def test_closed_stdout_in_a_process_exits_quietly():
+    write_end = _closed_pipe()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqrtgap.cli", "certify", "--k", "3", "--N", "10^8"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
 
 
 def test_lower_bound_progress_on_stderr(capsys):

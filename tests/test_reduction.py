@@ -6,6 +6,7 @@ import pytest
 
 from sqrtgap import cli, reduction
 from sqrtgap.lattice import (
+    DependentRowsError,
     build_basis,
     determinant,
     enumerate_block,
@@ -17,6 +18,7 @@ from sqrtgap.lattice import (
 )
 from sqrtgap.reduction import (
     ReductionError,
+    _IntegralLLL,
     bkz,
     complete_to_unimodular,
     lll,
@@ -254,18 +256,68 @@ def test_integral_gso_matches_rational_gso():
 
 def test_integral_swap_bookkeeping_consistent():
     # after a full reduction, the incrementally maintained lam/d tables must
-    # equal what a fresh initialization from the final rows produces
-    from sqrtgap.reduction import _IntegralLLL
-
+    # equal the integral GSO computed afresh from the final rows
     rng = random.Random(26)
     for _ in range(20):
         n = rng.randint(2, 6)
         rows = _random_invertible(rng, n, span=40)
         state = _IntegralLLL(rows)
         state.reduce()
-        fresh = _IntegralLLL(state.rows)
-        assert fresh.d == state.d
-        assert fresh.lam == state.lam
+        assert (state.d, state.lam) == integral_gso(state.rows)
+
+
+def test_lazy_gso_covers_exactly_the_rows_reached(monkeypatch):
+    # At every swap, before and after, the data of rows 0..kmax equals a fresh
+    # integral GSO of those rows, and no lam row past kmax has been written.
+    swap = _IntegralLLL._swap
+    seen = []
+
+    def check(state):
+        kmax, n = state.kmax, state.n
+        d, lam = integral_gso(state.rows[: kmax + 1])
+        assert state.d[: kmax + 2] == d
+        assert all(state.lam[i][:i] == lam[i][:i] for i in range(kmax + 1))
+        assert all(state.lam[i] == [0] * n for i in range(kmax + 1, n))
+        assert state.d[kmax + 2 :] == [0] * (n - kmax - 1)
+
+    def checked_swap(state, k):
+        check(state)
+        swap(state, k)
+        check(state)
+        seen.append((state.kmax, state.n))
+
+    monkeypatch.setattr(_IntegralLLL, "_swap", checked_swap)
+    rng = random.Random(29)
+    for k in (6, 9):
+        lll(build_basis(squarefree_upto(k), 10 ** (2 * k)))
+        bkz(build_basis(squarefree_upto(k), 10 ** (2 * k)), block_size=3)
+    for _ in range(10):
+        lll(_random_invertible(rng, rng.randint(2, 7), span=60))
+    # swaps happened both before LLL reached the last row and after
+    assert any(kmax < n - 1 for kmax, n in seen)
+    assert any(kmax == n - 1 for kmax, n in seen)
+
+
+@pytest.mark.parametrize("reduce", [lll, bkz])
+def test_row_dependent_on_reduced_rows_raises(reduce):
+    # row 2 = 2 * row 0, which LLL only sees once it has reduced rows 0 and 1
+    with pytest.raises(DependentRowsError, match="dependent"):
+        reduce([(5, 3, 1), (1, 0, 0), (10, 6, 2)])
+    with pytest.raises(DependentRowsError, match="row 0"):
+        reduce([(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("reduce", [lll, bkz])
+def test_empty_input_is_rejected(reduce):
+    with pytest.raises(ValueError, match="need at least one row"):
+        reduce([])
+
+
+def test_swap_counts_are_pinned():
+    # the parent reducer's swap counts: the lazy GSO follows its exact path
+    for (k, scale), counts in {(20, 10**50): (3776, 3715), (15, 10**80): (3704, 3682)}.items():
+        basis = build_basis(squarefree_upto(k), scale)
+        assert (bkz(basis).swaps, lll(basis).swaps) == counts
 
 
 # SHA-256 of the rows and exact Gram-Schmidt norms that lll and bkz return on
