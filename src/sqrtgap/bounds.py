@@ -38,7 +38,7 @@ from .exactnum import (
     enclose_radical_sum,
     refine,
 )
-from .lattice import LatticeBasis, build_basis, determinant
+from .lattice import LatticeBasis, Row, build_basis, determinant
 from .reduction import DEFAULT_BLOCK_SIZE, ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
@@ -104,26 +104,65 @@ class LowerBoundCertificate:
     threshold_passed: bool
 
 
-def _reduce_checked(k: int, scale: int, block_size: int) -> tuple[LatticeBasis, ReducedBasis]:
+def _reduce_checked(
+    k: int, scale: int, block_size: int, start: Sequence[Row] | None = None
+) -> tuple[LatticeBasis, ReducedBasis, tuple[Row, ...]]:
     """Block-reduce the level-k lattice at this scale, and check that the
     reduced rows generate exactly that lattice.
+
+    Without start, the reduction starts from the lattice's own basis.  With
+    start, the integer coordinates of another basis of this level's lattice
+    (at any scale), it starts from the rows with those coordinates at this
+    scale: a reduced basis lifted to a nearby scale is nearly reduced.
 
     Every row must have integer coordinates in the input basis, so the rows
     span a sublattice, and their determinant must equal the input's, which
     is scale: a full-rank sublattice of the same determinant is the lattice
     itself.  Raises ReductionError otherwise, so nothing is ever derived
     from rows that are not a basis of the lattice, whatever the reducer did.
+    Returns the basis, the reduction and the coordinates of its rows.
     """
     basis = build_basis(squarefree.squarefree_upto(k), scale)
-    reduced = bkz(basis, block_size)
+    if start is None:
+        reduced = bkz(basis, block_size)
+    else:
+        # sum(c_i * basis.rows[i]): the tail of a lattice vector is (c1, ..., ck)
+        roots = [row[0] for row in basis.rows[1:]]
+        lifted = [(c[0] * scale + sum(x * r for x, r in zip(c[1:], roots)),) + tuple(c[1:])
+                  for c in start]
+        reduced = bkz(lifted, block_size)
     try:
-        for row in reduced.rows:
-            basis.coordinates(row)
+        coords = tuple(basis.coordinates(row) for row in reduced.rows)
     except ValueError:
         raise ReductionError("a reduced row is not a vector of the input lattice") from None
     if len(reduced.rows) != basis.dim or determinant(reduced.rows) != scale:
         raise ReductionError("reduced rows span a proper sublattice of the input lattice")
-    return basis, reduced
+    return basis, reduced, coords
+
+
+def _certify(
+    k: int, scale: int, block_size: int, start: Sequence[Row] | None = None
+) -> tuple[LowerBoundCertificate, tuple[Row, ...]]:
+    """certify_lower_bound, reducing from start as _reduce_checked does;
+    also returns the coordinates of the reduced rows."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+    basis, reduced, coords = _reduce_checked(k, scale, block_size, start)
+    profile = reduced_profile(reduced)
+    threshold = certification_threshold(k)
+    min_norm = profile.min_norm_sq
+    cert = LowerBoundCertificate(
+        k=k,
+        sigma_k=basis.radicands[-1],
+        scale=scale,
+        min_gs_norm_sq=min_norm,
+        threshold=threshold,
+        difference=min_norm - threshold.rational_part,
+        threshold_passed=threshold.exceeded_by(min_norm),
+    )
+    return cert, coords
 
 
 def certify_lower_bound(
@@ -139,23 +178,7 @@ def certify_lower_bound(
     A certificate with threshold_passed False is a failed attempt, not an
     error; the exact norm it carries shows how far the comparison missed.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    basis, reduced = _reduce_checked(k, scale, block_size)
-    profile = reduced_profile(reduced)
-    threshold = certification_threshold(k)
-    min_norm = profile.min_norm_sq
-    return LowerBoundCertificate(
-        k=k,
-        sigma_k=basis.radicands[-1],
-        scale=scale,
-        min_gs_norm_sq=min_norm,
-        threshold=threshold,
-        difference=min_norm - threshold.rational_part,
-        threshold_passed=threshold.exceeded_by(min_norm),
-    )
+    return _certify(k, scale, block_size)[0]
 
 
 def find_lower_bound(
@@ -174,6 +197,15 @@ def find_lower_bound(
     threshold comparison passes.  Returns the first passing certificate;
     raises NoCertificateError carrying the last failed certificate if
     max_iters scales are exhausted.
+
+    Each probe after the first is warm-started: the previous probe's
+    reduced rows, lifted to the new scale through their integer
+    coordinates, are the rows the reduction starts from (van Hoeij's
+    gradual feeding).  Every probe, warm or not, checks that its rows are a
+    basis of its lattice and verifies the reduction on a fresh integer GSO
+    of the output rows, so soundness does not depend on the start.  The
+    certificate comes from another reduced basis than certify_lower_bound
+    at the same scale, so its min_gs_norm_sq may differ; both are sound.
     """
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
@@ -183,8 +215,9 @@ def find_lower_bound(
     if scale < 1:
         raise ValueError(f"start_scale must be >= 1, got {scale}")
     last: Optional[LowerBoundCertificate] = None
+    coords = None
     for _ in range(max_iters):
-        cert = certify_lower_bound(k, scale, block_size)
+        cert, coords = _certify(k, scale, block_size, coords)
         if progress is not None:
             progress(cert)
         if cert.threshold_passed:
@@ -280,7 +313,7 @@ def upper_bound_from_reduction(
         raise ValueError(f"k must be >= 1, got {k}")
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
-    basis, reduced = _reduce_checked(k, scale, block_size)
+    basis, reduced, _ = _reduce_checked(k, scale, block_size)
     best: Optional[UpperBoundWitness] = None
     for row in reduced.rows:
         witness = row_witness(basis, row)
@@ -393,7 +426,7 @@ def _ln_fraction(x: Fraction) -> float:
 def _scan_cell(k: int, log10_scale: int, block_size: int) -> RatioCell:
     try:
         scale = 10**log10_scale
-        _, reduced = _reduce_checked(k, scale, block_size)
+        _, reduced, _ = _reduce_checked(k, scale, block_size)
         profile = reduced_profile(reduced)
         min_norm = profile.min_norm_sq
         l_sq = min(sum(c * c for c in row) for row in reduced.rows)

@@ -7,7 +7,8 @@ exhausted, enumeration cap exceeded, precision cap exhausted).  Integers
 that can exceed native JSON number range are serialized as decimal
 strings, enclosures as exact decimal dyadic endpoints, so every report
 re-parses losslessly.  A reader that closes stdout early (as `| head`
-does) leaves the exit code that of the computation.
+does), or a stdout closed outright (`>&-`), leaves the exit code that of
+the computation.
 """
 
 from __future__ import annotations
@@ -373,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     report = {"command": args.command, "defaults": defaults, "result": result}
+    if sys.stdout is None:  # file descriptor 1 was closed: there is no one to tell
+        return code
     try:
         _emit(report, args.format)
         sys.stdout.flush()

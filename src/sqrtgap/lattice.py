@@ -12,9 +12,9 @@ lattice is spanned by the k+1 rows
 where [x] is the nearest integer.  A generic vector is
 (sum a_i [N*sqrt(s_i)] - b*N, a_1, ..., a_k), so short vectors encode good
 rational approximations b to sum a_i sqrt(s_i).  Everything here is exact.
-Gram-Schmidt comes in two forms: over Fraction (fraction_gso, the
-independent check) and all-integer (integral_gso, the reducer's working
-data).  The determinant uses Bareiss elimination.  The shortest-vector
+Gram-Schmidt comes in two forms: all-integer (integral_gso, the reducer's
+working data and, computed afresh from the output rows, its verification)
+and over Fraction (fraction_gso, the rational reference).  The determinant uses Bareiss elimination.  The shortest-vector
 search is a complete Schnorr-Euchner enumeration carried out in integer
 arithmetic on the integral Gram-Schmidt data, with no Fraction and no float.
 """

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtgap import bounds, cli, lattice, reduction
+from sqrtgap import bounds, cli, lattice
 from sqrtgap.bounds import (
+    DEFAULT_STEP,
     QIAN_WANG_MAX_K,
     NoCertificateError,
     certification_threshold,
@@ -19,7 +20,7 @@ from sqrtgap.bounds import (
     upper_bound_from_reduction,
 )
 from sqrtgap.exactnum import enclose_radical_sum, sqrt_enclosure
-from sqrtgap.lattice import build_basis
+from sqrtgap.lattice import LatticeBasis, as_rows, build_basis
 from sqrtgap.reduction import ReducedBasis, ReductionError, bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
@@ -60,14 +61,13 @@ def test_threshold_never_equal():
 
 def test_one_exact_gso_per_certificate(monkeypatch):
     calls = []
-    original = lattice.fraction_gso
+    original = lattice.integral_gso
 
     def counting(rows):
         calls.append(len(rows))
         return original(rows)
 
-    monkeypatch.setattr(lattice, "fraction_gso", counting)
-    monkeypatch.setattr(reduction, "fraction_gso", counting)
+    monkeypatch.setattr(lattice, "integral_gso", counting)
     cert = certify_lower_bound(10, 10**20)
     assert cert.threshold_passed
     assert calls == [11]  # verification's pass; the profile reuses it
@@ -161,7 +161,7 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
             return ReducedBasis((doubled,) + reduced.rows[1:], reduced.profile, reduced.swaps)
         # a generator moved one unit off the lattice: the rows reduce a lattice
         # of the same determinant N, so only the coordinates can tell
-        rows = list(basis.rows)
+        rows = as_rows(basis)
         rows[1] = (rows[1][0] + 1,) + rows[1][1:]
         return bkz(rows, block_size)
 
@@ -174,6 +174,37 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
     assert cli.main(["certify", "--k", "4", "--N", "10^10"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "lattice" in out.err
+
+    # The same faults on warm probes only, the ones whose bkz receives rows
+    # rather than a LatticeBasis: the search's cold first probe is sound and
+    # fails at N = 1, and its first warm probe must be caught.
+    warm = []
+
+    def faulty_when_warm(basis, block_size):
+        if isinstance(basis, LatticeBasis):
+            return bkz(basis, block_size)
+        warm.append(basis)
+        return faulty_bkz(basis, block_size)
+
+    monkeypatch.setattr(bounds, "bkz", faulty_when_warm)
+    with pytest.raises(ReductionError, match="lattice"):
+        find_lower_bound(4, step=10, start_scale=1)
+    assert len(warm) == 1
+    assert cli.main(["lower-bound", "--k", "4", "--step", "10", "--n-start", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "lattice" in out.err
+
+
+@pytest.mark.parametrize(
+    "k, step, start",
+    [(k, 10, 10**k) for k in range(3, 13)] + [(10, DEFAULT_STEP, None), (15, DEFAULT_STEP, None)],
+)
+def test_warm_search_is_no_weaker_than_the_cold_walk(k, step, start):
+    warm = find_lower_bound(k, step=step, start_scale=start)
+    scale = 10 ** (2 * k) if start is None else start
+    while scale < warm.scale:  # every cold probe below the warm result fails
+        assert not certify_lower_bound(k, scale).threshold_passed
+        scale *= step
 
 
 def test_upper_bound_validates():

@@ -111,6 +111,24 @@ def test_closed_stdout_in_a_process_exits_quietly():
     assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
 
 
+@pytest.mark.parametrize("scale, expected", [("10^8", 0), ("2", 2)])
+def test_no_stdout_keeps_the_exit_code(monkeypatch, scale, expected):
+    # with file descriptor 1 closed at start-up, Python sets sys.stdout to None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["certify", "--k", "3", "--N", scale]) == expected
+
+
+def test_stdout_closed_in_a_process_exits_quietly():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqrtgap.cli", "certify", "--k", "3", "--N", "10^8"],
+        stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        preexec_fn=lambda: os.close(1),  # as the shell's `>&-` does
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_lower_bound_progress_on_stderr(capsys):
     code, out, err = _run(capsys, "lower-bound", "--k", "3", "--step", "10", "--n-start", "1")
     assert code == 0

@@ -326,10 +326,14 @@ def test_swap_counts_are_pinned():
 PINNED_REDUCTION_DIGEST = "247b27468080d89e5f38d72a5031879cb1094c0f607eba38fb124397803db950"
 
 
-def test_reduction_outputs_are_pinned():
+def _pinned_inputs():
     rng = random.Random(27)
     inputs = [build_basis(squarefree_upto(k), 10 ** (2 * k)).rows for k in range(3, 16)]
-    inputs += [_random_invertible(rng, rng.randint(2, 8), span=60) for _ in range(20)]
+    return inputs + [_random_invertible(rng, rng.randint(2, 8), span=60) for _ in range(20)]
+
+
+def test_reduction_outputs_are_pinned():
+    inputs = _pinned_inputs()
     h = hashlib.sha256()
     for rows in inputs:
         for rb in [lll(rows)] + [bkz(rows, block_size=b) for b in (2, 3, 5, 10)]:
@@ -356,3 +360,23 @@ def test_incremental_gso_matches_fresh_gso_after_each_insertion(monkeypatch):
     assert any(lo == 0 for lo, _, _ in windows)
     assert any(0 < lo and hi < n for lo, hi, n in windows)
     assert any(hi == n for _, hi, n in windows)
+
+
+def test_integer_verification_matches_the_fraction_reference():
+    rng = random.Random(30)
+    inputs = _pinned_inputs() + [_random_invertible(rng, rng.randint(2, 9)) for _ in range(30)]
+    for rows in inputs:
+        for rb in (lll(rows), bkz(rows, block_size=3)):
+            assert verify_reduced(rb.rows).norms_sq == tuple(fraction_gso(list(rb.rows))[1])
+
+
+def test_verification_rejects_unreduced_pairs():
+    with pytest.raises(ReductionError, match="size reduction violated at \\(1, 0\\): mu = 1"):
+        verify_reduced([(1, 0), (1, 1)])
+    with pytest.raises(ReductionError, match="Lovasz condition violated between rows 0 and 1"):
+        verify_reduced([(3, 0), (0, 1)])
+    # both bounds are inclusive: |mu| = 1/2, and ||v1*||^2 = delta * ||v0*||^2 = 99
+    assert verify_reduced([(2, 0), (1, 5)]).norms_sq == (4, 25)
+    assert verify_reduced([(10, 0, 0, 0), (0, 3, 3, 9)]).norms_sq == (100, 99)
+    with pytest.raises(ReductionError, match="Lovasz"):
+        verify_reduced([(10, 0, 0, 0), (0, 3, 3, 8)])
