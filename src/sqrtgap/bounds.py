@@ -38,7 +38,7 @@ from .exactnum import (
     enclose_radical_sum,
     refine,
 )
-from .lattice import LatticeBasis, Row, build_basis, determinant
+from .lattice import BASIS_MAX_DIM, LatticeBasis, Row, build_basis, determinant
 from .reduction import DEFAULT_BLOCK_SIZE, ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
@@ -111,9 +111,9 @@ def _reduce_checked(
     reduced rows generate exactly that lattice.
 
     Without start, the reduction starts from the lattice's own basis.  With
-    start, the integer coordinates of another basis of this level's lattice
-    (at any scale), it starts from the rows with those coordinates at this
-    scale: a reduced basis lifted to a nearby scale is nearly reduced.
+    start, the coordinates of another basis of this level's lattice at any
+    scale, it starts from their vectors here (LatticeBasis.vector), since a
+    reduced basis lifted to a nearby scale is nearly reduced.
 
     Every row must have integer coordinates in the input basis, so the rows
     span a sublattice, and their determinant must equal the input's, which
@@ -123,14 +123,7 @@ def _reduce_checked(
     Returns the basis, the reduction and the coordinates of its rows.
     """
     basis = build_basis(squarefree.squarefree_upto(k), scale)
-    if start is None:
-        reduced = bkz(basis, block_size)
-    else:
-        # sum(c_i * basis.rows[i]): the tail of a lattice vector is (c1, ..., ck)
-        roots = [row[0] for row in basis.rows[1:]]
-        lifted = [(c[0] * scale + sum(x * r for x, r in zip(c[1:], roots)),) + tuple(c[1:])
-                  for c in start]
-        reduced = bkz(lifted, block_size)
+    reduced = bkz(basis if start is None else [basis.vector(c) for c in start], block_size)
     try:
         coords = tuple(basis.coordinates(row) for row in reduced.rows)
     except ValueError:
@@ -150,9 +143,8 @@ def _certify(
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     basis, reduced, coords = _reduce_checked(k, scale, block_size, start)
-    profile = reduced_profile(reduced)
     threshold = certification_threshold(k)
-    min_norm = profile.min_norm_sq
+    min_norm = reduced_profile(reduced).min_norm_sq
     cert = LowerBoundCertificate(
         k=k,
         sigma_k=basis.radicands[-1],
@@ -427,8 +419,7 @@ def _scan_cell(k: int, log10_scale: int, block_size: int) -> RatioCell:
     try:
         scale = 10**log10_scale
         _, reduced, _ = _reduce_checked(k, scale, block_size)
-        profile = reduced_profile(reduced)
-        min_norm = profile.min_norm_sq
+        min_norm = reduced_profile(reduced).min_norm_sq
         l_sq = min(sum(c * c for c in row) for row in reduced.rows)
         ratio = math.exp(0.5 * _ln_fraction(min_norm) - log10_scale * math.log(10) / (k + 1))
         # Exact certificate-side conjecture check: lambda* <= scale^(1/(k+1))/k
@@ -461,6 +452,9 @@ def ratio_scan(
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")
-    if block_size < 2:  # checked here too: each cell turns its own errors into RatioCell.error
+    # Checked before the first cell, which would record them as its error.
+    if not all(1 <= k < BASIS_MAX_DIM for k in k_list) or min(log10_scale_list) < 0:
+        raise ValueError(f"need 1 <= k < BASIS_MAX_DIM = {BASIS_MAX_DIM} and log10 scales >= 0")
+    if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
     return [_scan_cell(k, e, block_size) for k in k_list for e in log10_scale_list]

@@ -51,9 +51,9 @@ def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
     return (t + 1) // 2
 
 
-def round_half_up(x: Fraction) -> int:
-    """Integer nearest a rational, halves rounded up: floor(x + 1/2)."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def round_half_up(num: int, den: int) -> int:
+    """Integer nearest num/den for den > 0, halves rounded up: floor(num/den + 1/2)."""
+    return (2 * num + den) // (2 * den)
 
 
 @dataclass(frozen=True)

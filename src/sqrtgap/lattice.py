@@ -12,11 +12,12 @@ lattice is spanned by the k+1 rows
 where [x] is the nearest integer.  A generic vector is
 (sum a_i [N*sqrt(s_i)] - b*N, a_1, ..., a_k), so short vectors encode good
 rational approximations b to sum a_i sqrt(s_i).  Everything here is exact.
-Gram-Schmidt comes in two forms: all-integer (integral_gso, the reducer's
-working data and, computed afresh from the output rows, its verification)
-and over Fraction (fraction_gso, the rational reference).  The determinant uses Bareiss elimination.  The shortest-vector
-search is a complete Schnorr-Euchner enumeration carried out in integer
-arithmetic on the integral Gram-Schmidt data, with no Fraction and no float.
+LatticeBasis.vector lifts integer coordinates to a vector at any scale, and
+LatticeBasis.coordinates inverts it.  Every Gram-Schmidt profile comes from
+integral_gso's all-integer data; fraction_gso is only the tests' rational
+reference.  The determinant uses Bareiss elimination.  The shortest-vector
+search is a complete Schnorr-Euchner enumeration in integer arithmetic on
+the integral Gram-Schmidt data, with no Fraction and no float.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import scaled_nearest_sqrt
+from .exactnum import round_half_up, scaled_nearest_sqrt
 from .squarefree import squarefree_decompose
 
 Row = tuple[int, ...]
@@ -70,11 +71,19 @@ class LatticeBasis:
         """
         if len(row) == self.dim:
             tail = tuple(row[1:])
-            first = row[0] - sum(c * r[0] for c, r in zip(tail, self.rows[1:]))
-            c0, rem = divmod(first, self.scale)
+            c0, rem = divmod(row[0] - self.vector((0,) + tail)[0], self.scale)
             if not rem:
                 return (c0,) + tail
         raise ValueError("row is not a vector of this lattice")
+
+    def vector(self, coords: Sequence[int]) -> Row:
+        """The lattice vector sum(c_i * rows[i]), the inverse of coordinates:
+        (c0*N + sum(c_i * [N*sqrt(s_i)]), c1, ..., ck) at this basis's N."""
+        if len(coords) != self.dim:
+            raise ValueError(f"need {self.dim} coordinates, got {len(coords)}")
+        tail = tuple(coords[1:])
+        first = coords[0] * self.scale + sum(c * r[0] for c, r in zip(tail, self.rows[1:]))
+        return (first,) + tail
 
 
 def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
@@ -118,7 +127,8 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def fraction_gso(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Gram-Schmidt data: (mu, norms_sq).
+    """Exact Gram-Schmidt data over Fraction, (mu, norms_sq): the tests'
+    rational reference for integral_gso and a perfbench tracer binding.
 
     mu is lower triangular with mu[i][j] = <v_i, v*_j> / ||v*_j||^2 for j < i,
     and norms_sq[i] = ||v*_i||^2.  Raises DependentRowsError if any v*_i
@@ -198,12 +208,16 @@ class GramSchmidtProfile:
     def dim(self) -> int:
         return len(self.norms_sq)
 
+    @classmethod
+    def from_d(cls, d: Sequence[int]) -> "GramSchmidtProfile":
+        """The profile of integral_gso data: ||v*_i||^2 = d[i+1] / d[i]."""
+        norms = tuple(Fraction(d[i + 1], d[i]) for i in range(len(d) - 1))
+        return cls(norms, min(norms))
+
 
 def gram_schmidt(basis: "LatticeBasis | Iterable[Sequence[int]]") -> GramSchmidtProfile:
     """Exact Gram-Schmidt profile (all squared norms and their minimum)."""
-    rows = as_rows(basis)
-    _, norms = fraction_gso(rows)
-    return GramSchmidtProfile(tuple(norms), min(norms))
+    return GramSchmidtProfile.from_d(integral_gso(as_rows(basis))[0])
 
 
 def determinant(basis: "LatticeBasis | Iterable[Sequence[int]]") -> int:
@@ -294,7 +308,7 @@ def enumerate_block(
                 col = cols[t]
                 c = -sum(x[j] * col[j] for j in range(t + 1, m) if x[j])
                 den = dd[t + 1]
-                base = (2 * c + den) // (2 * den)  # nearest integer to c / den
+                base = round_half_up(c, den)
                 center[t], x[t] = c, base
                 step[t] = 1 if c >= base * den else -1
                 continue
@@ -344,9 +358,5 @@ def enumerate_shortest(
     if found is None:
         raise ValueError(f"no nonzero vector within squared radius {radius_sq}")
     coeffs, norm = found
-    vec = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            for idx, entry in enumerate(row):
-                vec[idx] += c * entry
-    return ShortestVector(tuple(vec), Fraction(norm), coeffs)
+    vec = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0])))
+    return ShortestVector(vec, Fraction(norm), coeffs)

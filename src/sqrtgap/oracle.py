@@ -59,9 +59,9 @@ def _offset_candidates(value: RadicalSum) -> range:
     The minimizing t lies within 1 of the value, so five integers around a
     coarse midpoint estimate (width <= 1/8 at 64 bits) always include it.
     """
-    enc = enclose_radical_sum(value, 64)
-    mid = round_half_up(enc.midpoint())
-    return range(mid - 2, mid + 3)
+    mid = enclose_radical_sum(value, 64).midpoint()
+    t = round_half_up(mid.numerator, mid.denominator)
+    return range(t - 2, t + 3)
 
 
 class _MinTracker:

@@ -19,13 +19,13 @@ eager update would have given it, and every decision is the same.
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
 Gram-Schmidt-projected basis, on the same integer d and lam, and whenever a
-strictly shorter projected vector exists, lifts its coefficient vector to a
-unimodular transform of the window rows and re-reduces.  An insertion
-into the window [i, i+m) changes only those rows, so the integer
-Gram-Schmidt data is brought up to date from row i on
-(lattice.update_integral_gso) rather than rebuilt, and LLL resumes at row
-i: the rows before it are unchanged and already reduced.  Every row
-operation is unimodular; the transform is not kept, since
+strictly shorter projected vector exists, applies a unimodular combination
+of the window rows that starts with it, one elementary row operation at a
+time (complete_to_unimodular), and re-reduces.  An insertion into the
+window [i, i+m) changes only those rows, so the integer Gram-Schmidt data
+is brought up to date from row i on (lattice.update_integral_gso) rather
+than rebuilt, and LLL resumes at row i: the rows before it are unchanged
+and already reduced.  No transform is formed or kept, since
 LatticeBasis.coordinates recovers it from the rows.
 
 Both reducers finish by re-verifying size reduction and the Lovasz
@@ -42,6 +42,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lattice
+from .exactnum import round_half_up
 from .lattice import (
     GramSchmidtProfile,
     LatticeBasis,
@@ -111,7 +112,7 @@ class _IntegralLLL:
         lam, d = self.lam, self.d
         if 2 * abs(lam[k][j]) <= d[j + 1]:
             return
-        q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+        q = round_half_up(lam[k][j], d[j + 1])
         rk, rj = self.rows[k], self.rows[j]
         self.rows[k] = [a - q * b for a, b in zip(rk, rj)]
         for t in range(j):
@@ -173,8 +174,7 @@ def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
     for k in range(1, n):
         if p * d[k] * d[k] > q * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2):
             raise ReductionError(f"Lovasz condition violated between rows {k - 1} and {k}")
-    norms = tuple(Fraction(d[i + 1], d[i]) for i in range(n))
-    return GramSchmidtProfile(norms, min(norms))
+    return GramSchmidtProfile.from_d(d)
 
 
 def _finish(state: _IntegralLLL) -> ReducedBasis:
@@ -192,16 +192,17 @@ def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
     return _finish(state)
 
 
-def complete_to_unimodular(coeffs: Sequence[int]) -> list[list[int]]:
-    """Unimodular integer matrix whose first row is the given primitive vector.
+def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """W @ rows, for a unimodular integer W whose first row is the given
+    primitive coefficient vector, without forming W.
 
     Reduces the vector to a unit vector by elementary column operations while
-    accumulating the inverse operations on an identity matrix; the invariant
-    x = y @ W turns into x = e_1 @ W = W[0] when y reaches e_1.
+    applying the inverse operations to the rows; on the identity they build
+    W, and the invariant x = y @ W turns into x = e_1 @ W = W[0] when y
+    reaches e_1.
     """
     y = [int(c) for c in coeffs]
-    m = len(y)
-    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    w = [list(r) for r in rows]
     while True:
         nonzero = [i for i, v in enumerate(y) if v]
         if not nonzero:
@@ -225,12 +226,6 @@ def complete_to_unimodular(coeffs: Sequence[int]) -> list[list[int]]:
     if y[0] == -1:
         w[0] = [-a for a in w[0]]
     return w
-
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer matrix product a @ b, as a list of rows."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def bkz(
@@ -261,8 +256,7 @@ def bkz(
             coeffs, q = enumerate_block(state.d, state.lam, i, i + m, state.d[i + 1])
             if q >= state.d[i + 1]:
                 continue
-            unimod = complete_to_unimodular(coeffs)
-            state.rows[i : i + m] = _matmul(unimod, state.rows[i : i + m])
+            state.rows[i : i + m] = complete_to_unimodular(coeffs, state.rows[i : i + m])
             update_integral_gso(state.rows, state.d, state.lam, i, i + m)
             state.reduce(max(i, 1))
             changed = True

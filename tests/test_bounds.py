@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtgap import bounds, cli, lattice
+from sqrtgap import bounds, cli, lattice, reduction
 from sqrtgap.bounds import (
     DEFAULT_STEP,
     QIAN_WANG_MAX_K,
@@ -321,10 +321,42 @@ def test_ratio_scan_shape_and_determinism():
         assert c.shortest_row_norm_sq >= c.min_gs_norm_sq
 
 
-def test_ratio_scan_records_cell_errors():
-    cells = ratio_scan([0, 3], [6])
-    assert cells[0].error is not None
+def test_ratio_scan_records_cell_errors(monkeypatch):
+    def bkz_failing_at_k2(basis, block_size):
+        if basis.k == 2:
+            raise ReductionError("swap budget exhausted")
+        return bkz(basis, block_size)
+
+    monkeypatch.setattr(bounds, "bkz", bkz_failing_at_k2)
+    cells = ratio_scan([2, 3], [6])
+    assert cells[0].error == "ReductionError: swap budget exhausted"
     assert cells[1].error is None
+
+
+@pytest.mark.parametrize(
+    "k_list, log10_list",
+    [([0], [10]), ([-3], [10]), ([3, lattice.BASIS_MAX_DIM], [10]), ([3], [8, -1])],
+)
+def test_ratio_scan_rejects_out_of_range_input_before_any_cell(monkeypatch, k_list, log10_list):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bounds, "_scan_cell", no_cell)
+    with pytest.raises(ValueError):
+        ratio_scan(k_list, log10_list)
+
+
+def test_no_library_path_reaches_the_fraction_gso(monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("fraction_gso called")
+
+    monkeypatch.setattr(lattice, "fraction_gso", forbidden)
+    monkeypatch.setattr(reduction, "fraction_gso", forbidden)
+    assert certify_lower_bound(10, 10**20).threshold_passed
+    assert find_lower_bound(5).threshold_passed
+    upper_bound_from_reduction(5, 10**20)
+    assert all(cell.error is None for cell in ratio_scan([5], [20]))
+    assert lattice.gram_schmidt([(3, 0), (1, 1)]).norms_sq == (9, 1)
 
 
 def test_ratio_scan_validates():

@@ -213,6 +213,8 @@ def test_root_separation_overflow_is_input_error(capsys):
         ("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
         ("ratio-scan", "--k", "3", "--log10n", "8,-1"),
         ("ratio-scan", "--k", "3", "--log10n", "8", "--block-size", "1"),
+        ("ratio-scan", "--k", "0", "--log10n", "10"),
+        ("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"),
         ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(DEFAULT_PRECISION_CAP + 1)),
         ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(MIN_PRECISION_BITS - 1)),
         ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),

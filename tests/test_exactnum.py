@@ -22,6 +22,15 @@ from sqrtgap.exactnum import (
 )
 
 
+@pytest.mark.parametrize(
+    "num, den, nearest",
+    [(3, 2, 2), (-3, 2, -1), (5, 2, 3), (-5, 2, -2), (7, 3, 2), (-7, 3, -2), (0, 5, 0)]
+    + [(n, 1, n) for n in (-7, -1, 0, 1, 12)],
+)
+def test_round_half_up(num, den, nearest):
+    assert exactnum.round_half_up(num, den) == nearest
+
+
 def test_isqrt_examples():
     assert isqrt(0) == 0
     assert isqrt(169) == 13

@@ -97,10 +97,21 @@ def test_coordinates_reject_vectors_off_the_lattice():
 def test_coordinates_of_reduced_rows_give_the_rows_back():
     for k in range(3, 16):
         basis = build_basis(squarefree_upto(k), 10 ** (2 * k))
+        lifted = build_basis(squarefree_upto(k), 10 ** (2 * k) * 7 + 3)  # another scale N'
         for row in bkz(basis).rows:
             coords = basis.coordinates(row)
             back = [sum(c * b[j] for c, b in zip(coords, basis.rows)) for j in range(basis.dim)]
             assert tuple(back) == row
+            assert basis.vector(coords) == row
+            # the same coordinates at N' name the same combination of its rows
+            at_n = [sum(c * b[j] for c, b in zip(coords, lifted.rows)) for j in range(basis.dim)]
+            assert lifted.vector(coords) == tuple(at_n)
+
+
+def test_vector_rejects_the_wrong_number_of_coordinates():
+    basis = build_basis([2, 3], 10)
+    with pytest.raises(ValueError):
+        basis.vector((1, 2))
 
 
 def test_gram_schmidt_orthogonal_rows():

@@ -158,16 +158,22 @@ def test_complete_to_unimodular():
             x = [rng.randint(-15, 15) for _ in range(m)]
             if math.gcd(*x, 0) == 1:
                 break
-        w = complete_to_unimodular(x)
+        identity = [[int(i == j) for j in range(m)] for i in range(m)]
+        w = complete_to_unimodular(x, identity)
         assert w[0] == x
         assert determinant(w) == 1
+        # on any rows, the same operations give W @ rows without forming W
+        width = rng.randint(1, 8)
+        rows = [[rng.randint(-50, 50) for _ in range(width)] for _ in range(m)]
+        assert complete_to_unimodular(x, rows) == [list(r) for r in _apply(w, rows)]
 
 
 def test_complete_to_unimodular_rejects_imprimitive():
+    identity = [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
-        complete_to_unimodular([2, 4])
+        complete_to_unimodular([2, 4], identity)
     with pytest.raises(ValueError):
-        complete_to_unimodular([0, 0])
+        complete_to_unimodular([0, 0], identity)
 
 
 def test_bkz_block2_is_pairwise_optimal():
@@ -252,6 +258,7 @@ def test_integral_gso_matches_rational_gso():
             assert Fraction(d[i + 1], d[i]) == norms[i]
             for j in range(i):
                 assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+        assert gram_schmidt(rows).norms_sq == tuple(norms)
 
 
 def test_integral_swap_bookkeeping_consistent():
