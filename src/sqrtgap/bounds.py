@@ -38,8 +38,8 @@ from .exactnum import (
     enclose_radical_sum,
     refine,
 )
-from .lattice import BASIS_MAX_DIM, LatticeBasis, Row, build_basis, determinant
-from .reduction import DEFAULT_BLOCK_SIZE, ReducedBasis, ReductionError, bkz, reduced_profile
+from .lattice import BASIS_MAX_DIM, LatticeBasis, Row, build_basis
+from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
 DEFAULT_MAX_ITERS = 200
@@ -105,7 +105,7 @@ class LowerBoundCertificate:
 
 
 def _reduce_checked(
-    k: int, scale: int, block_size: int, start: Sequence[Row] | None = None
+    k: int, scale: int, start: Sequence[Row] | None = None
 ) -> tuple[LatticeBasis, ReducedBasis, tuple[Row, ...]]:
     """Block-reduce the level-k lattice at this scale, and check that the
     reduced rows generate exactly that lattice.
@@ -116,25 +116,27 @@ def _reduce_checked(
     reduced basis lifted to a nearby scale is nearly reduced.
 
     Every row must have integer coordinates in the input basis, so the rows
-    span a sublattice, and their determinant must equal the input's, which
-    is scale: a full-rank sublattice of the same determinant is the lattice
-    itself.  Raises ReductionError otherwise, so nothing is ever derived
-    from rows that are not a basis of the lattice, whatever the reducer did.
-    Returns the basis, the reduction and the coordinates of its rows.
+    span a sublattice, and their Gram determinant, d[n] of the verification
+    pass that also gave the profile, must equal the input's, scale^2: a
+    full-rank sublattice of the same determinant is the lattice itself.
+    Raises ReductionError otherwise, so nothing is ever derived from rows
+    that are not a basis of the lattice, whatever the reducer did.  Returns
+    the basis, the reduction and the coordinates of its rows.
     """
     basis = build_basis(squarefree.squarefree_upto(k), scale)
-    reduced = bkz(basis if start is None else [basis.vector(c) for c in start], block_size)
+    # bkz's first argument is positional: perfbench's tracer reads args[0].
+    reduced = bkz(basis if start is None else [basis.vector(c) for c in start])
     try:
         coords = tuple(basis.coordinates(row) for row in reduced.rows)
     except ValueError:
         raise ReductionError("a reduced row is not a vector of the input lattice") from None
-    if len(reduced.rows) != basis.dim or determinant(reduced.rows) != scale:
+    if len(reduced.rows) != basis.dim or reduced.profile.gram_det != scale * scale:
         raise ReductionError("reduced rows span a proper sublattice of the input lattice")
     return basis, reduced, coords
 
 
 def _certify(
-    k: int, scale: int, block_size: int, start: Sequence[Row] | None = None
+    k: int, scale: int, start: Sequence[Row] | None = None
 ) -> tuple[LowerBoundCertificate, tuple[Row, ...]]:
     """certify_lower_bound, reducing from start as _reduce_checked does;
     also returns the coordinates of the reduced rows."""
@@ -142,7 +144,7 @@ def _certify(
         raise ValueError(f"k must be >= 1, got {k}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    basis, reduced, coords = _reduce_checked(k, scale, block_size, start)
+    basis, reduced, coords = _reduce_checked(k, scale, start)
     threshold = certification_threshold(k)
     min_norm = reduced_profile(reduced).min_norm_sq
     cert = LowerBoundCertificate(
@@ -157,11 +159,7 @@ def _certify(
     return cert, coords
 
 
-def certify_lower_bound(
-    k: int,
-    scale: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> LowerBoundCertificate:
+def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
     """Attempt to certify G(k) >= 1/scale at the given scale.
 
     Builds the lattice over the first k square-free integers, block-reduces,
@@ -170,7 +168,7 @@ def certify_lower_bound(
     A certificate with threshold_passed False is a failed attempt, not an
     error; the exact norm it carries shows how far the comparison missed.
     """
-    return _certify(k, scale, block_size)[0]
+    return _certify(k, scale)[0]
 
 
 def find_lower_bound(
@@ -179,7 +177,6 @@ def find_lower_bound(
     step: int = DEFAULT_STEP,
     start_scale: int | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     progress: Callable[[LowerBoundCertificate], None] | None = None,
 ) -> LowerBoundCertificate:
     """Grow the scale geometrically until a lower bound certifies.
@@ -209,7 +206,7 @@ def find_lower_bound(
     last: Optional[LowerBoundCertificate] = None
     coords = None
     for _ in range(max_iters):
-        cert, coords = _certify(k, scale, block_size, coords)
+        cert, coords = _certify(k, scale, coords)
         if progress is not None:
             progress(cert)
         if cert.threshold_passed:
@@ -220,6 +217,11 @@ def find_lower_bound(
         f"no certificate for k={k} within {max_iters} scales (last scale {scale // step})",
         last_certificate=last,
     )
+
+
+def _row_inequality_rhs(first: int, coeffs: Sequence[int], scale: int) -> Fraction:
+    """(|s| + sum|a_i|/2) / scale for the lattice row (s, a_1, ..., a_k)."""
+    return Fraction(2 * abs(first) + sum(abs(a) for a in coeffs), 2 * scale)
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,7 @@ class UpperBoundWitness:
     n_effective: int
 
     def row_inequality_rhs(self) -> Fraction:
-        half_sum = Fraction(sum(abs(a) for a in self.coefficients), 2)
-        return (abs(self.first_coord) + half_sum) / self.scale
+        return _row_inequality_rhs(self.first_coord, self.coefficients, self.scale)
 
 
 def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundWitness]:
@@ -261,7 +262,7 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
         return None
     offset = -basis.coordinates(row)[0]
     value = RadicalSum.from_terms(zip(coeffs, basis.radicands), offset=offset)
-    rhs = Fraction(2 * abs(first) + sum(abs(a) for a in coeffs), 2 * basis.scale)
+    rhs = _row_inequality_rhs(first, coeffs, basis.scale)
 
     def decide(bits: int) -> int | None:
         enc = enclose_radical_sum(value, bits).abs()
@@ -289,11 +290,7 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
     )
 
 
-def upper_bound_from_reduction(
-    k: int,
-    scale: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> UpperBoundWitness:
+def upper_bound_from_reduction(k: int, scale: int) -> UpperBoundWitness:
     """Best constructive upper-bound witness from one block reduction.
 
     Scans every reduced row with a nonzero coefficient vector and keeps the
@@ -305,7 +302,7 @@ def upper_bound_from_reduction(
         raise ValueError(f"k must be >= 1, got {k}")
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
-    basis, reduced, _ = _reduce_checked(k, scale, block_size)
+    basis, reduced, _ = _reduce_checked(k, scale)
     best: Optional[UpperBoundWitness] = None
     for row in reduced.rows:
         witness = row_witness(basis, row)
@@ -385,6 +382,8 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
         raise ValueError(f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {k}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
+    if t + k >= squarefree.DECOMPOSE_LIMIT:  # the radicands t .. t + k are decomposed
+        raise ValueError(f"t + k must be below 2**64 (DECOMPOSE_LIMIT), got {(t + k).bit_length()} bits")
     terms = []
     for i in range(k + 1):
         c = math.comb(k, i)
@@ -415,10 +414,10 @@ def _ln_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _scan_cell(k: int, log10_scale: int, block_size: int) -> RatioCell:
+def _scan_cell(k: int, log10_scale: int) -> RatioCell:
     try:
         scale = 10**log10_scale
-        _, reduced, _ = _reduce_checked(k, scale, block_size)
+        _, reduced, _ = _reduce_checked(k, scale)
         min_norm = reduced_profile(reduced).min_norm_sq
         l_sq = min(sum(c * c for c in row) for row in reduced.rows)
         ratio = math.exp(0.5 * _ln_fraction(min_norm) - log10_scale * math.log(10) / (k + 1))
@@ -438,11 +437,7 @@ def _scan_cell(k: int, log10_scale: int, block_size: int) -> RatioCell:
         return RatioCell(k=k, log10_scale=log10_scale, error=f"{type(exc).__name__}: {exc}")
 
 
-def ratio_scan(
-    k_list: Sequence[int],
-    log10_scale_list: Sequence[int],
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> list[RatioCell]:
+def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[RatioCell]:
     """Reduce a grid of (k, scale) cells and report lambda*/scale^(1/(k+1)).
 
     Cells are independent and deterministic, and are returned in grid
@@ -455,6 +450,4 @@ def ratio_scan(
     # Checked before the first cell, which would record them as its error.
     if not all(1 <= k < BASIS_MAX_DIM for k in k_list) or min(log10_scale_list) < 0:
         raise ValueError(f"need 1 <= k < BASIS_MAX_DIM = {BASIS_MAX_DIM} and log10 scales >= 0")
-    if block_size < 2:
-        raise ValueError(f"block_size must be >= 2, got {block_size}")
-    return [_scan_cell(k, e, block_size) for k in k_list for e in log10_scale_list]
+    return [_scan_cell(k, e) for k in k_list for e in log10_scale_list]

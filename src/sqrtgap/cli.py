@@ -102,9 +102,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_reduction_flags(p):
-        p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
-
     p = sub.add_parser("sigma", help="i-th square-free integer (from 2)")
     p.add_argument("--i", type=int, required=True)
 
@@ -127,26 +124,22 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("certify", help="attempt a lower-bound certificate at one scale")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=_parse_bigint, required=True, dest="scale")
-    add_reduction_flags(p)
 
     p = sub.add_parser("lower-bound", help="grow the scale until a bound certifies")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--step", type=_parse_bigint, default=bounds.DEFAULT_STEP)
     p.add_argument("--n-start", type=_parse_bigint, default=None, dest="start_scale")
     p.add_argument("--max-iters", type=int, default=bounds.DEFAULT_MAX_ITERS)
-    add_reduction_flags(p)
 
     p = sub.add_parser("upper-bound", help="constructive upper-bound witness")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=_parse_bigint, required=True, dest="scale")
-    add_reduction_flags(p)
 
     p = sub.add_parser("ratio-scan", help="lambda*/N^(1/(k+1)) over a (k, N) grid")
     p.add_argument("--k", type=_parse_int_list, required=True, dest="k_list",
                    help="comma-separated k values")
     p.add_argument("--log10n", type=_parse_log10_list, required=True, dest="log10_list",
                    help="comma-separated log10(N) values")
-    add_reduction_flags(p)
 
     return parser
 
@@ -232,15 +225,21 @@ def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
 
 
 def _run_certify(args) -> tuple[dict, int]:
-    cert = bounds.certify_lower_bound(args.k, args.scale, args.block_size)
+    cert = bounds.certify_lower_bound(args.k, args.scale)
     return _ser_certificate(cert), EXIT_OK if cert.threshold_passed else EXIT_COMPUTE
+
+
+def _scale_label(scale: int) -> str:
+    """10^e for a power of ten, else ~10^x with x = log10(scale) to two decimals."""
+    e = round(math.log10(scale))
+    return f"10^{e}" if scale == 10**e else f"~10^{math.log10(scale):.2f}"
 
 
 def _run_lower_bound(args) -> dict:
     def progress(cert):
         norm = _approx(cert.min_gs_norm_sq)
         print(
-            f"scale 10^{len(decimal_str(cert.scale)) - 1}: min GS norm^2 ~ "
+            f"scale {_scale_label(cert.scale)}: min GS norm^2 ~ "
             f"{'(beyond double range)' if norm is None else format(norm, '.4g')} "
             f"vs {cert.threshold.approx():.4g} "
             f"-> {'pass' if cert.threshold_passed else 'fail'}",
@@ -252,14 +251,13 @@ def _run_lower_bound(args) -> dict:
         step=args.step,
         start_scale=args.start_scale,
         max_iters=args.max_iters,
-        block_size=args.block_size,
         progress=progress,
     )
     return _ser_certificate(cert)
 
 
 def _run_upper_bound(args) -> dict:
-    witness = bounds.upper_bound_from_reduction(args.k, args.scale, args.block_size)
+    witness = bounds.upper_bound_from_reduction(args.k, args.scale)
     return {
         "k": args.k,
         "N": decimal_str(args.scale),
@@ -282,7 +280,7 @@ def _log10_of(enc: Enclosure) -> float | None:
 
 
 def _run_ratio_scan(args) -> dict:
-    cells = bounds.ratio_scan(args.k_list, args.log10_list, args.block_size)
+    cells = bounds.ratio_scan(args.k_list, args.log10_list)
     rows = []
     for c in cells:
         if c.error is not None:
@@ -370,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         "precision_cap_bits": DEFAULT_PRECISION_CAP,
         "reduction": {
             "delta": f"{DEFAULT_DELTA.numerator}/{DEFAULT_DELTA.denominator}",
-            "block_size": getattr(args, "block_size", DEFAULT_BLOCK_SIZE),
+            "block_size": DEFAULT_BLOCK_SIZE,
         },
     }
     report = {"command": args.command, "defaults": defaults, "result": result}

@@ -13,11 +13,11 @@ where [x] is the nearest integer.  A generic vector is
 (sum a_i [N*sqrt(s_i)] - b*N, a_1, ..., a_k), so short vectors encode good
 rational approximations b to sum a_i sqrt(s_i).  Everything here is exact.
 LatticeBasis.vector lifts integer coordinates to a vector at any scale, and
-LatticeBasis.coordinates inverts it.  Every Gram-Schmidt profile comes from
-integral_gso's all-integer data; fraction_gso is only the tests' rational
-reference.  The determinant uses Bareiss elimination.  The shortest-vector
-search is a complete Schnorr-Euchner enumeration in integer arithmetic on
-the integral Gram-Schmidt data, with no Fraction and no float.
+LatticeBasis.coordinates inverts it.  Every Gram-Schmidt profile, with the
+Gram determinant d[n], comes from integral_gso's all-integer data;
+fraction_gso and the Bareiss determinant are only the tests' references.
+The shortest-vector search is a complete Schnorr-Euchner enumeration,
+all-integer on the integral Gram-Schmidt data, with no Fraction and no float.
 """
 
 from __future__ import annotations
@@ -203,6 +203,7 @@ def update_integral_gso(
 class GramSchmidtProfile:
     norms_sq: tuple[Fraction, ...]
     min_norm_sq: Fraction
+    gram_det: int  # d[n], the Gram determinant: det(rows)^2 for a square basis
 
     @property
     def dim(self) -> int:
@@ -212,7 +213,7 @@ class GramSchmidtProfile:
     def from_d(cls, d: Sequence[int]) -> "GramSchmidtProfile":
         """The profile of integral_gso data: ||v*_i||^2 = d[i+1] / d[i]."""
         norms = tuple(Fraction(d[i + 1], d[i]) for i in range(len(d) - 1))
-        return cls(norms, min(norms))
+        return cls(norms, min(norms), d[-1])
 
 
 def gram_schmidt(basis: "LatticeBasis | Iterable[Sequence[int]]") -> GramSchmidtProfile:

@@ -28,16 +28,17 @@ than rebuilt, and LLL resumes at row i: the rows before it are unchanged
 and already reduced.  No transform is formed or kept, since
 LatticeBasis.coordinates recovers it from the rows.
 
-Both reducers finish by re-verifying size reduction and the Lovasz
-condition on a fresh integer GSO of the output rows (lattice.integral_gso,
-computed from the rows alone, not from the reducer's updated d and lam).
-The result keeps the exact profile d[i+1]/d[i] of that pass: it is the
-only exact GSO a certificate needs.
+Both reducers return a ReducedBasis, which re-verifies size reduction and
+the Lovasz condition on a fresh integer GSO of the output rows
+(lattice.integral_gso, from the rows alone, not the reducer's d and lam)
+and keeps that pass's exact profile d[i+1]/d[i] and Gram determinant d[n]:
+the only exact GSO a certificate needs.  The library reduces with bkz's
+default DEFAULT_BLOCK_SIZE; no caller outside this module sets it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -63,9 +64,15 @@ class ReductionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReducedBasis:
+    """Rows that verify_reduced accepts, with the profile it computed from
+    them, so no other basis's profile can be attached."""
+
     rows: tuple[Row, ...]
-    profile: GramSchmidtProfile  # exact, from verify_reduced
     swaps: int  # LLL swaps over the whole reduction
+    profile: GramSchmidtProfile = field(init=False)
+
+    def __post_init__(self):  # verify_reduced looked up now: perfbench wraps it
+        object.__setattr__(self, "profile", verify_reduced(self.rows))
 
 
 def _swap_budget(rows: Sequence[Sequence[int]]) -> int:
@@ -177,11 +184,6 @@ def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
     return GramSchmidtProfile.from_d(d)
 
 
-def _finish(state: _IntegralLLL) -> ReducedBasis:
-    rows = tuple(tuple(r) for r in state.rows)
-    return ReducedBasis(rows, verify_reduced(rows), state.swaps)
-
-
 def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
     """LLL-reduce integer rows; the result is exactly size-reduced and
     satisfies the Lovasz condition with delta = DEFAULT_DELTA, both
@@ -189,7 +191,7 @@ def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
     ReductionError if the swap budget runs out."""
     state = _IntegralLLL(as_rows(basis))
     state.reduce()
-    return _finish(state)
+    return ReducedBasis(tuple(map(tuple, state.rows)), state.swaps)
 
 
 def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -261,7 +263,7 @@ def bkz(
             state.reduce(max(i, 1))
             changed = True
         if not changed:
-            return _finish(state)
+            return ReducedBasis(tuple(map(tuple, state.rows)), state.swaps)
     raise ReductionError(f"BKZ windows still improving after {tours} tours")
 
 

@@ -18,7 +18,7 @@ from itertools import compress
 
 # Covers the primes up to the cube root of 2**64 that squarefree_decompose needs.
 MAX_SIEVE_LIMIT = 1 << 22
-_DECOMPOSE_LIMIT = 1 << 64
+DECOMPOSE_LIMIT = 1 << 64
 
 _lock = threading.Lock()  # guards both caches
 _squarefree: list[int] = []  # square-free integers >= 2, ascending
@@ -100,7 +100,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    if n >= _DECOMPOSE_LIMIT:
+    if n >= DECOMPOSE_LIMIT:
         raise ValueError(f"decomposition supports n < 2**64, got {n.bit_length()} bits")
     a, s = 1, 1
     m = n

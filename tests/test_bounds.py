@@ -21,7 +21,7 @@ from sqrtgap.bounds import (
 )
 from sqrtgap.exactnum import enclose_radical_sum, sqrt_enclosure
 from sqrtgap.lattice import LatticeBasis, as_rows, build_basis
-from sqrtgap.reduction import ReducedBasis, ReductionError, bkz
+from sqrtgap.reduction import ReductionError, bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
 
@@ -71,6 +71,10 @@ def test_one_exact_gso_per_certificate(monkeypatch):
     cert = certify_lower_bound(10, 10**20)
     assert cert.threshold_passed
     assert calls == [11]  # verification's pass; the profile reuses it
+    # the witness too: the lattice check reads det^2 from that same pass
+    calls.clear()
+    upper_bound_from_reduction(10, 10**20)
+    assert calls == [11]
 
 
 def test_certify_fails_at_unit_scale():
@@ -154,16 +158,17 @@ def test_row_witness_rejects_non_lattice_row():
 
 @pytest.mark.parametrize("fault", ["sublattice", "off_lattice"])
 def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys, fault):
-    def faulty_bkz(basis, block_size):
-        if fault == "sublattice":  # a doubled row: still lattice vectors, but det 2N
-            reduced = bkz(basis, block_size)
-            doubled = tuple(2 * x for x in reduced.rows[0])
-            return ReducedBasis((doubled,) + reduced.rows[1:], reduced.profile, reduced.swaps)
-        # a generator moved one unit off the lattice: the rows reduce a lattice
-        # of the same determinant N, so only the coordinates can tell
+    def faulty_bkz(basis):
         rows = as_rows(basis)
-        rows[1] = (rows[1][0] + 1,) + rows[1][1:]
-        return bkz(rows, block_size)
+        if fault == "sublattice":
+            # a doubled generator: the rows reduce lattice vectors, but of a
+            # sublattice of determinant 2N, so only the determinant can tell
+            rows[1] = tuple(2 * x for x in rows[1])
+        else:
+            # a generator moved one unit off the lattice: the rows reduce a
+            # lattice of the same determinant N, so only the coordinates can tell
+            rows[1] = (rows[1][0] + 1,) + rows[1][1:]
+        return bkz(rows)
 
     monkeypatch.setattr(bounds, "bkz", faulty_bkz)
     with pytest.raises(ReductionError, match="lattice"):
@@ -180,11 +185,11 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
     # fails at N = 1, and its first warm probe must be caught.
     warm = []
 
-    def faulty_when_warm(basis, block_size):
+    def faulty_when_warm(basis):
         if isinstance(basis, LatticeBasis):
-            return bkz(basis, block_size)
+            return bkz(basis)
         warm.append(basis)
-        return faulty_bkz(basis, block_size)
+        return faulty_bkz(basis)
 
     monkeypatch.setattr(bounds, "bkz", faulty_when_warm)
     with pytest.raises(ReductionError, match="lattice"):
@@ -322,10 +327,10 @@ def test_ratio_scan_shape_and_determinism():
 
 
 def test_ratio_scan_records_cell_errors(monkeypatch):
-    def bkz_failing_at_k2(basis, block_size):
+    def bkz_failing_at_k2(basis):
         if basis.k == 2:
             raise ReductionError("swap budget exhausted")
-        return bkz(basis, block_size)
+        return bkz(basis)
 
     monkeypatch.setattr(bounds, "bkz", bkz_failing_at_k2)
     cells = ratio_scan([2, 3], [6])
@@ -348,10 +353,13 @@ def test_ratio_scan_rejects_out_of_range_input_before_any_cell(monkeypatch, k_li
 
 def test_no_library_path_reaches_the_fraction_gso(monkeypatch):
     def forbidden(rows):
-        raise AssertionError("fraction_gso called")
+        raise AssertionError("a test-only reference was called")
 
     monkeypatch.setattr(lattice, "fraction_gso", forbidden)
     monkeypatch.setattr(reduction, "fraction_gso", forbidden)
+    # nor the Bareiss determinant, at every module that could bind it
+    for module in (lattice, bounds, reduction):
+        monkeypatch.setattr(module, "determinant", forbidden, raising=False)
     assert certify_lower_bound(10, 10**20).threshold_passed
     assert find_lower_bound(5).threshold_passed
     upper_bound_from_reduction(5, 10**20)

@@ -134,6 +134,14 @@ def test_lower_bound_progress_on_stderr(capsys):
     assert code == 0
     assert json.loads(out)["result"]["threshold_passed"] is True
     assert "min GS norm" in err  # progress goes to stderr, report to stdout
+    labels = [line.partition(":")[0] for line in err.splitlines()]
+    assert labels[:3] == ["scale 10^0", "scale 10^1", "scale 10^2"]
+    # scales between powers of ten are labelled by log10 N, not its digit count
+    code, _, err = _run(capsys, "lower-bound", "--k", "3", "--step", "2", "--n-start", "3")
+    assert code == 0
+    labels = [line.partition(":")[0] for line in err.splitlines()]
+    assert labels[:5] == ["scale ~10^0.48", "scale ~10^0.78", "scale ~10^1.08",
+                          "scale ~10^1.38", "scale ~10^1.68"]
 
 
 def test_upper_bound_json(capsys):
@@ -212,13 +220,13 @@ def test_root_separation_overflow_is_input_error(capsys):
     [
         ("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
         ("ratio-scan", "--k", "3", "--log10n", "8,-1"),
-        ("ratio-scan", "--k", "3", "--log10n", "8", "--block-size", "1"),
         ("ratio-scan", "--k", "0", "--log10n", "10"),
         ("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"),
         ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(DEFAULT_PRECISION_CAP + 1)),
         ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(MIN_PRECISION_BITS - 1)),
         ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
+        ("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)),
     ],
 )
 def test_first_value_past_each_limit_fails_fast(capsys, argv):
@@ -242,6 +250,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv):
         (("qian-wang", "--k", "2", "--t", "1", "--precision-bits", "15"),
          f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]"),
         (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
+        (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
     ],
 )
 def test_rejected_argument_names_the_bound(capsys, argv, reason):

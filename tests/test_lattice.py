@@ -177,6 +177,8 @@ def test_determinant_matches_cofactor_on_randoms():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert determinant(rows) == abs(cofactor_det(rows))
+        if determinant(rows):
+            assert gram_schmidt(rows).gram_det == determinant(rows) ** 2
 
 
 def test_enumerate_shortest_identity():

@@ -17,6 +17,7 @@ from sqrtgap.lattice import (
     update_integral_gso,
 )
 from sqrtgap.reduction import (
+    ReducedBasis,
     ReductionError,
     _IntegralLLL,
     bkz,
@@ -87,6 +88,18 @@ def test_lll_small_example_short_and_preserving():
     rb = lll(rows)
     assert determinant(rb.rows) == 2
     assert all(sum(c * c for c in row) <= 2 for row in rb.rows)
+
+
+def test_reduced_basis_profile_is_that_of_its_rows():
+    basis = build_basis(squarefree_upto(5), 10**20)
+    rb = lll(basis)
+    assert rb.swaps > 0
+    assert ReducedBasis(rb.rows, rb.swaps).profile == gram_schmidt(rb.rows)
+    with pytest.raises(TypeError):  # the profile is computed, never passed
+        ReducedBasis(rb.rows, rb.swaps, rb.profile)
+    # the raw basis is not reduced at this scale, so it is no ReducedBasis
+    with pytest.raises(ReductionError):
+        ReducedBasis(basis.rows, 0)
 
 
 def test_lll_conditions_and_transform_on_randoms():
