@@ -109,7 +109,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", choices=oracle.VARIANTS, required=True)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
 
     p = sub.add_parser("root-separation", help="root-separation baseline, log10")
     p.add_argument("--n", type=int, required=True)
@@ -177,7 +176,7 @@ def _run_sigma(args) -> dict:
 
 
 def _run_brute_force(args) -> dict:
-    res = oracle.brute_force(args.n, args.k, args.variant, cap=args.cap)
+    res = oracle.brute_force(args.n, args.k, args.variant)
     return {
         "n": args.n,
         "k": args.k,

@@ -20,6 +20,8 @@ cuts the search space by the factorial of the number of repeats.  Exact
 zeros (e.g. sqrt(2) + sqrt(2) - sqrt(8)) are recognized from the canonical
 square-free form and discarded, never by numeric smallness; the running
 minimum is maintained by interval comparison with escalating precision.
+Each variant counts its search space before enumerating, and a count above
+DEFAULT_CAP = 10^8 instances raises EnumerationCapError.
 """
 
 from __future__ import annotations
@@ -53,50 +55,27 @@ class BruteForceResult:
     instance_count: int
 
 
-def _offset_candidates(value: RadicalSum) -> range:
-    """Integers t that can minimize the positive distance |value - t|.
+def _offset_candidates(value: RadicalSum) -> list[RadicalSum]:
+    """value - t for every integer t that can minimize the positive |value - t|.
 
     The minimizing t lies within 1 of the value, so five integers around a
     coarse midpoint estimate (width <= 1/8 at 64 bits) always include it.
     """
     mid = enclose_radical_sum(value, 64).midpoint()
     t = round_half_up(mid.numerator, mid.denominator)
-    return range(t - 2, t + 3)
-
-
-class _MinTracker:
-    def __init__(self) -> None:
-        self.best: RadicalSum | None = None
-        self.count = 0
-
-    def offer(self, candidate: RadicalSum) -> None:
-        self.count += 1
-        if candidate.is_zero():
-            return
-        if self.best is None or compare_abs(candidate, self.best) < 0:
-            self.best = candidate
-
-    def result(self) -> BruteForceResult:
-        if self.best is None:
-            raise ArithmeticError("no nonzero candidate was enumerated")
-        witness = self.best
-        sign, enclosure = certify_sign(witness)
-        if sign == NEGATIVE:
-            witness = witness.negate()
-            enclosure = -enclosure
-        return BruteForceResult(value=enclosure, witness=witness, instance_count=self.count)
+    return [value.with_offset(u) for u in range(t - 2, t + 3)]
 
 
 def _multiset_count(alphabet: int, size: int) -> int:
     return math.comb(alphabet + size - 1, size)
 
 
-def brute_force(n: int, k: int, variant: str, cap: int = DEFAULT_CAP) -> BruteForceResult:
+def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     """Exact minimum positive value over all instances of the given variant.
 
     Raises EnumerationCapError when the multiset-reduced enumeration would
-    exceed cap instances.  The returned enclosure is certified positive and
-    the witness re-certifies to the same value.
+    exceed DEFAULT_CAP instances.  The returned enclosure is certified
+    positive and the witness re-certifies to the same value.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -105,43 +84,39 @@ def brute_force(n: int, k: int, variant: str, cap: int = DEFAULT_CAP) -> BruteFo
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
-    tracker = _MinTracker()
-    radicands = range(1, n + 1)
-
+    positive = [(1, s) for s in range(1, n + 1)]
+    negative = [(-1, s) for s in range(1, n + 1)]
     if variant == "r1":
-        positives = k // 2
-        negatives = k - positives
-        total = _multiset_count(n, positives) * _multiset_count(n, negatives)
-        if total > cap:
-            raise EnumerationCapError(f"r1 enumeration needs {total} > {cap} instances")
-        for pos in combinations_with_replacement(radicands, positives):
-            pos_terms = [(1, s) for s in pos]
-            for neg in combinations_with_replacement(radicands, negatives):
-                value = RadicalSum.from_terms(pos_terms + [(-1, s) for s in neg])
-                tracker.offer(value)
-        return tracker.result()
-
-    if variant == "r2":
+        half = k // 2
+        total = _multiset_count(n, half) * _multiset_count(n, k - half)
+        sums = (RadicalSum.from_terms(pos + neg)
+                for pos in combinations_with_replacement(positive, half)
+                for neg in combinations_with_replacement(negative, k - half))
+    elif variant == "r2":
         if k > n:
             raise ValueError(f"r2 needs k distinct radicands <= n, got k={k} > n={n}")
         total = math.comb(n, k)
-        if total > cap:
-            raise EnumerationCapError(f"r2 enumeration needs {total} > {cap} instances")
-        for comb in combinations(radicands, k):
-            value = RadicalSum.from_terms((1, s) for s in comb)
-            for t in _offset_candidates(value):
-                tracker.offer(value.with_offset(t))
-        return tracker.result()
+        sums = (RadicalSum.from_terms(comb) for comb in combinations(positive, k))
+    else:
+        # multisets of signed terms of every size up to k; terms with sign 0
+        # simply shrink the multiset
+        total = sum(_multiset_count(2 * n, m) for m in range(k + 1))
+        sums = (RadicalSum.from_terms(combo) for size in range(k + 1)
+                for combo in combinations_with_replacement(positive + negative, size))
+    if total > DEFAULT_CAP:
+        raise EnumerationCapError(f"{variant} enumeration needs {total} > {DEFAULT_CAP} instances")
 
-    # variant R: multisets of signed terms of every size up to k; terms with
-    # sign 0 simply shrink the multiset.
-    total = sum(_multiset_count(2 * n, m) for m in range(k + 1))
-    if total > cap:
-        raise EnumerationCapError(f"R enumeration needs {total} > {cap} instances")
-    alphabet = [(sign, s) for sign in (1, -1) for s in radicands]
-    for size in range(k + 1):
-        for combo in combinations_with_replacement(alphabet, size):
-            value = RadicalSum.from_terms(combo)
-            for t in _offset_candidates(value):
-                tracker.offer(value.with_offset(t))
-    return tracker.result()
+    best: RadicalSum | None = None
+    count = 0
+    for value in sums:
+        # r1 has no free integer t; the others try each t near the sum
+        for candidate in (value,) if variant == "r1" else _offset_candidates(value):
+            count += 1
+            if not candidate.is_zero() and (best is None or compare_abs(candidate, best) < 0):
+                best = candidate
+    if best is None:
+        raise ArithmeticError("no nonzero candidate was enumerated")
+    sign, enclosure = certify_sign(best)
+    if sign == NEGATIVE:
+        best, enclosure = best.negate(), -enclosure
+    return BruteForceResult(value=enclosure, witness=best, instance_count=count)

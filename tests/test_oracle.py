@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -104,7 +105,7 @@ def test_instance_count_reported():
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
-        brute_force(50, 10, "R", cap=1000)
+        brute_force(50, 10, "R")  # about 4.7e13 instances, over DEFAULT_CAP
 
 
 def test_validation():
@@ -116,3 +117,20 @@ def test_validation():
         brute_force(3, 3, "bogus")
     with pytest.raises(ValueError):
         brute_force(3, 4, "r2")  # needs k distinct radicands <= n
+
+
+def test_outputs_are_pinned():
+    # SHA-256 of every result, and of every error (r1 with only zero sums,
+    # r2 with k > n), for n <= 6 and k <= 3, taken before the three variants
+    # shared one enumeration loop
+    h = hashlib.sha256()
+    for variant in ("r1", "r2", "R"):
+        for n in range(1, 7):
+            for k in range(1, 4):
+                try:
+                    r = brute_force(n, k, variant)
+                    item = (r.witness, r.value.lo, r.value.hi, r.value.precision_bits, r.instance_count)
+                except (ValueError, ArithmeticError) as exc:
+                    item = (type(exc).__name__, str(exc))
+                h.update(repr((n, k, variant, item)).encode())
+    assert h.hexdigest() == "63a4671cf07d1b81b1393174373c68b6308907fe2018bfca6bda96264cd86d58"

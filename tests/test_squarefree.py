@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from sqrtgap import squarefree
 from sqrtgap.squarefree import (
     MAX_SIEVE_LIMIT,
     is_squarefree,
@@ -21,6 +22,53 @@ def _is_squarefree_by_trial(n: int) -> bool:
             return False
         p += 1
     return True
+
+
+def _is_prime_by_trial(n: int) -> bool:
+    return n >= 2 and _is_squarefree_by_trial(n) and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+def _decompose_by_trial(n: int) -> tuple[int, int]:
+    a, s, p = 1, 1, 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        a *= p ** (e // 2)
+        s *= p ** (e % 2)
+        p += 1
+    return a, s
+
+
+@pytest.fixture
+def empty_sieve(monkeypatch):
+    """An empty sieve cache for one test; the module's cache comes back after."""
+    monkeypatch.setattr(squarefree, "_limit", -1)
+    monkeypatch.setattr(squarefree, "_primes", [])
+    monkeypatch.setattr(squarefree, "_squarefree", bytearray())
+
+
+def test_one_cache_serves_primes_and_squarefree_integers(empty_sieve):
+    # each request below needs more of the sieve than the ones before it
+    assert prime_count(3000) == sum(map(_is_prime_by_trial, range(3001)))
+    first_limit = squarefree._limit
+    values = squarefree_upto(2500)  # sieves [0, 5016]
+    assert squarefree._limit > first_limit
+    assert values == [m for m in range(2, values[-1] + 1) if _is_squarefree_by_trial(m)]
+    assert len(values) == 2500
+    # cube root about 22 800, past the limit so far; 9973 < 10007 are primes
+    n = 12 * 9973**2 * 10007
+    assert round(n ** (1 / 3)) > squarefree._limit
+    assert squarefree_decompose(n) == _decompose_by_trial(n) == (2 * 9973, 3 * 10007)
+    assert squarefree._limit > 22800
+    assert prime_count(20000) == sum(map(_is_prime_by_trial, range(20001)))
+    assert squarefree_upto(2500) == values
+
+
+def test_prime_count_admits_the_cap(empty_sieve):
+    assert prime_count(MAX_SIEVE_LIMIT) == 295947
+    assert squarefree._limit == MAX_SIEVE_LIMIT
 
 
 def test_nth_squarefree_examples():
