@@ -34,8 +34,10 @@ from . import squarefree
 from .exactnum import (
     Enclosure,
     RadicalSum,
+    abs_bracket,
     compare_abs,
     enclose_radical_sum,
+    radical_sum_bracket,
     refine,
 )
 from .lattice import BASIS_MAX_DIM, LatticeBasis, Row, build_basis
@@ -265,10 +267,10 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
     rhs = _row_inequality_rhs(first, coeffs, basis.scale)
 
     def decide(bits: int) -> int | None:
-        enc = enclose_radical_sum(value, bits).abs()
-        if enc.hi <= rhs:
+        lo, hi = abs_bracket(*radical_sum_bracket(value, bits))
+        if hi * rhs.denominator <= rhs.numerator << bits:
             return bits
-        if enc.lo > rhs:
+        if lo * rhs.denominator > rhs.numerator << bits:
             raise ArithmeticError(
                 f"row inequality violated: |{value}| > {rhs}"
             )  # mathematically impossible for a lattice row
@@ -346,7 +348,7 @@ class QianWangInstance:
 
     The sum telescopes to something below (1*3*5*...*(2k-3)) / (2^k * t^(k-1/2)).
     rhs_sq is the exact square of that right-hand side, so the inequality
-    |sum| <= rhs is decidable by squaring dyadic enclosure endpoints.
+    |sum| <= rhs is decidable by squaring integer bracket endpoints.
     """
 
     k: int
@@ -360,11 +362,14 @@ class QianWangInstance:
         if self.value.is_zero():
             return True
 
+        num, den = self.rhs_sq.numerator, self.rhs_sq.denominator
+
         def decide(bits: int) -> bool | None:
-            enc = enclose_radical_sum(self.value, bits).abs()
-            if enc.hi * enc.hi <= self.rhs_sq:
+            # (x / 2^bits)^2 against num / den, on integers
+            lo, hi = abs_bracket(*radical_sum_bracket(self.value, bits))
+            if hi * hi * den <= num << 2 * bits:
                 return True
-            if enc.lo * enc.lo > self.rhs_sq:
+            if lo * lo * den > num << 2 * bits:
                 return False
             return None
 

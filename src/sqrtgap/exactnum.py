@@ -2,15 +2,16 @@
 
 Everything here is exact or outward-rounded.  An Enclosure is a pair of
 dyadic rationals guaranteed to bracket a real value; a RadicalSum's
-enclosure at p bits is two exact integer sums over 2^p, built from
-integer square-root brackets.  The only rounding in the whole library
-happens when a square root is bracketed, and that step rounds outward.
-Every decision climbs one precision ladder (refine).  Sign decisions are
-therefore certificates, never floating point guesses: a RadicalSum is
-exactly zero iff its canonical form (integer coefficients over distinct
-square-free radicands) vanishes, because square roots of distinct
-square-free integers are linearly independent over the rationals, and any
-nonzero value separates from zero at finite precision.
+bracket at p bits is two exact integer sums over 2^p, built from integer
+square-root brackets.  The only rounding in the whole library happens
+when a square root is bracketed, and that step rounds outward.  Every
+decision climbs one precision ladder (refine) and compares those
+integers; Fractions are built only for a reported Enclosure.  Sign
+decisions are therefore certificates, never floating point guesses: a
+RadicalSum is exactly zero iff its canonical form (integer coefficients
+over distinct square-free radicands) vanishes, because square roots of
+distinct square-free integers are linearly independent over the
+rationals, and any nonzero value separates from zero at finite precision.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def abs_bracket(lo, hi):
+    """Bracket of |x| from a bracket [lo, hi] of x (integers or Fractions)."""
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
 @dataclass(frozen=True)
 class Enclosure:
     """Interval [lo, hi] of dyadic rationals containing a real value."""
@@ -84,11 +94,8 @@ class Enclosure:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def abs(self) -> "Enclosure":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return Enclosure(-self.hi, -self.lo, self.precision_bits)
-        return Enclosure(Fraction(0), max(-self.lo, self.hi), self.precision_bits)
+        lo, hi = abs_bracket(self.lo, self.hi)
+        return Enclosure(Fraction(lo), Fraction(hi), self.precision_bits)
 
     def __neg__(self) -> "Enclosure":
         return Enclosure(-self.hi, -self.lo, self.precision_bits)
@@ -174,14 +181,15 @@ class RadicalSum:
         return " ".join(pieces)
 
 
-def enclose_radical_sum(value: RadicalSum, precision_bits: int = DEFAULT_START_BITS) -> Enclosure:
-    """Outward-rounded enclosure of a RadicalSum.
+def radical_sum_bracket(value: RadicalSum, precision_bits: int = DEFAULT_START_BITS) -> tuple[int, int]:
+    """Integers (lo, hi) with lo/2^p <= value <= hi/2^p, at p = precision_bits.
 
-    Each endpoint is one exact integer sum over 2^p: coefficient times the
-    lower or upper square-root bracket, the two swapped for a negative
-    coefficient, minus the offset.  So the only width comes from the
-    brackets: at p bits the result is at most sum(|a_i|) * 2^-p wide, and
-    enclosures at higher precision nest inside those at lower precision.
+    Each is one exact integer sum: coefficient times the lower or upper
+    square-root bracket, the two swapped for a negative coefficient, minus
+    the offset.  So the only width comes from the brackets: at p bits hi - lo
+    is at most sum(|a_i|), and brackets at higher precision nest inside
+    those at lower precision.  Every precision-ladder decision compares
+    these integers; two brackets at the same p share the denominator 2^p.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
@@ -192,8 +200,21 @@ def enclose_radical_sum(value: RadicalSum, precision_bits: int = DEFAULT_START_B
             m_lo, m_hi = m_hi, m_lo
         lo += coeff * m_lo
         hi += coeff * m_hi
+    return lo, hi
+
+
+def _dyadic_enclosure(lo: int, hi: int, precision_bits: int) -> Enclosure:
     unit = 1 << precision_bits
     return Enclosure(Fraction(lo, unit), Fraction(hi, unit), precision_bits)
+
+
+def enclose_radical_sum(value: RadicalSum, precision_bits: int = DEFAULT_START_BITS) -> Enclosure:
+    """Outward-rounded enclosure of a RadicalSum: its bracket over 2^p.
+
+    At p bits the result is at most sum(|a_i|) * 2^-p wide, and enclosures
+    at higher precision nest inside those at lower precision.
+    """
+    return _dyadic_enclosure(*radical_sum_bracket(value, precision_bits), precision_bits)
 
 
 _T = TypeVar("_T")
@@ -231,11 +252,11 @@ def certify_sign(value: RadicalSum) -> tuple[int, Enclosure]:
         return ZERO, Enclosure(zero, zero, DEFAULT_START_BITS)
 
     def decide(bits: int) -> tuple[int, Enclosure] | None:
-        enc = enclose_radical_sum(value, bits)
-        if enc.lo > 0:
-            return POSITIVE, enc
-        if enc.hi < 0:
-            return NEGATIVE, enc
+        lo, hi = radical_sum_bracket(value, bits)
+        if lo > 0:
+            return POSITIVE, _dyadic_enclosure(lo, hi, bits)
+        if hi < 0:
+            return NEGATIVE, _dyadic_enclosure(lo, hi, bits)
         return None
 
     return refine(decide, lambda: f"sign of {value}")
@@ -252,11 +273,12 @@ def compare_abs(left: RadicalSum, right: RadicalSum) -> int:
         return 0
 
     def decide(bits: int) -> int | None:
-        el = enclose_radical_sum(left, bits).abs()
-        er = enclose_radical_sum(right, bits).abs()
-        if el.hi < er.lo:
+        # both brackets are over 2^bits, so their numerators compare directly
+        l_lo, l_hi = abs_bracket(*radical_sum_bracket(left, bits))
+        r_lo, r_hi = abs_bracket(*radical_sum_bracket(right, bits))
+        if l_hi < r_lo:
             return -1
-        if er.hi < el.lo:
+        if r_hi < l_lo:
             return 1
         return None
 

@@ -19,9 +19,13 @@ expression depends only on the multiset of (sign, radicand) pairs, which
 cuts the search space by the factorial of the number of repeats.  Exact
 zeros (e.g. sqrt(2) + sqrt(2) - sqrt(8)) are recognized from the canonical
 square-free form and discarded, never by numeric smallness; the running
-minimum is maintained by interval comparison with escalating precision.
-Each variant counts its search space before enumerating, and a count above
-DEFAULT_CAP = 10^8 instances raises EnumerationCapError.
+minimum is maintained by exact comparison.  Each sum is bracketed once, at
+SCREEN_BITS, and its candidates' brackets are that pair shifted by their
+offsets; a candidate whose bracket clears the best's is decided there, and
+only overlapping brackets climb the precision ladder in compare_abs.
+Each variant counts the instances it will offer (sums, times the
+OFFSETS_PER_SUM candidates where t is free) before enumerating, and a
+count above DEFAULT_CAP = 10^8 instances raises EnumerationCapError.
 """
 
 from __future__ import annotations
@@ -34,14 +38,21 @@ from .exactnum import (
     Enclosure,
     NEGATIVE,
     RadicalSum,
+    abs_bracket,
     certify_sign,
     compare_abs,
-    enclose_radical_sum,
+    enclose_radical_sum,  # perfbench/tracer.py binds oracle.enclose_radical_sum by getattr
+    radical_sum_bracket,
     round_half_up,
 )
 
 VARIANTS = ("r1", "r2", "R")
 DEFAULT_CAP = 10**8
+SCREEN_BITS = 64
+# The offsets that can minimize the positive |sum - t| lie within 1 of the
+# sum, so the five integers around the rounded midpoint of its bracket
+# always include them.
+OFFSETS_PER_SUM = 5
 
 
 class EnumerationCapError(ValueError):
@@ -55,17 +66,6 @@ class BruteForceResult:
     instance_count: int
 
 
-def _offset_candidates(value: RadicalSum) -> list[RadicalSum]:
-    """value - t for every integer t that can minimize the positive |value - t|.
-
-    The minimizing t lies within 1 of the value, so five integers around a
-    coarse midpoint estimate (width <= 1/8 at 64 bits) always include it.
-    """
-    mid = enclose_radical_sum(value, 64).midpoint()
-    t = round_half_up(mid.numerator, mid.denominator)
-    return [value.with_offset(u) for u in range(t - 2, t + 3)]
-
-
 def _multiset_count(alphabet: int, size: int) -> int:
     return math.comb(alphabet + size - 1, size)
 
@@ -74,8 +74,9 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     """Exact minimum positive value over all instances of the given variant.
 
     Raises EnumerationCapError when the multiset-reduced enumeration would
-    exceed DEFAULT_CAP instances.  The returned enclosure is certified
-    positive and the witness re-certifies to the same value.
+    offer more than DEFAULT_CAP instances, the unit of instance_count.  The
+    returned enclosure is certified positive and the witness re-certifies to
+    the same value.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -103,17 +104,34 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
         total = sum(_multiset_count(2 * n, m) for m in range(k + 1))
         sums = (RadicalSum.from_terms(combo) for size in range(k + 1)
                 for combo in combinations_with_replacement(positive + negative, size))
+    if variant != "r1":
+        total *= OFFSETS_PER_SUM
     if total > DEFAULT_CAP:
         raise EnumerationCapError(f"{variant} enumeration needs {total} > {DEFAULT_CAP} instances")
 
+    # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets |best|
     best: RadicalSum | None = None
+    best_lo = best_hi = 0
     count = 0
     for value in sums:
+        lo, hi = radical_sum_bracket(value, SCREEN_BITS)
         # r1 has no free integer t; the others try each t near the sum
-        for candidate in (value,) if variant == "r1" else _offset_candidates(value):
+        if variant == "r1":
+            offsets = (value.offset,)
+        else:
+            t = round_half_up(lo + hi, 2 << SCREEN_BITS)
+            offsets = range(t - OFFSETS_PER_SUM // 2, t + OFFSETS_PER_SUM // 2 + 1)
+        for u in offsets:
             count += 1
-            if not candidate.is_zero() and (best is None or compare_abs(candidate, best) < 0):
-                best = candidate
+            shift = (value.offset - u) << SCREEN_BITS
+            c_lo, c_hi = abs_bracket(lo + shift, hi + shift)
+            if best is not None and c_lo > best_hi:
+                continue  # strictly larger than the best
+            candidate = value.with_offset(u)
+            if candidate.is_zero():
+                continue
+            if best is None or c_hi < best_lo or compare_abs(candidate, best) < 0:
+                best, best_lo, best_hi = candidate, c_lo, c_hi
     if best is None:
         raise ArithmeticError("no nonzero candidate was enumerated")
     sign, enclosure = certify_sign(best)

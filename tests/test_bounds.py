@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -293,6 +294,18 @@ def test_qian_wang_holds_on_grid():
     for k in range(2, 7):
         for t in (1, 7, 31, 204, 1000):
             assert qian_wang_instance(k, t).satisfied()
+
+
+def test_qian_wang_decision_on_both_sides_of_the_value():
+    # thresholds just below and just above |value|^2 decide False and True,
+    # as the Enclosure decision |value|^2 <= rhs_sq does; the one 2^-200 below
+    # needs rungs past 64 bits
+    inst = qian_wang_instance(4, 100)
+    fine = enclose_radical_sum(inst.value, 1024).abs()
+    for scale, want in ((1 - Fraction(1, 2**20), False), (1 - Fraction(1, 2**200), False),
+                        (1 + Fraction(1, 2**20), True), (1 + Fraction(1, 2**200), True)):
+        bound = fine.lo if scale < 1 else fine.hi
+        assert dataclasses.replace(inst, rhs_sq=bound * bound * scale).satisfied() is want
 
 
 def test_qian_wang_nonzero():

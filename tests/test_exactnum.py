@@ -12,11 +12,13 @@ from sqrtgap.exactnum import (
     PrecisionExhausted,
     RadicalSum,
     ZERO,
+    abs_bracket,
     certify_sign,
     compare_abs,
     dyadic_decimal,
     enclose_radical_sum,
     isqrt,
+    radical_sum_bracket,
     scaled_nearest_sqrt,
     sqrt_enclosure,
 )
@@ -247,6 +249,90 @@ def test_compare_abs():
     assert compare_abs(b, a) == 1
     assert compare_abs(a, a.negate()) == 0
     assert compare_abs(a, a) == 0
+
+
+def _reference_ladder(decide):
+    bits = 64
+    while True:
+        decision = decide(bits)
+        if decision is not None:
+            return decision
+        bits *= 2
+
+
+def _reference_sign(value: RadicalSum):
+    """certify_sign decided on Enclosure endpoints: the reference for its integer rungs."""
+    if value.is_zero():
+        return ZERO, Enclosure(Fraction(0), Fraction(0), 64)
+
+    def decide(bits):
+        enc = enclose_radical_sum(value, bits)
+        if enc.lo > 0:
+            return POSITIVE, enc
+        if enc.hi < 0:
+            return NEGATIVE, enc
+        return None
+
+    return _reference_ladder(decide)
+
+
+def _reference_compare_abs(left: RadicalSum, right: RadicalSum) -> int:
+    """compare_abs decided on Enclosure endpoints: the reference for its integer rungs."""
+    if left == right or left == right.negate():
+        return 0
+
+    def decide(bits):
+        el, er = enclose_radical_sum(left, bits).abs(), enclose_radical_sum(right, bits).abs()
+        return -1 if el.hi < er.lo else 1 if er.hi < el.lo else None
+
+    return _reference_ladder(decide)
+
+
+def _bracket_samples() -> list[RadicalSum]:
+    """Random sums, Pell near-misses that straddle zero at the first rungs,
+    a disguised zero, and the negation of each."""
+    rng = random.Random(11)
+    values = []
+    for _ in range(25):
+        terms = [(rng.randint(-6, 6), rng.randint(1, 40)) for _ in range(rng.randint(0, 4))]
+        v = RadicalSum.from_terms(terms)
+        # offset at the nearest integer, so magnitudes are below 1/2 and close
+        mid = enclose_radical_sum(v, 64).midpoint()
+        values.append(v.with_offset(exactnum.round_half_up(mid.numerator, mid.denominator)))
+    values += [_pell_near_miss(q) for q in (10, 10**3, 10**6, 10**11, 10**12)]
+    values.append(RadicalSum.from_terms([(1, 2), (1, 2), (-1, 8)]))  # exactly 0
+    return values + [v.negate() for v in values]
+
+
+def test_bracket_is_the_enclosure_numerators():
+    for v in _bracket_samples():
+        for bits in (16, 17, 64, 100, 1024):
+            lo, hi = radical_sum_bracket(v, bits)
+            enc = enclose_radical_sum(v, bits)
+            assert (Fraction(lo, 2**bits), Fraction(hi, 2**bits)) == (enc.lo, enc.hi)
+            a_lo, a_hi = abs_bracket(lo, hi)
+            assert (Fraction(a_lo, 2**bits), Fraction(a_hi, 2**bits)) == (enc.abs().lo, enc.abs().hi)
+    with pytest.raises(ValueError):
+        radical_sum_bracket(RadicalSum.from_terms([(1, 2)]), 15)
+
+
+def test_abs_bracket_cases():
+    assert abs_bracket(2, 5) == (2, 5)
+    assert abs_bracket(-5, -2) == (2, 5)
+    assert abs_bracket(-5, 2) == (0, 5)
+    assert abs_bracket(-2, 5) == (0, 5)
+    assert abs_bracket(0, 0) == (0, 0)
+
+
+def test_integer_decisions_match_the_enclosure_reference():
+    samples = _bracket_samples()
+    straddles = [v for v in samples if radical_sum_bracket(v, 64)[0] < 0 < radical_sum_bracket(v, 64)[1]]
+    assert len(straddles) >= 4  # the Pell near-misses at 10^11 and 10^12, both signs
+    for v in samples:
+        assert certify_sign(v) == _reference_sign(v)
+    for a in samples:
+        for b in samples:
+            assert compare_abs(a, b) == _reference_compare_abs(a, b), (str(a), str(b))
 
 
 def test_enclosure_algebra():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sqrtgap import oracle
 from sqrtgap.exactnum import certify_sign
 from sqrtgap.oracle import EnumerationCapError, brute_force
 
@@ -108,6 +109,19 @@ def test_enumeration_cap():
         brute_force(50, 10, "R")  # about 4.7e13 instances, over DEFAULT_CAP
 
 
+def test_cap_counts_offered_instances(monkeypatch):
+    # the cap counts what instance_count counts: five offered candidates per
+    # sum where the integer t is free
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 9100)
+    assert brute_force(6, 4, "R").instance_count == 9100
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 9099)
+    with pytest.raises(EnumerationCapError, match=r"R enumeration needs 9100 > 9099 instances"):
+        brute_force(6, 4, "R")
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 5 * math.comb(6, 3) - 1)
+    with pytest.raises(EnumerationCapError, match=r"needs 100 > 99"):
+        brute_force(6, 3, "r2")
+
+
 def test_validation():
     with pytest.raises(ValueError):
         brute_force(0, 3, "R")
@@ -119,18 +133,28 @@ def test_validation():
         brute_force(3, 4, "r2")  # needs k distinct radicands <= n
 
 
-def test_outputs_are_pinned():
-    # SHA-256 of every result, and of every error (r1 with only zero sums,
-    # r2 with k > n), for n <= 6 and k <= 3, taken before the three variants
-    # shared one enumeration loop
+def _digest(ns, ks):
     h = hashlib.sha256()
     for variant in ("r1", "r2", "R"):
-        for n in range(1, 7):
-            for k in range(1, 4):
+        for n in ns:
+            for k in ks:
                 try:
                     r = brute_force(n, k, variant)
                     item = (r.witness, r.value.lo, r.value.hi, r.value.precision_bits, r.instance_count)
                 except (ValueError, ArithmeticError) as exc:
                     item = (type(exc).__name__, str(exc))
                 h.update(repr((n, k, variant, item)).encode())
-    assert h.hexdigest() == "63a4671cf07d1b81b1393174373c68b6308907fe2018bfca6bda96264cd86d58"
+    return h.hexdigest()
+
+
+def test_outputs_are_pinned():
+    # SHA-256 of every result, and of every error (r1 with only zero sums,
+    # r2 with k > n), for n <= 6 and k <= 3, taken before the three variants
+    # shared one enumeration loop
+    assert _digest(range(1, 7), range(1, 4)) == "63a4671cf07d1b81b1393174373c68b6308907fe2018bfca6bda96264cd86d58"
+
+
+def test_k4_outputs_are_pinned():
+    # the same digest for k = 4 and n <= 7, taken before the oracle screened
+    # candidates on integer brackets
+    assert _digest(range(1, 8), (4,)) == "a67c3d16d58da27ddf354e914e65a5ab110d721b75e27673c7125ba5f302c1a1"
