@@ -11,6 +11,7 @@ from .exactnum import (
     Enclosure,
     PrecisionExhausted,
     RadicalSum,
+    abs_at_most,
     certify_sign,
     compare_abs,
     dyadic_decimal,

@@ -31,15 +31,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import squarefree
-from .exactnum import (
-    Enclosure,
-    RadicalSum,
-    abs_bracket,
-    compare_abs,
-    enclose_radical_sum,
-    radical_sum_bracket,
-    refine,
-)
+from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from .lattice import BASIS_MAX_DIM, LatticeBasis, Row, build_basis
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
@@ -265,19 +257,10 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
     offset = -basis.coordinates(row)[0]
     value = RadicalSum.from_terms(zip(coeffs, basis.radicands), offset=offset)
     rhs = _row_inequality_rhs(first, coeffs, basis.scale)
-
-    def decide(bits: int) -> int | None:
-        lo, hi = abs_bracket(*radical_sum_bracket(value, bits))
-        if hi * rhs.denominator <= rhs.numerator << bits:
-            return bits
-        if lo * rhs.denominator > rhs.numerator << bits:
-            raise ArithmeticError(
-                f"row inequality violated: |{value}| > {rhs}"
-            )  # mathematically impossible for a lattice row
-        return None
-
-    bits = refine(decide, lambda: f"row inequality for {value}")
-    certified = enclose_radical_sum(value, 2 * bits).abs()
+    holds, decided = abs_at_most(value, rhs * rhs)
+    if not holds:  # mathematically impossible for a lattice row
+        raise ArithmeticError(f"row inequality violated: |{value}| > {rhs}")
+    certified = enclose_radical_sum(value, 2 * decided.precision_bits).abs()
     if certified.hi > rhs:
         raise ArithmeticError("refined enclosure lost the row inequality")
     return UpperBoundWitness(
@@ -348,7 +331,7 @@ class QianWangInstance:
 
     The sum telescopes to something below (1*3*5*...*(2k-3)) / (2^k * t^(k-1/2)).
     rhs_sq is the exact square of that right-hand side, so the inequality
-    |sum| <= rhs is decidable by squaring integer bracket endpoints.
+    |sum| <= rhs is exactnum.abs_at_most(value, rhs_sq).
     """
 
     k: int
@@ -359,21 +342,7 @@ class QianWangInstance:
 
     def satisfied(self) -> bool:
         """Exact decision of |value| <= rhs."""
-        if self.value.is_zero():
-            return True
-
-        num, den = self.rhs_sq.numerator, self.rhs_sq.denominator
-
-        def decide(bits: int) -> bool | None:
-            # (x / 2^bits)^2 against num / den, on integers
-            lo, hi = abs_bracket(*radical_sum_bracket(self.value, bits))
-            if hi * hi * den <= num << 2 * bits:
-                return True
-            if lo * lo * den > num << 2 * bits:
-                return False
-            return None
-
-        return refine(decide, lambda: f"|{self.value}| <= rhs")
+        return abs_at_most(self.value, self.rhs_sq)[0]
 
 
 def qian_wang_instance(k: int, t: int) -> QianWangInstance:

@@ -24,13 +24,12 @@ from fractions import Fraction
 from . import bounds, oracle, squarefree
 from .exactnum import (
     DEFAULT_PRECISION_CAP,
-    MIN_PRECISION_BITS,
     Enclosure,
     PrecisionExhausted,
     RadicalSum,
+    abs_at_most,
     decimal_str,
     dyadic_decimal,
-    enclose_radical_sum,
 )
 from .reduction import DEFAULT_BLOCK_SIZE, DEFAULT_DELTA, ReductionError
 
@@ -90,13 +89,6 @@ def _parse_log10_list(text: str) -> list[int]:
     return exps
 
 
-def _parse_precision_bits(text: str) -> int:
-    bits = int(text)
-    if not MIN_PRECISION_BITS <= bits <= DEFAULT_PRECISION_CAP:
-        raise _BoundError(f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]")
-    return bits
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqrtgap", description=__doc__)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -118,7 +110,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("qian-wang", help="alternating binomial upper-bound instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=_parse_bigint, required=True)
-    p.add_argument("--precision-bits", type=_parse_precision_bits, default=128)
 
     p = sub.add_parser("certify", help="attempt a lower-bound certificate at one scale")
     p.add_argument("--k", type=int, required=True)
@@ -195,7 +186,8 @@ def _run_root_separation(args) -> dict:
 
 def _run_qian_wang(args) -> dict:
     inst = bounds.qian_wang_instance(args.k, args.t)
-    enc = enclose_radical_sum(inst.value, args.precision_bits).abs()
+    # abs_value is the enclosure that decided inequality_holds
+    holds, enc = abs_at_most(inst.value, inst.rhs_sq)
     return {
         "k": args.k,
         "t": decimal_str(args.t),
@@ -203,7 +195,7 @@ def _run_qian_wang(args) -> dict:
         "abs_value": _ser_enclosure(enc),
         "rhs_log10": inst.rhs_log10,
         "rhs_sq": _ser_fraction(inst.rhs_sq),
-        "inequality_holds": inst.satisfied(),
+        "inequality_holds": holds,
     }
 
 
@@ -278,7 +270,7 @@ def _log10_of(enc: Enclosure) -> float | None:
     return (math.log(hi.numerator) - math.log(hi.denominator)) / math.log(10)
 
 
-def _run_ratio_scan(args) -> dict:
+def _run_ratio_scan(args) -> tuple[dict, int]:
     cells = bounds.ratio_scan(args.k_list, args.log10_list)
     rows = []
     for c in cells:
@@ -295,7 +287,8 @@ def _run_ratio_scan(args) -> dict:
                 "conjecture_violation": c.conjecture_violation,
             }
         )
-    return {"cells": rows}
+    failed = any(c.error is not None for c in cells)
+    return {"cells": rows}, EXIT_COMPUTE if failed else EXIT_OK
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -340,7 +333,7 @@ _DISPATCH = {
     "certify": _run_certify,
     "lower-bound": lambda args: (_run_lower_bound(args), EXIT_OK),
     "upper-bound": lambda args: (_run_upper_bound(args), EXIT_OK),
-    "ratio-scan": lambda args: (_run_ratio_scan(args), EXIT_OK),
+    "ratio-scan": _run_ratio_scan,
 }
 
 

@@ -285,6 +285,32 @@ def compare_abs(left: RadicalSum, right: RadicalSum) -> int:
     return refine(decide, lambda: f"order of |{left}| vs |{right}|")
 
 
+def abs_at_most(value: RadicalSum, bound_sq: Fraction) -> tuple[bool, Enclosure]:
+    """Exact decision of |value|^2 <= bound_sq, with the enclosure of |value|
+    at the rung that decided it.
+
+    With (lo, hi) the absolute bracket over 2^p and bound_sq = num/den, a
+    rung decides True once hi^2 * den <= num * 4^p and False once
+    lo^2 * den > num * 4^p.  For a non-negative bound b this is the decision
+    |value| <= b on bound_sq = b^2.  A zero value is decided exactly.
+    """
+    if value.is_zero():
+        zero = Fraction(0)
+        return 0 <= bound_sq, Enclosure(zero, zero, DEFAULT_START_BITS)
+    num, den = bound_sq.numerator, bound_sq.denominator
+
+    def decide(bits: int) -> tuple[bool, Enclosure] | None:
+        # (x / 2^bits)^2 against num / den, on integers
+        lo, hi = abs_bracket(*radical_sum_bracket(value, bits))
+        if hi * hi * den <= num << 2 * bits:
+            return True, _dyadic_enclosure(lo, hi, bits)
+        if lo * lo * den > num << 2 * bits:
+            return False, _dyadic_enclosure(lo, hi, bits)
+        return None
+
+    return refine(decide, lambda: f"|{value}|^2 <= {bound_sq}")
+
+
 def decimal_str(n: int) -> str:
     """str(n), through Decimal(n): exact, and unlike str(int) not bound by
     the interpreter's int-to-str digit limit."""

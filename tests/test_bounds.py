@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -339,7 +340,7 @@ def test_ratio_scan_shape_and_determinism():
         assert c.shortest_row_norm_sq >= c.min_gs_norm_sq
 
 
-def test_ratio_scan_records_cell_errors(monkeypatch):
+def test_ratio_scan_records_cell_errors(monkeypatch, capsys):
     def bkz_failing_at_k2(basis):
         if basis.k == 2:
             raise ReductionError("swap budget exhausted")
@@ -349,6 +350,13 @@ def test_ratio_scan_records_cell_errors(monkeypatch):
     cells = ratio_scan([2, 3], [6])
     assert cells[0].error == "ReductionError: swap budget exhausted"
     assert cells[1].error is None
+    # the CLI prints the whole grid, and a failed cell is a computation failure
+    assert cli.main(["ratio-scan", "--k", "2,3", "--log10n", "6"]) == 2
+    printed = json.loads(capsys.readouterr().out)["result"]["cells"]
+    assert [c["k"] for c in printed] == [2, 3]
+    assert "error" in printed[0] and "error" not in printed[1]
+    monkeypatch.undo()
+    assert cli.main(["ratio-scan", "--k", "2,3", "--log10n", "6"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import decimal
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -13,12 +14,7 @@ import pytest
 
 from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
 from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_instance
-from sqrtgap.exactnum import (
-    DEFAULT_PRECISION_CAP,
-    MIN_PRECISION_BITS,
-    RadicalSum,
-    enclose_radical_sum,
-)
+from sqrtgap.exactnum import DEFAULT_START_BITS, RadicalSum, enclose_radical_sum
 from sqrtgap.lattice import BASIS_MAX_DIM
 from sqrtgap.squarefree import MAX_SIEVE_LIMIT
 
@@ -172,6 +168,30 @@ def test_qian_wang_json(capsys):
     assert result["rhs_sq"] == {"num": "1", "den": "16"}
 
 
+def _first_deciding_rung(value: RadicalSum, bound_sq: Fraction) -> int:
+    """The first rung of the 64, 128, ... ladder whose Enclosure decides |value|^2 <= bound_sq."""
+    bits = DEFAULT_START_BITS
+    while True:
+        enc = enclose_radical_sum(value, bits).abs()
+        if enc.hi * enc.hi <= bound_sq or enc.lo * enc.lo > bound_sq:
+            return bits
+        bits *= 2
+
+
+@pytest.mark.parametrize("k, t", [(2, "1"), (4, "100"), (10, "10^6"), (400, "10^6")])
+def test_qian_wang_report_certifies_its_verdict(capsys, k, t):
+    code, out, _ = _run(capsys, "qian-wang", "--k", str(k), "--t", t)
+    assert code == 0
+    result = json.loads(out)["result"]
+    printed = result["abs_value"]
+    hi = _decimal_to_fraction(printed["hi"])
+    rhs_sq = _decimal_to_fraction(result["rhs_sq"]["num"]) / _decimal_to_fraction(result["rhs_sq"]["den"])
+    assert result["inequality_holds"] is True
+    assert hi * hi <= rhs_sq  # the printed enclosure shows the printed verdict
+    inst = qian_wang_instance(k, _parse_bigint(t))
+    assert printed["precision_bits"] == _first_deciding_rung(inst.value, inst.rhs_sq)
+
+
 def test_input_error_exit_code(capsys):
     assert _run(capsys, "certify", "--k", "x", "--N", "10")[0] == 1
     assert _run(capsys, "brute-force", "--n", "0", "--k", "3", "--variant", "R")[0] == 1
@@ -222,8 +242,6 @@ def test_root_separation_overflow_is_input_error(capsys):
         ("ratio-scan", "--k", "3", "--log10n", "8,-1"),
         ("ratio-scan", "--k", "0", "--log10n", "10"),
         ("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"),
-        ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(DEFAULT_PRECISION_CAP + 1)),
-        ("qian-wang", "--k", "2", "--t", "1", "--precision-bits", str(MIN_PRECISION_BITS - 1)),
         ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)),
@@ -247,8 +265,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv):
         (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
          f"exceeds {MAX_POWER_BITS} bits"),
         (("certify", "--k", "3", "--N", "10^-5"), "negative exponent in 10^-5"),
-        (("qian-wang", "--k", "2", "--t", "1", "--precision-bits", "15"),
-         f"precision bits must lie in [{MIN_PRECISION_BITS}, {DEFAULT_PRECISION_CAP}]"),
+        (("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
         (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
         (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
     ],
@@ -260,11 +277,12 @@ def test_rejected_argument_names_the_bound(capsys, argv, reason):
 
 
 def test_precision_past_int_str_digit_limit_prints(capsys):
-    # 20000 bits need over 4300 decimal digits per endpoint
-    code, out, _ = _run(capsys, "qian-wang", "--k", "2", "--t", "1", "--precision-bits", "20000")
+    # decided at 8192 bits, so each endpoint needs over 4300 decimal digits
+    code, out, _ = _run(capsys, "qian-wang", "--k", "400", "--t", "10^6")
     assert code == 0
     printed = json.loads(out)["result"]["abs_value"]
-    enc = enclose_radical_sum(qian_wang_instance(2, 1).value, 20000).abs()
+    assert printed["precision_bits"] == 8192
+    enc = enclose_radical_sum(qian_wang_instance(400, 10**6).value, 8192).abs()
     assert len(printed["hi"]) > 4300
     assert _decimal_to_fraction(printed["lo"]) == enc.lo
     assert _decimal_to_fraction(printed["hi"]) == enc.hi
@@ -357,3 +375,17 @@ def test_documented_flags_are_accepted():
                 assert flag in accepted, f"{doc}: {flag} in {line.strip()!r}"
                 checked += 1
     assert checked > 20
+
+
+def test_documented_commands_run(capsys):
+    root = Path(__file__).resolve().parents[1]
+    lines = dict.fromkeys(  # README and PAPER share most lines: run each once
+        tuple(shlex.split(line))
+        for doc in ("README.md", "PAPER.md")
+        for line in _fenced_command_lines((root / doc).read_text())
+        if "<command>" not in line
+    )
+    assert len(lines) >= 8
+    for argv in lines:
+        code, _, err = _run(capsys, *argv[1:])
+        assert code == 0, f"{' '.join(argv)}: {err}"

@@ -12,6 +12,7 @@ from sqrtgap.exactnum import (
     PrecisionExhausted,
     RadicalSum,
     ZERO,
+    abs_at_most,
     abs_bracket,
     certify_sign,
     compare_abs,
@@ -288,6 +289,22 @@ def _reference_compare_abs(left: RadicalSum, right: RadicalSum) -> int:
     return _reference_ladder(decide)
 
 
+def _reference_abs_at_most(value: RadicalSum, bound_sq: Fraction):
+    """abs_at_most decided on Enclosure endpoints: the reference for its integer rungs."""
+    if value.is_zero():
+        return 0 <= bound_sq, Enclosure(Fraction(0), Fraction(0), 64)
+
+    def decide(bits):
+        enc = enclose_radical_sum(value, bits).abs()
+        if enc.hi * enc.hi <= bound_sq:
+            return True, enc
+        if enc.lo * enc.lo > bound_sq:
+            return False, enc
+        return None
+
+    return _reference_ladder(decide)
+
+
 def _bracket_samples() -> list[RadicalSum]:
     """Random sums, Pell near-misses that straddle zero at the first rungs,
     a disguised zero, and the negation of each."""
@@ -333,6 +350,17 @@ def test_integer_decisions_match_the_enclosure_reference():
     for a in samples:
         for b in samples:
             assert compare_abs(a, b) == _reference_compare_abs(a, b), (str(a), str(b))
+    decided_true = decided_false = 0
+    for v in samples:
+        fine = enclose_radical_sum(v, 1024).abs()
+        # squares of bounds 2^-20 relative below and above |value|, zero, and a negative one
+        below, above = fine.lo * (1 - Fraction(1, 2**20)), fine.hi * (1 + Fraction(1, 2**20))
+        for bound_sq in (below * below, above * above, Fraction(0), Fraction(-1)):
+            result = abs_at_most(v, bound_sq)
+            assert result == _reference_abs_at_most(v, bound_sq), (str(v), bound_sq)
+            decided_true += result[0]
+            decided_false += not result[0]
+    assert decided_true > len(samples) and decided_false > len(samples)
 
 
 def test_enclosure_algebra():
