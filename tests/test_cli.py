@@ -243,6 +243,8 @@ def test_root_separation_overflow_is_input_error(capsys):
         ("ratio-scan", "--k", "0", "--log10n", "10"),
         ("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"),
         ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
+        ("upper-bound", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
+        ("sigma", "--i", str(MAX_SIEVE_LIMIT + 1)),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)),
     ],
