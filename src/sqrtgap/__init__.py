@@ -16,7 +16,6 @@ from .exactnum import (
     compare_abs,
     dyadic_decimal,
     enclose_radical_sum,
-    isqrt,
     scaled_nearest_sqrt,
     sqrt_enclosure,
 )

@@ -340,10 +340,6 @@ class QianWangInstance:
     rhs_sq: Fraction
     rhs_log10: float
 
-    def satisfied(self) -> bool:
-        """Exact decision of |value| <= rhs."""
-        return abs_at_most(self.value, self.rhs_sq)[0]
-
 
 def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     """Build the alternating binomial instance at offset t.

@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
             PrecisionExhausted, ReductionError) as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt  # re-exported; raises ValueError on negative input
 from typing import Callable, Iterable, TypeVar
 
 from . import squarefree
@@ -80,19 +79,6 @@ class Enclosure:
         if self.precision_bits < 1:
             raise ValueError(f"precision_bits must be >= 1, got {self.precision_bits}")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def contains(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def abs(self) -> "Enclosure":
         lo, hi = abs_bracket(self.lo, self.hi)
         return Enclosure(Fraction(lo), Fraction(hi), self.precision_bits)
@@ -101,7 +87,7 @@ class Enclosure:
         return Enclosure(-self.hi, -self.lo, self.precision_bits)
 
     def approx(self) -> float:
-        return float(self.midpoint())
+        return float((self.lo + self.hi) / 2)
 
     def __repr__(self) -> str:
         return f"Enclosure({float(self.lo):.6g}, {float(self.hi):.6g}, bits={self.precision_bits})"

@@ -22,13 +22,12 @@ all-integer on the integral Gram-Schmidt data, with no Fraction and no float.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import round_half_up, scaled_nearest_sqrt
-from .squarefree import squarefree_decompose
+from .squarefree import is_squarefree
 
 Row = tuple[int, ...]
 
@@ -101,7 +100,7 @@ def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
     for s in radicands:
         if s < 2:
             raise ValueError(f"radicands must be >= 2, got {s}")
-        if squarefree_decompose(s)[0] != 1:
+        if not is_squarefree(s):
             raise ValueError(f"radicand {s} is not square-free")
         if s in seen:
             raise ValueError(f"duplicate radicand {s}")
@@ -204,10 +203,6 @@ class GramSchmidtProfile:
     norms_sq: tuple[Fraction, ...]
     min_norm_sq: Fraction
     gram_det: int  # d[n], the Gram determinant: det(rows)^2 for a square basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.norms_sq)
 
     @classmethod
     def from_d(cls, d: Sequence[int]) -> "GramSchmidtProfile":
@@ -336,28 +331,18 @@ def enumerate_block(
     return best, best_q
 
 
-def enumerate_shortest(
-    basis: "LatticeBasis | Iterable[Sequence[int]]",
-    radius_sq: Fraction | int | None = None,
-) -> ShortestVector:
+def enumerate_shortest(basis: "LatticeBasis | Iterable[Sequence[int]]") -> ShortestVector:
     """Exact shortest nonzero lattice vector by complete enumeration.
 
-    Oracle-scale only: dimensions up to 6.  The default search radius is the
-    squared norm of the shortest input row, which always contains a lattice
-    vector; an explicit smaller radius raises if nothing lies inside it.
+    Oracle-scale only: dimensions up to 6.  The search radius is the squared
+    norm of the shortest input row, so a vector is always found.
     """
     rows = as_rows(basis)
     n = len(rows)
     if n > ENUMERATION_MAX_DIM:
         raise ValueError(f"enumeration supports dimension <= {ENUMERATION_MAX_DIM}, got {n}")
     d, lam = integral_gso(rows)
-    # d[0] = 1, so q is the squared norm itself and a rational radius floors.
-    radius = min(_dot(r, r) for r in rows)
-    if radius_sq is not None:
-        radius = min(math.floor(radius_sq), radius)
-    found = enumerate_block(d, lam, 0, n, radius)
-    if found is None:
-        raise ValueError(f"no nonzero vector within squared radius {radius_sq}")
-    coeffs, norm = found
+    # d[0] = 1, so q is the squared norm itself
+    coeffs, norm = enumerate_block(d, lam, 0, n, min(_dot(r, r) for r in rows))
     vec = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0])))
     return ShortestVector(vec, Fraction(norm), coeffs)

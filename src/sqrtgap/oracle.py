@@ -74,7 +74,8 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     """Exact minimum positive value over all instances of the given variant.
 
     Raises EnumerationCapError when the multiset-reduced enumeration would
-    offer more than DEFAULT_CAP instances, the unit of instance_count.  The
+    offer more than DEFAULT_CAP instances, the unit of instance_count, and
+    ValueError for r1 at n = 1 with even k, whose every sum is 0.  The
     returned enclosure is certified positive and the witness re-certifies to
     the same value.
     """
@@ -89,6 +90,9 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     negative = [(-1, s) for s in range(1, n + 1)]
     if variant == "r1":
         half = k // 2
+        if n == 1 and k == 2 * half:
+            raise ValueError(f"r1 at n=1 with even k={k} has only zero sums: "
+                             f"+sqrt(1) taken {half} times cancels -sqrt(1) taken {half} times")
         total = _multiset_count(n, half) * _multiset_count(n, k - half)
         sums = (RadicalSum.from_terms(pos + neg)
                 for pos in combinations_with_replacement(positive, half)
@@ -112,7 +116,6 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets |best|
     best: RadicalSum | None = None
     best_lo = best_hi = 0
-    count = 0
     for value in sums:
         lo, hi = radical_sum_bracket(value, SCREEN_BITS)
         # r1 has no free integer t; the others try each t near the sum
@@ -122,7 +125,6 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
             t = round_half_up(lo + hi, 2 << SCREEN_BITS)
             offsets = range(t - OFFSETS_PER_SUM // 2, t + OFFSETS_PER_SUM // 2 + 1)
         for u in offsets:
-            count += 1
             shift = (value.offset - u) << SCREEN_BITS
             c_lo, c_hi = abs_bracket(lo + shift, hi + shift)
             if best is not None and c_lo > best_hi:
@@ -132,9 +134,7 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
                 continue
             if best is None or c_hi < best_lo or compare_abs(candidate, best) < 0:
                 best, best_lo, best_hi = candidate, c_lo, c_hi
-    if best is None:
-        raise ArithmeticError("no nonzero candidate was enumerated")
     sign, enclosure = certify_sign(best)
     if sign == NEGATIVE:
         best, enclosure = best.negate(), -enclosure
-    return BruteForceResult(value=enclosure, witness=best, instance_count=count)
+    return BruteForceResult(value=enclosure, witness=best, instance_count=total)

@@ -36,7 +36,7 @@ from sqrtgap.bounds import (
     row_witness,
     upper_bound_from_reduction,
 )
-from sqrtgap.exactnum import RadicalSum, compare_abs, enclose_radical_sum
+from sqrtgap.exactnum import RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from sqrtgap.lattice import build_basis, enumerate_shortest, gram_schmidt
 from sqrtgap.oracle import brute_force
 from sqrtgap.reduction import bkz, reduced_profile
@@ -235,7 +235,8 @@ def test_criterion_10_qian_wang_inequality():
     bad = []
     for k in range(2, 7):
         for t in (1, 10, 100, 1000):
-            if not qian_wang_instance(k, t).satisfied():
+            inst = qian_wang_instance(k, t)
+            if not abs_at_most(inst.value, inst.rhs_sq)[0]:
                 bad.append((k, t))
     _report(
         10,

@@ -247,6 +247,7 @@ def test_root_separation_overflow_is_input_error(capsys):
         ("sigma", "--i", str(MAX_SIEVE_LIMIT + 1)),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)),
+        ("brute-force", "--n", "1", "--k", "2", "--variant", "r1"),
     ],
 )
 def test_first_value_past_each_limit_fails_fast(capsys, argv):
@@ -270,6 +271,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv):
         (("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
         (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
         (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
+        (("brute-force", "--n", "1", "--k", "2", "--variant", "r1"), "only zero sums"),
     ],
 )
 def test_rejected_argument_names_the_bound(capsys, argv, reason):

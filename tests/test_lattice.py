@@ -212,11 +212,6 @@ def test_enumerate_shortest_minkowski_bound():
         assert float(sv.norm_sq) <= dim * float(scale) ** (2 / dim) + 1e-9
 
 
-def test_enumerate_shortest_respects_radius():
-    with pytest.raises(ValueError):
-        enumerate_shortest([(5, 0), (0, 5)], radius_sq=Fraction(1))
-
-
 def test_enumerate_shortest_dimension_cap():
     rows = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
     with pytest.raises(ValueError):

@@ -35,6 +35,24 @@ def _naive_minimum(n, k, variant, t_range=8):
     return best
 
 
+def _naive_offer_count(n, k, variant):
+    """Independent count of the instances the oracle offers: the distinct
+    multisets among raw tuples, times the OFFSETS_PER_SUM candidates where
+    the integer t is free."""
+    radicands = range(1, n + 1)
+    if variant == "r1":
+        pos = k // 2
+        sums = {(tuple(sorted(s[:pos])), tuple(sorted(s[pos:])))
+                for s in itertools.product(radicands, repeat=k)}
+        return len(sums)
+    if variant == "r2":
+        return len(list(itertools.combinations(radicands, k))) * oracle.OFFSETS_PER_SUM
+    sums = {tuple(sorted((ei, si) for ei, si in zip(e, s) if ei))
+            for e in itertools.product((1, 0, -1), repeat=k)
+            for s in itertools.product(radicands, repeat=k)}
+    return len(sums) * oracle.OFFSETS_PER_SUM
+
+
 def test_worked_examples_r1_r2():
     assert abs(brute_force(3, 3, "r1").value.approx() - (2 - math.sqrt(3))) < 1e-12
     assert abs(
@@ -102,6 +120,12 @@ def test_instance_count_reported():
     res = brute_force(2, 2, "r1")
     # 2 positive-group choices... k=2: 1 positive, 1 negative: 2*2 = 4
     assert res.instance_count == 4
+    for n, k in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]:
+        for variant in ("r1", "r2", "R"):
+            if (variant == "r2" and k > n) or (variant == "r1" and n == 1 and k % 2 == 0):
+                continue
+            want = _naive_offer_count(n, k, variant)
+            assert brute_force(n, k, variant).instance_count == want, (n, k, variant)
 
 
 def test_enumeration_cap():
@@ -131,6 +155,9 @@ def test_validation():
         brute_force(3, 3, "bogus")
     with pytest.raises(ValueError):
         brute_force(3, 4, "r2")  # needs k distinct radicands <= n
+    for k in (2, 4):  # +sqrt(1) k/2 times against -sqrt(1) k/2 times: every sum is 0
+        with pytest.raises(ValueError, match=f"r1 at n=1 with even k={k} has only zero sums"):
+            brute_force(1, k, "r1")
 
 
 def _digest(ns, ks):
@@ -141,7 +168,7 @@ def _digest(ns, ks):
                 try:
                     r = brute_force(n, k, variant)
                     item = (r.witness, r.value.lo, r.value.hi, r.value.precision_bits, r.instance_count)
-                except (ValueError, ArithmeticError) as exc:
+                except ValueError as exc:
                     item = (type(exc).__name__, str(exc))
                 h.update(repr((n, k, variant, item)).encode())
     return h.hexdigest()
@@ -150,11 +177,12 @@ def _digest(ns, ks):
 def test_outputs_are_pinned():
     # SHA-256 of every result, and of every error (r1 with only zero sums,
     # r2 with k > n), for n <= 6 and k <= 3, taken before the three variants
-    # shared one enumeration loop
-    assert _digest(range(1, 7), range(1, 4)) == "63a4671cf07d1b81b1393174373c68b6308907fe2018bfca6bda96264cd86d58"
+    # shared one enumeration loop; the r1 zero-sum error re-pinned as the
+    # ValueError of brute_force's input checks, every other item unchanged
+    assert _digest(range(1, 7), range(1, 4)) == "898375ff9077fee4af8124d4356e89970265b6df0cb9170274938547dd4b7dd0"
 
 
 def test_k4_outputs_are_pinned():
     # the same digest for k = 4 and n <= 7, taken before the oracle screened
-    # candidates on integer brackets
-    assert _digest(range(1, 8), (4,)) == "a67c3d16d58da27ddf354e914e65a5ab110d721b75e27673c7125ba5f302c1a1"
+    # candidates on integer brackets, with the same r1 re-pin
+    assert _digest(range(1, 8), (4,)) == "b7335095abf4fc749f685381950b22147937548321125671577bc6bca09d4f36"
