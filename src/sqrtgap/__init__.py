@@ -59,6 +59,6 @@ from .bounds import (
     row_witness,
     upper_bound_from_reduction,
 )
-from .oracle import BruteForceResult, EnumerationCapError, brute_force
+from .oracle import BruteForceResult, brute_force
 
 __version__ = "0.1.0"

@@ -45,10 +45,6 @@ QIAN_WANG_MAX_K = 4096
 class NoCertificateError(RuntimeError):
     """The scale search ran out of iterations without certifying a bound."""
 
-    def __init__(self, message: str, last_certificate=None):
-        super().__init__(message)
-        self.last_certificate = last_certificate
-
 
 @dataclass(frozen=True)
 class SqrtThreshold:
@@ -178,8 +174,8 @@ def find_lower_bound(
     Scales start at start_scale (default 10**(2k), which skips the small
     scales that cannot certify) and multiply by step until the exact
     threshold comparison passes.  Returns the first passing certificate;
-    raises NoCertificateError carrying the last failed certificate if
-    max_iters scales are exhausted.
+    raises NoCertificateError if max_iters scales are exhausted (progress
+    has seen every failed certificate by then).
 
     Each probe after the first is warm-started: the previous probe's
     reduced rows, lifted to the new scale through their integer
@@ -197,7 +193,6 @@ def find_lower_bound(
     scale = 10 ** (2 * k) if start_scale is None else start_scale
     if scale < 1:
         raise ValueError(f"start_scale must be >= 1, got {scale}")
-    last: Optional[LowerBoundCertificate] = None
     coords = None
     for _ in range(max_iters):
         cert, coords = _certify(k, scale, coords)
@@ -205,11 +200,9 @@ def find_lower_bound(
             progress(cert)
         if cert.threshold_passed:
             return cert
-        last = cert
         scale *= step
     raise NoCertificateError(
-        f"no certificate for k={k} within {max_iters} scales (last scale {scale // step})",
-        last_certificate=last,
+        f"no certificate for k={k} within {max_iters} scales (last scale {scale // step})"
     )
 
 

@@ -1,9 +1,9 @@
 """Command-line interface: every operation, machine-readable output.
 
-Reports go to stdout as JSON (default) or CSV; progress goes to stderr.
+Reports go to stdout as JSON; progress goes to stderr.
 Exit codes: 0 success, 1 input error, 2 computation failure (no
 certificate within the iteration budget, reduction swap or tour budget
-exhausted, enumeration cap exceeded, precision cap exhausted).  Integers
+exhausted, precision cap exhausted).  Integers
 that can exceed native JSON number range are serialized as decimal
 strings, enclosures as exact decimal dyadic endpoints, so every report
 re-parses losslessly.  A reader that closes stdout early (as `| head`
@@ -14,7 +14,6 @@ the computation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -91,7 +90,6 @@ def _parse_log10_list(text: str) -> list[int]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqrtgap", description=__doc__)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sigma", help="i-th square-free integer (from 2)")
@@ -291,40 +289,6 @@ def _run_ratio_scan(args) -> tuple[dict, int]:
     return {"cells": rows}, EXIT_COMPUTE if failed else EXIT_OK
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return
-    # CSV: ratio-scan emits one row per cell; other commands one flat row.
-    result = report["result"]
-    rows = result["cells"] if "cells" in result else [_flatten(result)]
-    if not rows:
-        return
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-
-
-def _flatten(obj: dict, prefix: str = "") -> dict:
-    flat: dict = {}
-    for key, value in obj.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, f"{name}."))
-        elif isinstance(value, list):
-            flat[name] = json.dumps(value)
-        else:
-            flat[name] = value
-    return flat
-
-
 _DISPATCH = {
     "sigma": lambda args: (_run_sigma(args), EXIT_OK),
     "brute-force": lambda args: (_run_brute_force(args), EXIT_OK),
@@ -347,8 +311,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result, code = _DISPATCH[args.command](args)
-    except (bounds.NoCertificateError, oracle.EnumerationCapError,
-            PrecisionExhausted, ReductionError) as exc:
+    except (bounds.NoCertificateError, PrecisionExhausted, ReductionError) as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:
@@ -356,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     defaults = {
-        "format": args.format,
         "precision_cap_bits": DEFAULT_PRECISION_CAP,
         "reduction": {
             "delta": f"{DEFAULT_DELTA.numerator}/{DEFAULT_DELTA.denominator}",
@@ -367,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # file descriptor 1 was closed: there is no one to tell
         return code
     try:
-        _emit(report, args.format)
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left after the result was computed.  As the Python docs

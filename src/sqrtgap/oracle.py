@@ -25,7 +25,7 @@ offsets; a candidate whose bracket clears the best's is decided there, and
 only overlapping brackets climb the precision ladder in compare_abs.
 Each variant counts the instances it will offer (sums, times the
 OFFSETS_PER_SUM candidates where t is free) before enumerating, and a
-count above DEFAULT_CAP = 10^8 instances raises EnumerationCapError.
+count above DEFAULT_CAP = 10^8 instances raises ValueError.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ SCREEN_BITS = 64
 OFFSETS_PER_SUM = 5
 
 
-class EnumerationCapError(ValueError):
-    """The symmetry-reduced search space still exceeds the instance cap."""
-
-
 @dataclass(frozen=True)
 class BruteForceResult:
     value: Enclosure  # encloses the minimum; strictly positive
@@ -73,9 +69,9 @@ def _multiset_count(alphabet: int, size: int) -> int:
 def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     """Exact minimum positive value over all instances of the given variant.
 
-    Raises EnumerationCapError when the multiset-reduced enumeration would
-    offer more than DEFAULT_CAP instances, the unit of instance_count, and
-    ValueError for r1 at n = 1 with even k, whose every sum is 0.  The
+    Raises ValueError when the multiset-reduced enumeration would offer
+    more than DEFAULT_CAP instances, the unit of instance_count, and for r1
+    at n = 1 with even k, whose every sum is 0.  The
     returned enclosure is certified positive and the witness re-certifies to
     the same value.
     """
@@ -111,7 +107,7 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     if variant != "r1":
         total *= OFFSETS_PER_SUM
     if total > DEFAULT_CAP:
-        raise EnumerationCapError(f"{variant} enumeration needs {total} > {DEFAULT_CAP} instances")
+        raise ValueError(f"{variant} enumeration needs {total} > DEFAULT_CAP = {DEFAULT_CAP} instances")
 
     # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets |best|
     best: RadicalSum | None = None

@@ -151,15 +151,6 @@ def test_upper_bound_json(capsys):
     assert int(result["n_effective"]) > 0
 
 
-def test_ratio_scan_csv_columns(capsys):
-    code, out, _ = _run(capsys, "--format", "csv", "ratio-scan", "--k", "3", "--log10n", "8,10")
-    assert code == 0
-    lines = out.strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:6] == ["k", "log10N", "l_sq", "lambda_star_sq", "ratio", "conjecture_violation"]
-    assert len(lines) == 3
-
-
 def test_qian_wang_json(capsys):
     code, out, _ = _run(capsys, "qian-wang", "--k", "2", "--t", "1")
     assert code == 0
@@ -207,8 +198,9 @@ def test_computation_failure_exit_code(capsys):
 
 
 def test_enumeration_cap_exit_code(capsys):
-    code, _, _ = _run(capsys, "brute-force", "--n", "50", "--k", "10", "--variant", "R")
-    assert code == 2  # default cap exceeded
+    code, out, err = _run(capsys, "brute-force", "--n", "50", "--k", "10", "--variant", "R")
+    assert code == 1  # a size limit on the input, like every other one
+    assert out == "" and "R enumeration needs 234488183119905 > DEFAULT_CAP" in err
 
 
 def test_deterministic_output(capsys):
@@ -248,6 +240,7 @@ def test_root_separation_overflow_is_input_error(capsys):
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
         ("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)),
         ("brute-force", "--n", "1", "--k", "2", "--variant", "r1"),
+        ("brute-force", "--n", "73", "--k", "4", "--variant", "R"),
     ],
 )
 def test_first_value_past_each_limit_fails_fast(capsys, argv):
@@ -272,6 +265,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv):
         (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
         (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
         (("brute-force", "--n", "1", "--k", "2", "--variant", "r1"), "only zero sums"),
+        (("brute-force", "--n", "73", "--k", "4", "--variant", "R"), "DEFAULT_CAP"),
     ],
 )
 def test_rejected_argument_names_the_bound(capsys, argv, reason):
@@ -391,5 +385,8 @@ def test_documented_commands_run(capsys):
     )
     assert len(lines) >= 8
     for argv in lines:
-        code, _, err = _run(capsys, *argv[1:])
+        code, out, err = _run(capsys, *argv[1:])
         assert code == 0, f"{' '.join(argv)}: {err}"
+        report = json.loads(out)  # exactly one JSON report
+        assert report["command"] == argv[1]
+        assert set(report) == {"command", "defaults", "result"}

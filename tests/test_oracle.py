@@ -6,7 +6,7 @@ import pytest
 
 from sqrtgap import oracle
 from sqrtgap.exactnum import certify_sign
-from sqrtgap.oracle import EnumerationCapError, brute_force
+from sqrtgap.oracle import brute_force
 
 
 def _naive_minimum(n, k, variant, t_range=8):
@@ -129,8 +129,8 @@ def test_instance_count_reported():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
-        brute_force(50, 10, "R")  # about 4.7e13 instances, over DEFAULT_CAP
+    with pytest.raises(ValueError, match=r"R enumeration needs 234488183119905 > DEFAULT_CAP = 100000000"):
+        brute_force(50, 10, "R")
 
 
 def test_cap_counts_offered_instances(monkeypatch):
@@ -139,10 +139,10 @@ def test_cap_counts_offered_instances(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_CAP", 9100)
     assert brute_force(6, 4, "R").instance_count == 9100
     monkeypatch.setattr(oracle, "DEFAULT_CAP", 9099)
-    with pytest.raises(EnumerationCapError, match=r"R enumeration needs 9100 > 9099 instances"):
+    with pytest.raises(ValueError, match=r"R enumeration needs 9100 > DEFAULT_CAP = 9099 instances"):
         brute_force(6, 4, "R")
     monkeypatch.setattr(oracle, "DEFAULT_CAP", 5 * math.comb(6, 3) - 1)
-    with pytest.raises(EnumerationCapError, match=r"needs 100 > 99"):
+    with pytest.raises(ValueError, match=r"needs 100 > DEFAULT_CAP = 99"):
         brute_force(6, 3, "r2")
 
 
