@@ -18,7 +18,12 @@ The reduction pipeline only ever certifies a lower bound on lambda via the
 minimum Gram-Schmidt norm of a reduced basis, and first checks from the rows
 alone that they are a basis of the input lattice, so every certificate here
 is sound regardless of reduction quality; quality only affects how small an
-N can be certified.  In the other direction, any short reduced row yields a
+N can be certified.  So a certificate reduces only until the minimum clears
+the threshold (bkz's until), and BKZ converges only at scales where it
+never does.  The witness and scan paths reduce without a target: their
+rows are the product, and a stopped or preconditioned basis gives other
+rows (at k = 15, N near 10^80 it gave a weaker witness).  In the other
+direction, any short reduced row yields a
 concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at most
 (|s| + sum|a_i|/2) / N, a constructive upper bound.
 """
@@ -92,13 +97,19 @@ class LowerBoundCertificate:
     threshold: SqrtThreshold
     difference: Fraction  # min_gs_norm_sq - threshold.rational_part
     threshold_passed: bool
+    swaps: int  # LLL swaps of the reduction the certificate comes from
+    tours: int  # BKZ tours it began; 0 where LLL alone cleared the threshold
 
 
 def _reduce_checked(
-    k: int, scale: int, start: Sequence[Row] | None = None
+    k: int,
+    scale: int,
+    start: Sequence[Row] | None = None,
+    until: Callable[[Fraction], bool] | None = None,
 ) -> tuple[LatticeBasis, ReducedBasis, tuple[Row, ...]]:
-    """Block-reduce the level-k lattice at this scale, and check that the
-    reduced rows generate exactly that lattice.
+    """Block-reduce the level-k lattice at this scale, stopping where the
+    minimum Gram-Schmidt norm passes until (bkz's until), and check that
+    the reduced rows generate exactly that lattice.
 
     Without start, the reduction starts from the lattice's own basis.  With
     start, the coordinates of another basis of this level's lattice at any
@@ -115,7 +126,7 @@ def _reduce_checked(
     """
     basis = build_basis(squarefree.squarefree_upto(k), scale)
     # bkz's first argument is positional: perfbench's tracer reads args[0].
-    reduced = bkz(basis if start is None else [basis.vector(c) for c in start])
+    reduced = bkz(basis if start is None else [basis.vector(c) for c in start], until=until)
     try:
         coords = tuple(basis.coordinates(row) for row in reduced.rows)
     except ValueError:
@@ -134,8 +145,8 @@ def _certify(
         raise ValueError(f"k must be >= 1, got {k}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    basis, reduced, coords = _reduce_checked(k, scale, start)
     threshold = certification_threshold(k)
+    basis, reduced, coords = _reduce_checked(k, scale, start, threshold.exceeded_by)
     min_norm = reduced_profile(reduced).min_norm_sq
     cert = LowerBoundCertificate(
         k=k,
@@ -145,6 +156,8 @@ def _certify(
         threshold=threshold,
         difference=min_norm - threshold.rational_part,
         threshold_passed=threshold.exceeded_by(min_norm),
+        swaps=reduced.swaps,
+        tours=reduced.tours,
     )
     return cert, coords
 
@@ -152,11 +165,16 @@ def _certify(
 def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
     """Attempt to certify G(k) >= 1/scale at the given scale.
 
-    Builds the lattice over the first k square-free integers, block-reduces,
-    takes the exact minimum Gram-Schmidt norm of the reduced basis, and
-    compares it against the certification threshold by radical isolation.
-    A certificate with threshold_passed False is a failed attempt, not an
-    error; the exact norm it carries shows how far the comparison missed.
+    Builds the lattice over the first k square-free integers, reduces it
+    until its exact minimum Gram-Schmidt norm exceeds the certification
+    threshold (compared by radical isolation), and certifies from the basis
+    where that first happens: after the LLL (tours 0) or after some BKZ
+    insertion.  The minimum of any basis bounds the shortest vector from
+    below, so the first basis that clears the threshold certifies as well
+    as a converged one.  Only where no state passes does BKZ run to
+    convergence, and then the certificate has threshold_passed False: a
+    failed attempt, not an error; the exact norm it carries shows how far
+    the comparison missed.
     """
     return _certify(k, scale)[0]
 

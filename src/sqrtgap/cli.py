@@ -30,7 +30,7 @@ from .exactnum import (
     decimal_str,
     dyadic_decimal,
 )
-from .reduction import DEFAULT_BLOCK_SIZE, DEFAULT_DELTA, ReductionError
+from .reduction import DEFAULT_BLOCK_SIZE, DEFAULT_DELTA, PRECONDITION_DELTA, ReductionError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,6 +55,15 @@ class _BoundError(ValueError, argparse.ArgumentTypeError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); remap to input error
         raise _InputError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        # The only option before the command is --help.  argparse skips any
+        # other and reads its value as the command ("invalid choice"), so
+        # name the option itself.
+        args = sys.argv[1:] if args is None else args
+        if args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            self.error(f"unrecognized arguments: {args[0]}")
+        return super().parse_args(args, namespace)
 
 
 def _check_power(base: int, exp: int) -> None:
@@ -210,6 +219,7 @@ def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
         "difference": _ser_fraction(cert.difference),
         "threshold_passed": cert.threshold_passed,
         "claimed_lower_bound_log10": -math.log10(cert.scale) if cert.threshold_passed else None,
+        "reduction": {"swaps": cert.swaps, "tours": cert.tours},
     }
 
 
@@ -322,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         "precision_cap_bits": DEFAULT_PRECISION_CAP,
         "reduction": {
             "delta": f"{DEFAULT_DELTA.numerator}/{DEFAULT_DELTA.denominator}",
+            # certify and lower-bound run one LLL pass at this delta first
+            "precondition_delta": f"{PRECONDITION_DELTA.numerator}/{PRECONDITION_DELTA.denominator}",
             "block_size": DEFAULT_BLOCK_SIZE,
         },
     }

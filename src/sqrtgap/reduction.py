@@ -28,6 +28,17 @@ than rebuilt, and LLL resumes at row i: the rows before it are unchanged
 and already reduced.  No transform is formed or kept, since
 LatticeBasis.coordinates recovers it from the rows.
 
+Given a target (until, a predicate on the exact minimum Gram-Schmidt
+norm), bkz stops at the first reduced state whose minimum passes it.  A
+certificate needs only some basis whose minimum clears the threshold,
+since any basis's minimum bounds lambda_1 from below, so converging further
+would only cost time.  That path first runs one LLL pass at
+PRECONDITION_DELTA = 3/4, which needs fewer swaps, and then the
+DEFAULT_DELTA pass on the same state; the target is checked after that pass
+and after each insertion's re-reduction, on the reducer's own d, so every
+state it sees is DEFAULT_DELTA-reduced.  Without a target the schedule is
+the plain one, and its output does not change.
+
 Both reducers return a ReducedBasis, which re-verifies size reduction and
 the Lovasz condition on a fresh integer GSO of the output rows
 (lattice.integral_gso, from the rows alone, not the reducer's d and lam)
@@ -40,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import lattice
 from .exactnum import round_half_up
@@ -55,6 +66,9 @@ from .lattice import (
 )
 
 DEFAULT_DELTA = Fraction(99, 100)
+# The first LLL pass of a targeted bkz: a weaker Lovasz condition, so fewer
+# swaps before the DEFAULT_DELTA pass, which then starts from shorter rows.
+PRECONDITION_DELTA = Fraction(3, 4)
 DEFAULT_BLOCK_SIZE = 10
 
 
@@ -69,6 +83,7 @@ class ReducedBasis:
 
     rows: tuple[Row, ...]
     swaps: int  # LLL swaps over the whole reduction
+    tours: int = field(default=0, kw_only=True)  # BKZ tours begun; 0 for LLL alone
     profile: GramSchmidtProfile = field(init=False)
 
     def __post_init__(self):  # verify_reduced looked up now: perfbench wraps it
@@ -139,9 +154,9 @@ class _IntegralLLL:
             lam[i][k - 1] = (d_new * t + lam_mid * lam[i][k]) // d[k + 1]
         d[k] = d_new
 
-    def reduce(self, k: int = 1) -> None:
-        """LLL with DEFAULT_DELTA from row k on; the rows before k must be reduced."""
-        num, den = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
+    def reduce(self, k: int = 1, delta: Fraction = DEFAULT_DELTA) -> None:
+        """LLL with this delta from row k on; the rows before k must be reduced."""
+        num, den = delta.numerator, delta.denominator
         lam, d = self.lam, self.d
         while k < self.n:
             if k > self.kmax:
@@ -158,6 +173,14 @@ class _IntegralLLL:
                 for j in range(k - 2, -1, -1):
                     self._red(k, j)
                 k += 1
+
+    def min_norm_sq(self) -> Fraction:
+        """min d[i+1]/d[i], by integer cross-multiplication; needs kmax = n - 1."""
+        d, best = self.d, 0
+        for i in range(1, self.n):
+            if d[i + 1] * d[best] < d[best + 1] * d[i]:
+                best = i
+        return Fraction(d[best + 1], d[best])
 
 
 def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
@@ -231,25 +254,43 @@ def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]])
 
 
 def bkz(
-    basis: "LatticeBasis | Sequence[Sequence[int]]", block_size: int = DEFAULT_BLOCK_SIZE
+    basis: "LatticeBasis | Sequence[Sequence[int]]",
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    *,
+    until: Callable[[Fraction], bool] | None = None,
 ) -> ReducedBasis:
     """Block reduction: LLL, then sliding-window exact enumeration.
 
-    On return each window of block_size consecutive Gram-Schmidt projected
-    vectors starts with a vector achieving the exact projected shortest
-    length: tours repeat until one makes no change, and ReductionError is
-    raised if _tour_budget tours pass without that.  Within enumeration,
-    equal-norm candidates resolve to the lexicographically smallest
-    coefficient vector with positive leading coefficient, so results are
-    deterministic.
+    Without until, on return each window of block_size consecutive
+    Gram-Schmidt projected vectors starts with a vector achieving the exact
+    projected shortest length: tours repeat until one makes no change, and
+    ReductionError is raised if _tour_budget tours pass without that.
+    Within enumeration, equal-norm candidates resolve to the
+    lexicographically smallest coefficient vector with positive leading
+    coefficient, so results are deterministic.
+
+    With until, a predicate on the exact minimum squared Gram-Schmidt norm,
+    the LLL first runs at PRECONDITION_DELTA and then at DEFAULT_DELTA, and
+    bkz returns the first state whose minimum passes until: checked after
+    the LLL (tours = 0 if it passes there) and after each insertion's
+    re-reduction.  That state is DEFAULT_DELTA-reduced but its windows need
+    not be optimal.  If no state passes, the result is the converged one.
     """
     if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
     state = _IntegralLLL(as_rows(basis))
+    if until is not None:
+        state.reduce(delta=PRECONDITION_DELTA)
     state.reduce()
+
+    def result(tours: int) -> ReducedBasis:
+        return ReducedBasis(tuple(map(tuple, state.rows)), state.swaps, tours=tours)
+
+    if until is not None and until(state.min_norm_sq()):
+        return result(0)
     n = state.n
     tours = _tour_budget(n)
-    for _ in range(tours):
+    for tour in range(1, tours + 1):
         changed = False
         for i in range(n - 1):
             m = min(block_size, n - i)
@@ -262,8 +303,10 @@ def bkz(
             update_integral_gso(state.rows, state.d, state.lam, i, i + m)
             state.reduce(max(i, 1))
             changed = True
+            if until is not None and until(state.min_norm_sq()):
+                return result(tour)
         if not changed:
-            return ReducedBasis(tuple(map(tuple, state.rows)), state.swaps)
+            return result(tour)
     raise ReductionError(f"BKZ windows still improving after {tours} tours")
 
 

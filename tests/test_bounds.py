@@ -83,6 +83,20 @@ def test_certify_fails_at_unit_scale():
     assert not cert.threshold_passed
 
 
+# k -> e where the converged BKZ minimum first clears the threshold at N = 10^e.
+CONVERGED_BOUNDARY = {2: 3, 3: 4, 4: 7, 5: 9, 6: 10, 7: 12, 8: 16, 9: 17, 10: 19}
+
+
+def test_certify_verdict_matches_converged_bkz_near_the_boundary():
+    for k, boundary in CONVERGED_BOUNDARY.items():
+        threshold = certification_threshold(k)
+        for e in range(boundary - 2, boundary + 2):
+            converged = bkz(build_basis(squarefree_upto(k), 10**e))
+            verdict = threshold.exceeded_by(converged.profile.min_norm_sq)
+            assert verdict == (e >= boundary)
+            assert certify_lower_bound(k, 10**e).threshold_passed == verdict, (k, e)
+
+
 def test_certify_pass_and_fields():
     cert = certify_lower_bound(3, 10**8)
     assert cert.threshold_passed
@@ -91,6 +105,9 @@ def test_certify_pass_and_fields():
     # passing means the isolated-radical inequality holds exactly
     assert cert.difference > 0
     assert cert.difference**2 > cert.threshold.radical_coeff**2 * cert.threshold.radicand
+    # the LLL alone clears it; a failed attempt converges, so it ran tours
+    assert cert.swaps > 0 and cert.tours == 0
+    assert certify_lower_bound(3, 10**2).tours >= 1
 
 
 def test_find_lower_bound_rejects_step_one():
@@ -160,7 +177,7 @@ def test_row_witness_rejects_non_lattice_row():
 
 @pytest.mark.parametrize("fault", ["sublattice", "off_lattice"])
 def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys, fault):
-    def faulty_bkz(basis):
+    def faulty_bkz(basis, *, until=None):
         rows = as_rows(basis)
         if fault == "sublattice":
             # a doubled generator: the rows reduce lattice vectors, but of a
@@ -170,7 +187,7 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
             # a generator moved one unit off the lattice: the rows reduce a
             # lattice of the same determinant N, so only the coordinates can tell
             rows[1] = (rows[1][0] + 1,) + rows[1][1:]
-        return bkz(rows)
+        return bkz(rows, until=until)
 
     monkeypatch.setattr(bounds, "bkz", faulty_bkz)
     with pytest.raises(ReductionError, match="lattice"):
@@ -187,11 +204,11 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
     # fails at N = 1, and its first warm probe must be caught.
     warm = []
 
-    def faulty_when_warm(basis):
+    def faulty_when_warm(basis, *, until=None):
         if isinstance(basis, LatticeBasis):
-            return bkz(basis)
+            return bkz(basis, until=until)
         warm.append(basis)
-        return faulty_bkz(basis)
+        return faulty_bkz(basis, until=until)
 
     monkeypatch.setattr(bounds, "bkz", faulty_when_warm)
     with pytest.raises(ReductionError, match="lattice"):
@@ -342,10 +359,10 @@ def test_ratio_scan_shape_and_determinism():
 
 
 def test_ratio_scan_records_cell_errors(monkeypatch, capsys):
-    def bkz_failing_at_k2(basis):
+    def bkz_failing_at_k2(basis, *, until=None):
         if basis.k == 2:
             raise ReductionError("swap budget exhausted")
-        return bkz(basis)
+        return bkz(basis, until=until)
 
     monkeypatch.setattr(bounds, "bkz", bkz_failing_at_k2)
     cells = ratio_scan([2, 3], [6])

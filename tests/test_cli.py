@@ -36,7 +36,8 @@ def test_sigma_json_roundtrip(capsys):
     report = json.loads(out)
     assert report["command"] == "sigma"
     assert report["result"]["value"] == "165"
-    assert "reduction" in report["defaults"]  # defaults recorded in the header
+    assert report["defaults"]["reduction"] == {  # defaults recorded in the header
+        "delta": "99/100", "precondition_delta": "3/4", "block_size": 10}
 
 
 def test_sigma_past_sieve_cap_is_input_error(capsys):
@@ -75,6 +76,8 @@ def test_certify_exit_codes(capsys):
     assert result["N"] == "100000000"
     frac = result["min_gs_norm_sq"]
     assert Fraction(int(frac["num"]), int(frac["den"])) > 0
+    cert = certify_lower_bound(3, 10**8)
+    assert result["reduction"] == {"swaps": cert.swaps, "tours": cert.tours}
 
 
 def _closed_pipe() -> int:
@@ -128,7 +131,9 @@ def test_stdout_closed_in_a_process_exits_quietly():
 def test_lower_bound_progress_on_stderr(capsys):
     code, out, err = _run(capsys, "lower-bound", "--k", "3", "--step", "10", "--n-start", "1")
     assert code == 0
-    assert json.loads(out)["result"]["threshold_passed"] is True
+    result = json.loads(out)["result"]
+    assert result["threshold_passed"] is True
+    assert set(result["reduction"]) == {"swaps", "tours"}
     assert "min GS norm" in err  # progress goes to stderr, report to stdout
     labels = [line.partition(":")[0] for line in err.splitlines()]
     assert labels[:3] == ["scale 10^0", "scale 10^1", "scale 10^2"]
@@ -187,6 +192,14 @@ def test_input_error_exit_code(capsys):
     assert _run(capsys, "certify", "--k", "x", "--N", "10")[0] == 1
     assert _run(capsys, "brute-force", "--n", "0", "--k", "3", "--variant", "R")[0] == 1
     assert _run(capsys, "root-separation", "--n", "10", "--k", "3", "--variant", "r2")[0] == 1
+
+
+@pytest.mark.parametrize("option", [["--format", "csv"], ["--format=csv"], ["-x"]])
+def test_unknown_option_before_the_command_is_named(capsys, option):
+    # argparse alone would read "csv" as the command and report that
+    code, out, err = _run(capsys, *option, "sigma", "--i", "1")
+    assert code == 1 and out == ""
+    assert err == f"sqrtgap: unrecognized arguments: {option[0]}\n"
 
 
 def test_computation_failure_exit_code(capsys):

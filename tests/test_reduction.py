@@ -140,18 +140,50 @@ def test_lll_swap_budget_error(monkeypatch, capsys):
 
 
 def test_bkz_tour_budget_error(monkeypatch, capsys):
-    # k = 4 at N = 10^10 takes two tours: one that improves a window, one that confirms
+    # k = 4 at N = 10^10 takes two tours: one that improves a window, one that
+    # confirms.  certify passes there before any tour; upper-bound converges.
     basis = build_basis(squarefree_upto(4), 10**10)
     monkeypatch.setattr(reduction, "_tour_budget", lambda dim: 2)
     converged = bkz(basis)
+    assert converged.tours == 2
     monkeypatch.setattr(reduction, "_tour_budget", lambda dim: 1)
     with pytest.raises(ReductionError, match="1 tours"):
         bkz(basis)
-    assert cli.main(["certify", "--k", "4", "--N", "10^10"]) == 2
+    assert cli.main(["upper-bound", "--k", "4", "--N", "10^10"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "tours" in out.err
     monkeypatch.undo()
     assert bkz(basis) == converged
+
+
+def test_bkz_until_returns_the_first_passing_state(monkeypatch):
+    insertions = []
+
+    def counting_update(rows, d, lam, lo, hi):
+        insertions.append(lo)
+        update_integral_gso(rows, d, lam, lo, hi)
+
+    monkeypatch.setattr(reduction, "update_integral_gso", counting_update)
+    basis = build_basis(squarefree_upto(12), 10**20)
+    # A target never met: one check after the LLL and one after each
+    # insertion, each on the minimum of the rows then; BKZ converges.
+    checks = []
+    converged = bkz(basis, until=lambda x: checks.append(x) or False)
+    assert len(checks) == 1 + len(insertions) and converged.tours >= 2
+    assert checks[-1] == converged.profile.min_norm_sq
+    # A target first met after an insertion: the reducer takes the same path
+    # up to it, and returns that state, whose rows verify.
+    target = next(x for x in checks if x > checks[0])
+    seen = []
+    stopped = bkz(basis, until=lambda x: seen.append(x) or x >= target)
+    assert seen == checks[: len(seen)]
+    assert [x >= target for x in seen] == [False] * (len(seen) - 1) + [True]
+    assert verify_reduced(stopped.rows) == stopped.profile
+    assert stopped.profile.min_norm_sq == target
+    assert stopped.tours == 1 and stopped.swaps < converged.swaps
+    # A target the LLL meets: no tour.
+    lll_only = bkz(basis, until=lambda x: True)
+    assert lll_only.tours == 0 and lll_only.profile.min_norm_sq == checks[0]
 
 
 def test_lll_deterministic():
