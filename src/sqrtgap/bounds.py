@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import squarefree
-from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
-from .lattice import BASIS_MAX_DIM, LatticeBasis, Row, build_basis
+from .exactnum import Enclosure, PrecisionExhausted, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
+from .lattice import LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
@@ -48,7 +48,8 @@ QIAN_WANG_MAX_K = 4096
 
 
 class NoCertificateError(RuntimeError):
-    """The scale search ran out of iterations without certifying a bound."""
+    """The scale search tried DEFAULT_MAX_ITERS scales (not settable) without
+    certifying a bound."""
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,6 @@ def _certify(
 ) -> tuple[LowerBoundCertificate, tuple[Row, ...]]:
     """certify_lower_bound, reducing from start as _reduce_checked does;
     also returns the coordinates of the reduced rows."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
     threshold = certification_threshold(k)
     basis, reduced, coords = _reduce_checked(k, scale, start, threshold.exceeded_by)
     min_norm = reduced_profile(reduced).min_norm_sq
@@ -184,7 +181,6 @@ def find_lower_bound(
     *,
     step: int = DEFAULT_STEP,
     start_scale: int | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     progress: Callable[[LowerBoundCertificate], None] | None = None,
 ) -> LowerBoundCertificate:
     """Grow the scale geometrically until a lower bound certifies.
@@ -192,8 +188,8 @@ def find_lower_bound(
     Scales start at start_scale (default 10**(2k), which skips the small
     scales that cannot certify) and multiply by step until the exact
     threshold comparison passes.  Returns the first passing certificate;
-    raises NoCertificateError if max_iters scales are exhausted (progress
-    has seen every failed certificate by then).
+    raises NoCertificateError after DEFAULT_MAX_ITERS scales (progress has
+    seen every failed certificate by then).
 
     Each probe after the first is warm-started: the previous probe's
     reduced rows, lifted to the new scale through their integer
@@ -206,13 +202,9 @@ def find_lower_bound(
     """
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     scale = 10 ** (2 * k) if start_scale is None else start_scale
-    if scale < 1:
-        raise ValueError(f"start_scale must be >= 1, got {scale}")
     coords = None
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         cert, coords = _certify(k, scale, coords)
         if progress is not None:
             progress(cert)
@@ -220,7 +212,7 @@ def find_lower_bound(
             return cert
         scale *= step
     raise NoCertificateError(
-        f"no certificate for k={k} within {max_iters} scales (last scale {scale // step})"
+        f"no certificate for k={k} in DEFAULT_MAX_ITERS = {DEFAULT_MAX_ITERS} scales (last N = {scale // step})"
     )
 
 
@@ -396,26 +388,19 @@ def _ln_fraction(x: Fraction) -> float:
 
 
 def _scan_cell(k: int, log10_scale: int) -> RatioCell:
+    scale = 10**log10_scale
     try:
-        scale = 10**log10_scale
         _, reduced, _ = _reduce_checked(k, scale)
-        min_norm = reduced_profile(reduced).min_norm_sq
-        l_sq = min(sum(c * c for c in row) for row in reduced.rows)
-        ratio = math.exp(0.5 * _ln_fraction(min_norm) - log10_scale * math.log(10) / (k + 1))
-        # Exact certificate-side conjecture check: lambda* <= scale^(1/(k+1))/k
-        # iff (lambda*^2 * k^2)^(k+1) <= scale^2.
-        lhs = (min_norm * k * k) ** (k + 1)
-        violation = lhs <= scale * scale
-        return RatioCell(
-            k=k,
-            log10_scale=log10_scale,
-            shortest_row_norm_sq=l_sq,
-            min_gs_norm_sq=min_norm,
-            ratio=ratio,
-            conjecture_violation=violation,
-        )
-    except Exception as exc:  # per-cell failures must not kill the scan
+    except (ReductionError, PrecisionExhausted) as exc:  # the failures that exit 2
         return RatioCell(k=k, log10_scale=log10_scale, error=f"{type(exc).__name__}: {exc}")
+    min_norm = reduced_profile(reduced).min_norm_sq
+    l_sq = min(sum(c * c for c in row) for row in reduced.rows)
+    ratio = math.exp(0.5 * _ln_fraction(min_norm) - log10_scale * math.log(10) / (k + 1))
+    # Exact certificate-side conjecture check: lambda* <= scale^(1/(k+1))/k
+    # iff (lambda*^2 * k^2)^(k+1) <= scale^2.
+    violation = (min_norm * k * k) ** (k + 1) <= scale * scale
+    return RatioCell(k=k, log10_scale=log10_scale, shortest_row_norm_sq=l_sq, min_gs_norm_sq=min_norm,
+                     ratio=ratio, conjecture_violation=violation)
 
 
 def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[RatioCell]:
@@ -425,10 +410,12 @@ def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[R
     order.  A cell whose ratio falls at or below 1/k is flagged: that would
     contradict the expected shortest-vector growth on the certificate side
     (the reduced lambda* lower bound, not the true shortest length).
+    Every cell's size is checked before the first reduction, so a cell can
+    record only a ReductionError or PrecisionExhausted.
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")
-    # Checked before the first cell, which would record them as its error.
-    if not all(1 <= k < BASIS_MAX_DIM for k in k_list) or min(log10_scale_list) < 0:
-        raise ValueError(f"need 1 <= k < BASIS_MAX_DIM = {BASIS_MAX_DIM} and log10 scales >= 0")
+    for k in k_list:
+        for e in log10_scale_list:
+            check_basis_size(k, 10**e)
     return [_scan_cell(k, e) for k in k_list for e in log10_scale_list]

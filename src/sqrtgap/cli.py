@@ -17,10 +17,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
-from . import bounds, oracle, squarefree
+from . import bounds, oracle, reduction, squarefree
 from .exactnum import (
     DEFAULT_PRECISION_CAP,
     Enclosure,
@@ -30,31 +31,26 @@ from .exactnum import (
     decimal_str,
     dyadic_decimal,
 )
-from .reduction import DEFAULT_BLOCK_SIZE, DEFAULT_DELTA, PRECONDITION_DELTA, ReductionError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
 
-# Largest base^exponent accepted on the command line, as a size bound in bits
-# (exponent * bit length of the base), checked before exponentiating.  The
-# k = 100 target scale N ~ 10^320 measures 1280 bits.
+# Largest integer accepted on the command line, in bits, checked before it is
+# formed: base^exponent by exponent * bit length of the base, a plain decimal by
+# its digits.  The k = 100 target scale N ~ 10^320 measures 1280 bits.
 MAX_POWER_BITS = 1 << 20
+_DECIMAL = re.compile(r"([+-]?)0*([0-9]+)")
 
 
-class _InputError(Exception):
-    pass
-
-
-class _BoundError(ValueError, argparse.ArgumentTypeError):
-    """A value past a documented limit.  As an ArgumentTypeError it keeps its
-    message when argparse reports it; as a ValueError it stays an input error
-    for direct callers."""
+class _BadValue(ValueError, argparse.ArgumentTypeError):
+    """A malformed value, or one past a documented limit: argparse reports its
+    message as an ArgumentTypeError, and direct callers see a ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); remap to input error
-        raise _InputError(message)
+        raise ValueError(message)
 
     def parse_args(self, args=None, namespace=None):
         # The only option before the command is --help.  argparse skips any
@@ -66,34 +62,63 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_args(args, namespace)
 
 
-def _check_power(base: int, exp: int) -> None:
-    """Reject base^exp with a negative exponent or a size past MAX_POWER_BITS."""
+def _shown(text: str) -> str:
+    """An argument as a message quotes it: a long one by its two ends."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+
+
+def _check_power(base: int, exp: int, text: str) -> None:
+    """Reject base^exp (typed as text) with exp < 0 or past MAX_POWER_BITS."""
     if exp < 0:
-        raise _BoundError(f"negative exponent in {base}^{exp}")
+        raise _BadValue(f"negative exponent in {_shown(text)}")
     if exp * base.bit_length() > MAX_POWER_BITS:
-        raise _BoundError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
+        raise _BadValue(f"{_shown(text)} exceeds {MAX_POWER_BITS} bits")
+
+
+def _int_of_digits(digits: str) -> int:
+    """int(digits) from pieces of at most 640 digits, the lowest int-to-str
+    limit Python allows: 0.2 s at the 315 652 digits MAX_POWER_BITS admits."""
+    if len(digits) <= 640:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_of_digits(digits[:-half]) * 10**half + _int_of_digits(digits[-half:])
+
+
+def _parse_decimal(text: str) -> int:
+    """A plain decimal, rejected unconverted where d * log2(10), the bound in
+    bits of its d digits, exceeds MAX_POWER_BITS."""
+    match = _DECIMAL.fullmatch(text.strip())
+    if match is None:
+        raise _BadValue(f"expected an integer or base^exponent, got {_shown(text)!r}")
+    sign, digits = match.groups()
+    if len(digits) * math.log2(10) > MAX_POWER_BITS:
+        raise _BadValue(f"{len(digits)}-digit value exceeds {MAX_POWER_BITS} bits")
+    value = _int_of_digits(digits)
+    return -value if sign == "-" else value
 
 
 def _parse_bigint(text: str) -> int:
-    """Accept plain decimal or base^exponent (e.g. 10^50) within MAX_POWER_BITS."""
-    text = text.strip()
-    if "^" not in text:
-        return int(text)
-    base_text, _, exp_text = text.partition("^")
-    base, exp = int(base_text), int(exp_text)
-    _check_power(base, exp)
+    """A plain decimal or base^exponent of plain decimals (e.g. 10^50)."""
+    base_text, caret, exp_text = text.partition("^")
+    if not caret:
+        return _parse_decimal(text)
+    base, exp = _parse_decimal(base_text), _parse_decimal(exp_text)
+    _check_power(base, exp, text.strip())
     return base**exp
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise _BadValue(f"expected comma-separated integers, got {_shown(text)!r}") from None
 
 
 def _parse_log10_list(text: str) -> list[int]:
     """Comma-separated exponents e, each bounded like --N 10^e."""
     exps = _parse_int_list(text)
     for e in exps:
-        _check_power(10, e)
+        _check_power(10, e, f"10^{e}")
     return exps
 
 
@@ -126,7 +151,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--step", type=_parse_bigint, default=bounds.DEFAULT_STEP)
     p.add_argument("--n-start", type=_parse_bigint, default=None, dest="start_scale")
-    p.add_argument("--max-iters", type=int, default=bounds.DEFAULT_MAX_ITERS)
 
     p = sub.add_parser("upper-bound", help="constructive upper-bound witness")
     p.add_argument("--k", type=int, required=True)
@@ -245,13 +269,7 @@ def _run_lower_bound(args) -> dict:
             file=sys.stderr,
         )
 
-    cert = bounds.find_lower_bound(
-        args.k,
-        step=args.step,
-        start_scale=args.start_scale,
-        max_iters=args.max_iters,
-        progress=progress,
-    )
+    cert = bounds.find_lower_bound(args.k, step=args.step, start_scale=args.start_scale, progress=progress)
     return _ser_certificate(cert)
 
 
@@ -312,31 +330,17 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _InputError as exc:
-        print(f"sqrtgap: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
+        args = _build_parser().parse_args(argv)
         result, code = _DISPATCH[args.command](args)
-    except (bounds.NoCertificateError, PrecisionExhausted, ReductionError) as exc:
+    except (bounds.NoCertificateError, PrecisionExhausted, reduction.ReductionError) as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    defaults = {
-        "precision_cap_bits": DEFAULT_PRECISION_CAP,
-        "reduction": {
-            "delta": f"{DEFAULT_DELTA.numerator}/{DEFAULT_DELTA.denominator}",
-            # certify and lower-bound run one LLL pass at this delta first
-            "precondition_delta": f"{PRECONDITION_DELTA.numerator}/{PRECONDITION_DELTA.denominator}",
-            "block_size": DEFAULT_BLOCK_SIZE,
-        },
-    }
+    defaults = {"precision_cap_bits": DEFAULT_PRECISION_CAP, "reduction": reduction.SETTINGS}
     report = {"command": args.command, "defaults": defaults, "result": result}
     if sys.stdout is None:  # file descriptor 1 was closed: there is no one to tell
         return code

@@ -85,17 +85,22 @@ class LatticeBasis:
         return (first,) + tail
 
 
-def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
-    """Construct the lattice basis for the given radicands and scale."""
-    if not radicands:
-        raise ValueError("need at least one radicand")
-    if len(radicands) >= BASIS_MAX_DIM:
-        raise ValueError(f"{len(radicands) + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
+def check_basis_size(k: int, scale: int) -> None:
+    """Raise ValueError unless build_basis admits k radicands at this scale."""
+    if k < 1:
+        raise ValueError(f"need at least one radicand, got k = {k}")
+    if k >= BASIS_MAX_DIM:
+        raise ValueError(f"{k + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    size = (len(radicands) + 1) * scale.bit_length()
+    size = (k + 1) * scale.bit_length()
     if size > BASIS_MAX_BITS:
         raise ValueError(f"dim * scale bits = {size} exceeds BASIS_MAX_BITS = {BASIS_MAX_BITS}")
+
+
+def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
+    """Construct the lattice basis for the given radicands and scale."""
+    check_basis_size(len(radicands), scale)
     seen = set()
     for s in radicands:
         if s < 2:

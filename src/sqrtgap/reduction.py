@@ -70,6 +70,9 @@ DEFAULT_DELTA = Fraction(99, 100)
 # swaps before the DEFAULT_DELTA pass, which then starts from shorter rows.
 PRECONDITION_DELTA = Fraction(3, 4)
 DEFAULT_BLOCK_SIZE = 10
+# The settings as every CLI report prints them, under defaults.reduction.
+SETTINGS = {"delta": str(DEFAULT_DELTA), "precondition_delta": str(PRECONDITION_DELTA),
+            "block_size": DEFAULT_BLOCK_SIZE}
 
 
 class ReductionError(RuntimeError):

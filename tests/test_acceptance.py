@@ -84,7 +84,7 @@ def test_criterion_1_oracle_regression():
 
 def test_criterion_2_desk_scale_lower_bound():
     t0 = time.time()
-    cert = find_lower_bound(10, step=10**5, start_scale=10**10, max_iters=20)
+    cert = find_lower_bound(10, step=10**5, start_scale=10**10)
     elapsed = time.time() - t0
     ok = cert.threshold_passed and cert.scale <= 10**25 and elapsed < 60.0
     _report(
@@ -101,8 +101,8 @@ def test_criterion_3_soundness_cross_check():
     for k in (3, 4):
         truth = brute_force(nth_squarefree(k), k, "R")
         certificates = [
-            find_lower_bound(k, step=10, start_scale=1, max_iters=60),
-            find_lower_bound(k, step=100, start_scale=1000, max_iters=60),
+            find_lower_bound(k, step=10, start_scale=1),
+            find_lower_bound(k, step=100, start_scale=1000),
             certify_lower_bound(k, 10**12),
         ]
         for cert in certificates:

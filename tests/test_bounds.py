@@ -113,11 +113,13 @@ def test_certify_pass_and_fields():
 def test_find_lower_bound_rejects_step_one():
     with pytest.raises(ValueError):
         find_lower_bound(3, step=1)
+    with pytest.raises(ValueError, match="scale must be >= 1, got 0"):  # build_basis's own check
+        find_lower_bound(3, start_scale=0)
 
 
 def test_find_lower_bound_progress_and_result():
     seen = []
-    cert = find_lower_bound(3, step=10, start_scale=1, max_iters=50, progress=seen.append)
+    cert = find_lower_bound(3, step=10, start_scale=1, progress=seen.append)
     assert cert.threshold_passed
     assert seen[-1].threshold_passed
     assert all(not c.threshold_passed for c in seen[:-1])
@@ -125,10 +127,11 @@ def test_find_lower_bound_progress_and_result():
     assert [c.scale for c in seen] == [10**i for i in range(len(seen))]
 
 
-def test_find_lower_bound_exhaustion():
+def test_find_lower_bound_exhaustion(monkeypatch):
+    monkeypatch.setattr(bounds, "DEFAULT_MAX_ITERS", 3)  # read at call time
     seen = []
-    with pytest.raises(NoCertificateError):
-        find_lower_bound(3, step=2, start_scale=1, max_iters=3, progress=seen.append)
+    with pytest.raises(NoCertificateError, match=r"no certificate for k=3 in DEFAULT_MAX_ITERS = 3 scales \(last N = 4\)$"):
+        find_lower_bound(3, step=2, start_scale=1, progress=seen.append)
     assert len(seen) == 3
     assert not any(c.threshold_passed for c in seen)
 
@@ -413,14 +416,14 @@ def test_ratio_scan_validates():
 
 def test_certificate_scales_match_table_order():
     # the k=10 bound certifies by 1e20, the scale of the published table row
-    cert = find_lower_bound(10, step=10**5, start_scale=10**10, max_iters=10)
+    cert = find_lower_bound(10, step=10**5, start_scale=10**10)
     assert cert.threshold_passed
     assert cert.scale <= 10**25
 
 
 def test_certificate_scale_k20():
     # k=20 (radicand height 33) certifies around 1e50, the published scale
-    cert = find_lower_bound(20, step=10**5, start_scale=10**40, max_iters=10)
+    cert = find_lower_bound(20, step=10**5, start_scale=10**40)
     assert cert.threshold_passed
     assert cert.sigma_k == 33
     assert cert.scale <= 10**55

@@ -1,6 +1,7 @@
 import argparse
 import decimal
 import json
+import math
 import os
 import re
 import shlex
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from sqrtgap import bounds
 from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
 from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_instance
 from sqrtgap.exactnum import DEFAULT_START_BITS, RadicalSum, enclose_radical_sum
@@ -202,10 +204,9 @@ def test_unknown_option_before_the_command_is_named(capsys, option):
     assert err == f"sqrtgap: unrecognized arguments: {option[0]}\n"
 
 
-def test_computation_failure_exit_code(capsys):
-    code, _, err = _run(
-        capsys, "lower-bound", "--k", "3", "--step", "2", "--n-start", "1", "--max-iters", "2"
-    )
+def test_computation_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "DEFAULT_MAX_ITERS", 2)
+    code, _, err = _run(capsys, "lower-bound", "--k", "3", "--step", "2", "--n-start", "1")
     assert code == 2
     assert "no certificate" in err
 
@@ -231,6 +232,14 @@ def test_parse_bigint_bounds(capsys):
     with pytest.raises(ValueError):
         _parse_bigint("2^1048577")  # rejected before the power is formed
     assert _run(capsys, "certify", "--k", "3", "--N", "10^-5")[0] == 1
+    assert [_parse_bigint(t) for t in ("0", "-0", "+7", "-17", "007", "-2^3")] == [0, 0, 7, -17, 7, -8]
+    # the longest plain decimal accepted: 315 652 digits * log2(10) <= 2^20 bits
+    assert 315652 * math.log2(10) <= MAX_POWER_BITS < 315653 * math.log2(10)
+    assert _parse_bigint("9" * 315652) == 10**315652 - 1
+    assert _parse_bigint("0" * 9 + "1" * 315652) == (10**315652 - 1) // 9  # leading zeros not counted
+    for text in ("1_000", "1e5", "", "٣", "10^", "^2"):
+        with pytest.raises(ValueError, match="expected an integer or base"):
+            _parse_bigint(text)
 
 
 def test_root_separation_overflow_is_input_error(capsys):
@@ -240,51 +249,58 @@ def test_root_separation_overflow_is_input_error(capsys):
     assert out == "" and "double range" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
-        ("ratio-scan", "--k", "3", "--log10n", "8,-1"),
-        ("ratio-scan", "--k", "0", "--log10n", "10"),
-        ("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"),
-        ("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
-        ("upper-bound", "--k", str(BASIS_MAX_DIM), "--N", "10^50"),
-        ("sigma", "--i", str(MAX_SIEVE_LIMIT + 1)),
-        ("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"),
-        ("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)),
-        ("brute-force", "--n", "1", "--k", "2", "--variant", "r1"),
-        ("brute-force", "--n", "73", "--k", "4", "--variant", "R"),
-    ],
-)
-def test_first_value_past_each_limit_fails_fast(capsys, argv):
+# Each case fails fast: exit 1 and no report, within 1 MB traced, with a
+# message that names the limit or the expected form.
+_REJECTED = [
+    (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)), f"exceeds {MAX_POWER_BITS} bits"),
+    (("ratio-scan", "--k", "3", "--log10n", "8,-1"), "negative exponent in 10^-1"),
+    (("ratio-scan", "--k", "0", "--log10n", "10"), "need at least one radicand, got k = 0"),
+    (("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"), "BASIS_MAX_DIM"),
+    (("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
+    (("upper-bound", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
+    (("sigma", "--i", str(MAX_SIEVE_LIMIT + 1)), "MAX_SIEVE_LIMIT"),
+    (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
+    (("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)), "t + k must be below 2**64"),
+    (("brute-force", "--n", "1", "--k", "2", "--variant", "r1"), "only zero sums"),
+    (("brute-force", "--n", "73", "--k", "4", "--variant", "R"), "DEFAULT_CAP"),
+    (("certify", "--k", "3", "--N", "10^-5"), "negative exponent in 10^-5"),
+    (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
+    # the same (k, N) as certify --k 200 --N 10^2000, rejected before any cell
+    (("ratio-scan", "--k", "200", "--log10n", "2000"), "exceeds BASIS_MAX_BITS"),
+    (("certify", "--k", "0", "--N", "10"), "k must be >= 1, got 0"),
+    (("certify", "--k", "3", "--N", "0"), "scale must be >= 1, got 0"),
+    (("certify", "--k", "3", "--N", "abc"), "argument --N: expected an integer or base^exponent, got 'abc'"),
+    (("ratio-scan", "--k", "a", "--log10n", "3"), "argument --k: expected comma-separated integers, got 'a'"),
+    # a plain decimal has the size bound of base^exponent: d digits, d * log2(10) bits
+    (("certify", "--k", "1", "--N", "9" * 315653), "argument --N: 315653-digit value exceeds 1048576 bits"),
+    (("certify", "--k", "3", "--N", "10^" + "9" * 5000), "10^99999999999999999...9999999999 exceeds"),
+    (("lower-bound", "--k", "3", "--max-iters", "2"), "unrecognized arguments: --max-iters 2"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", _REJECTED, ids=[f"argv{i}" for i in range(len(_REJECTED))])
+def test_first_value_past_each_limit_fails_fast(capsys, argv, reason):
     tracemalloc.start()
     try:
         code = main(list(argv))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    out = capsys.readouterr()
     assert code == 1
-    assert capsys.readouterr().out == ""
+    assert out.out == ""
     assert peak < 1 << 20
+    assert reason in out.err
+    assert "_parse" not in out.err and len(out.err) < 200
 
 
-@pytest.mark.parametrize(
-    "argv, reason",
-    [
-        (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)),
-         f"exceeds {MAX_POWER_BITS} bits"),
-        (("certify", "--k", "3", "--N", "10^-5"), "negative exponent in 10^-5"),
-        (("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
-        (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
-        (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
-        (("brute-force", "--n", "1", "--k", "2", "--variant", "r1"), "only zero sums"),
-        (("brute-force", "--n", "73", "--k", "4", "--variant", "R"), "DEFAULT_CAP"),
-    ],
-)
-def test_rejected_argument_names_the_bound(capsys, argv, reason):
-    code, out, err = _run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert reason in err
+def test_printed_n_parses_back_to_the_same_report(capsys, lowest_digit_limit):
+    # N past the int-to-str digit limit, printed, then passed back as a literal
+    code, first, err = _run(capsys, "certify", "--k", "1", "--N", "10^700")
+    assert code == 0, err
+    literal = json.loads(first)["result"]["N"]
+    assert len(literal) == 701
+    assert _run(capsys, "certify", "--k", "1", "--N", literal) == (0, first, "")
 
 
 def test_precision_past_int_str_digit_limit_prints(capsys):
