@@ -294,6 +294,15 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv, reason):
     assert "_parse" not in out.err and len(out.err) < 200
 
 
+# The message checks of seven cases of the table, under their long-standing ids
+# (argv0 to argv6, each with its reason).
+@pytest.mark.parametrize("argv, reason", [_REJECTED[i] for i in (0, 11, 4, 7, 12, 9, 10)])
+def test_rejected_argument_names_the_bound(capsys, argv, reason):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert reason in err
+
+
 def test_printed_n_parses_back_to_the_same_report(capsys, lowest_digit_limit):
     # N past the int-to-str digit limit, printed, then passed back as a literal
     code, first, err = _run(capsys, "certify", "--k", "1", "--N", "10^700")
