@@ -11,7 +11,9 @@ The story for k = 5 (radicands 2, 3, 5, 6, 7):
     against the certification threshold by an exact radical-isolation test;
  4. grow N until the comparison passes: the result is a certificate that
     every nonzero |e1*sqrt(s1) + ... + e5*sqrt(s5) - t| with s_i <= 7
-    exceeds 1/N.
+    exceeds 1/N.  Below the determinant floor, where N^2 <= T^(k+1), no
+    basis can pass (its squared Gram-Schmidt norms multiply to N^2), so
+    those scales are decided without a reduction.
 
 The root-separation baseline for the same instance is shown last; the
 lattice route beats it by many orders of magnitude.
@@ -34,6 +36,12 @@ from sqrtgap import (
     root_separation_log10,
     squarefree_upto,
 )
+
+
+def floor_log10(k):
+    """log10 of the largest N with N^2 <= T^(k+1): no basis certifies there."""
+    return (k + 1) / 2 * math.log10(certification_threshold(k).approx())
+
 
 k = 5
 radicands = squarefree_upto(k)
@@ -65,9 +73,12 @@ cert = find_lower_bound(
     progress=lambda c: print(
         f"  N = 10^{len(str(c.scale)) - 1:>3}: floor^2 ~ {float(c.min_gs_norm_sq):9.1f} "
         f"-> {'certified' if c.threshold_passed else 'not yet'}"
+        f"{' (below the determinant floor, not reduced)' if c.threshold.unreachable(c.scale, k + 1) else ''}"
     ),
 )
 print(f"\ncertificate: every gap at this height exceeds 1/N = 10^{-math.log10(cert.scale):.0f}")
+print(f"determinant floor: N^2 <= T^{k + 1} up to N = 10^{floor_log10(k):.2f}, "
+      f"where no basis can certify; certified at N = 10^{math.log10(cert.scale):.0f}")
 
 baseline = root_separation_log10(nth_squarefree(k), k, "R")
 print(f"root-separation baseline for the same instance: 10^{baseline:.0f}")
@@ -77,4 +88,4 @@ print(f"at this small k the certificate is ahead by "
 for kk in (10, 20):
     sep = root_separation_log10(nth_squarefree(kk), kk, "R")
     print(f"  k = {kk}: separation baseline 10^{sep:.0f} vs lattice "
-          f"certificates around 10^{-2 * kk} and better")
+          f"certificates no stronger than the determinant floor, 10^-{floor_log10(kk):.2f}")

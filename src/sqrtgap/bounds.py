@@ -72,8 +72,30 @@ class SqrtThreshold:
             return False
         return d * d > self.radical_coeff**2 * self.radicand
 
+    def unreachable(self, det: int, dim: int) -> bool:
+        """True when det^2 <= T_lo^dim, T_lo = rational_part +
+        radical_coeff*isqrt(radicand) <= T: then no basis of a dim-dimensional
+        lattice of determinant det has a minimum squared Gram-Schmidt norm
+        above T, since the dim squared norms multiply to det^2.
+
+        All-integer: with T_lo = num/den it tests det^2 * den^dim <= num^dim.
+        The floor belongs to the minimum-Gram-Schmidt rule only.  A
+        certificate from an exact shortest vector must use Hermite's bound
+        gamma_dim * det^(2/dim) on lambda_1^2 instead: a complete enumeration
+        puts lambda_1^2 above T at k = 40, N = 10^104, below this floor's
+        10^104.99.
+        """
+        den = self.rational_part.denominator
+        num = self.rational_part.numerator + self.radical_coeff * math.isqrt(self.radicand) * den
+        return det * det * den**dim <= num**dim
+
     def approx(self) -> float:
         return float(self.rational_part) + self.radical_coeff * math.sqrt(self.radicand)
+
+
+def _check_level(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def certification_threshold(k: int) -> SqrtThreshold:
@@ -83,8 +105,7 @@ def certification_threshold(k: int) -> SqrtThreshold:
     s the k-th square-free integer; isolating the single radical keeps the
     comparison with rational squared norms exact.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_level(k)
     s = squarefree.nth_squarefree(k)
     return SqrtThreshold(1 + Fraction(5, 4) * k * k * s, k, s)
 
@@ -125,6 +146,7 @@ def _reduce_checked(
     that are not a basis of the lattice, whatever the reducer did.  Returns
     the basis, the reduction and the coordinates of its rows.
     """
+    check_basis_size(k, scale)  # before the sieve, which k alone can make huge
     basis = build_basis(squarefree.squarefree_upto(k), scale)
     # bkz's first argument is positional: perfbench's tracer reads args[0].
     reduced = bkz(basis if start is None else [basis.vector(c) for c in start], until=until)
@@ -139,22 +161,29 @@ def _reduce_checked(
 
 def _certify(
     k: int, scale: int, start: Sequence[Row] | None = None
-) -> tuple[LowerBoundCertificate, tuple[Row, ...]]:
+) -> tuple[LowerBoundCertificate, tuple[Row, ...] | None]:
     """certify_lower_bound, reducing from start as _reduce_checked does;
-    also returns the coordinates of the reduced rows."""
+    also returns the coordinates of the reduced rows, or None where the
+    determinant floor decided the scale without a reduction."""
+    _check_level(k)
+    check_basis_size(k, scale)  # every input limit before the threshold's sieve
     threshold = certification_threshold(k)
-    basis, reduced, coords = _reduce_checked(k, scale, start, threshold.exceeded_by)
-    min_norm = reduced_profile(reduced).min_norm_sq
+    if threshold.unreachable(scale, k + 1):
+        # the input basis decides: its squared Gram-Schmidt norms are N^2, 1, ..., 1
+        min_norm, swaps, tours, coords = Fraction(1), 0, 0, None
+    else:
+        _, reduced, coords = _reduce_checked(k, scale, start, threshold.exceeded_by)
+        min_norm, swaps, tours = reduced_profile(reduced).min_norm_sq, reduced.swaps, reduced.tours
     cert = LowerBoundCertificate(
         k=k,
-        sigma_k=basis.radicands[-1],
+        sigma_k=threshold.radicand,
         scale=scale,
         min_gs_norm_sq=min_norm,
         threshold=threshold,
         difference=min_norm - threshold.rational_part,
         threshold_passed=threshold.exceeded_by(min_norm),
-        swaps=reduced.swaps,
-        tours=reduced.tours,
+        swaps=swaps,
+        tours=tours,
     )
     return cert, coords
 
@@ -172,6 +201,12 @@ def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
     convergence, and then the certificate has threshold_passed False: a
     failed attempt, not an error; the exact norm it carries shows how far
     the comparison missed.
+
+    The squared Gram-Schmidt norms of every basis multiply to the squared
+    determinant, scale^2, so below the determinant floor, where
+    scale^2 <= T_lo^(k+1) (SqrtThreshold.unreachable), no basis clears the
+    threshold.  There nothing is built or reduced: the certificate is the
+    input basis's, with min_gs_norm_sq 1 and swaps = tours = 0.
     """
     return _certify(k, scale)[0]
 
@@ -194,7 +229,9 @@ def find_lower_bound(
     Each probe after the first is warm-started: the previous probe's
     reduced rows, lifted to the new scale through their integer
     coordinates, are the rows the reduction starts from (van Hoeij's
-    gradual feeding).  Every probe, warm or not, checks that its rows are a
+    gradual feeding).  A probe below the determinant floor reduces
+    nothing and leaves no rows, so the first probe above it starts cold.
+    Every probe, warm or not, checks that its rows are a
     basis of its lattice and verifies the reduction on a fresh integer GSO
     of the output rows, so soundness does not depend on the start.  The
     certificate comes from another reduced basis than certify_lower_bound
@@ -202,6 +239,8 @@ def find_lower_bound(
     """
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
+    _check_level(k)
+    check_basis_size(k, 1)  # before the default start, a (6.6k)-bit power of ten
     scale = 10 ** (2 * k) if start_scale is None else start_scale
     coords = None
     for _ in range(DEFAULT_MAX_ITERS):
@@ -286,8 +325,7 @@ def upper_bound_from_reduction(k: int, scale: int) -> UpperBoundWitness:
     precision on enclosure overlap); any row satisfies the row inequality,
     but the shortest row is not always the best witness.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_level(k)
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
     basis, reduced, _ = _reduce_checked(k, scale)

@@ -105,9 +105,57 @@ def test_certify_pass_and_fields():
     # passing means the isolated-radical inequality holds exactly
     assert cert.difference > 0
     assert cert.difference**2 > cert.threshold.radical_coeff**2 * cert.threshold.radicand
-    # the LLL alone clears it; a failed attempt converges, so it ran tours
+    # the LLL alone clears it; a failed attempt above the determinant floor
+    # (N = 4000 at k = 3) converges, so it ran tours
     assert cert.swaps > 0 and cert.tours == 0
-    assert certify_lower_bound(3, 10**2).tours >= 1
+    assert certify_lower_bound(3, 5000).tours >= 1
+    # 10^2 lies below the floor: decided without a reduction
+    assert cert.threshold.unreachable(10**2, 4)
+    assert certify_lower_bound(3, 10**2).tours == 0
+
+
+def test_below_the_determinant_floor_nothing_is_reduced(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a basis built or reduced below the determinant floor")
+
+    monkeypatch.setattr(bounds, "build_basis", forbidden)
+    monkeypatch.setattr(bounds, "bkz", forbidden)
+    for k, scale in [(3, 1), (3, 10**2), (10, 10**18), (30, 10**73)]:
+        cert = certify_lower_bound(k, scale)
+        assert not cert.threshold_passed
+        assert cert.swaps == cert.tours == 0
+        # the input basis's squared Gram-Schmidt norms are N^2, 1, ..., 1
+        assert cert.min_gs_norm_sq == 1
+        assert cert.difference == 1 - cert.threshold.rational_part
+        assert cert.sigma_k == nth_squarefree(k)
+
+
+def test_determinant_floor_boundary_at_k3(monkeypatch):
+    # T_lo = 229/4 + 3*isqrt(5) = 253/4, and N^2 <= T_lo^4 iff N <= 253^2/16 = 4000.56
+    threshold = certification_threshold(3)
+    assert threshold.unreachable(4000, 4) and not threshold.unreachable(4001, 4)
+    calls = []
+
+    def counting(basis, **kwargs):
+        calls.append(basis)
+        return bkz(basis, **kwargs)
+
+    monkeypatch.setattr(bounds, "bkz", counting)
+    assert certify_lower_bound(3, 4000).tours == 0 and calls == []
+    assert not certify_lower_bound(3, 4001).threshold_passed
+    assert len(calls) == 1
+
+
+def test_determinant_floor_bounds_every_converged_profile():
+    # min ||b_i*||^(2n) <= prod ||b_i*||^2 = det^2 for every basis, so no
+    # converged basis clears the threshold where the floor holds
+    for k, boundary in CONVERGED_BOUNDARY.items():
+        threshold = certification_threshold(k)
+        for e in range(boundary - 2, boundary + 2):
+            profile = bkz(build_basis(squarefree_upto(k), 10**e)).profile
+            assert profile.min_norm_sq ** (k + 1) <= profile.gram_det == 10 ** (2 * e)
+            if threshold.unreachable(10**e, k + 1):
+                assert not threshold.exceeded_by(profile.min_norm_sq), (k, e)
 
 
 def test_find_lower_bound_rejects_step_one():

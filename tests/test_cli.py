@@ -139,6 +139,9 @@ def test_lower_bound_progress_on_stderr(capsys):
     assert "min GS norm" in err  # progress goes to stderr, report to stdout
     labels = [line.partition(":")[0] for line in err.splitlines()]
     assert labels[:3] == ["scale 10^0", "scale 10^1", "scale 10^2"]
+    # k = 3's determinant floor is N = 4000: 10^3 is decided unreduced, 10^4 is reduced
+    floored = ["below the determinant floor" in line for line in err.splitlines()]
+    assert floored[:5] == [True, True, True, True, False]
     # scales between powers of ten are labelled by log10 N, not its digit count
     code, _, err = _run(capsys, "lower-bound", "--k", "3", "--step", "2", "--n-start", "3")
     assert code == 0
@@ -275,6 +278,10 @@ _REJECTED = [
     (("certify", "--k", "1", "--N", "9" * 315653), "argument --N: 315653-digit value exceeds 1048576 bits"),
     (("certify", "--k", "3", "--N", "10^" + "9" * 5000), "10^99999999999999999...9999999999 exceeds"),
     (("lower-bound", "--k", "3", "--max-iters", "2"), "unrecognized arguments: --max-iters 2"),
+    # k alone sized: rejected before any sieve, and before lower-bound's default start 10^(2k)
+    (("certify", "--k", "2000000", "--N", "10"), "BASIS_MAX_DIM"),
+    (("upper-bound", "--k", "2000000", "--N", "10"), "BASIS_MAX_DIM"),
+    (("lower-bound", "--k", "3000000"), "BASIS_MAX_DIM"),
 ]
 
 
