@@ -8,7 +8,7 @@ The story for k = 5 (radicands 2, 3, 5, 6, 7):
  2. see why orthogonalizing the raw basis is useless (the floor is
     always 1);
  3. block-reduce, recompute the exact Gram-Schmidt floor, and compare it
-    against the certification threshold by an exact radical-isolation test;
+    against the certification threshold by one exact rational comparison;
  4. grow N until the comparison passes: the result is a certificate that
     every nonzero |e1*sqrt(s1) + ... + e5*sqrt(s5) - t| with s_i <= 7
     exceeds 1/N.  Below the determinant floor, where N^2 <= T^(k+1), no

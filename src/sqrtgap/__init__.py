@@ -48,7 +48,7 @@ from .bounds import (
     NoCertificateError,
     QianWangInstance,
     RatioCell,
-    SqrtThreshold,
+    Threshold,
     UpperBoundWitness,
     certification_threshold,
     certify_lower_bound,

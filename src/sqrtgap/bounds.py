@@ -10,9 +10,12 @@ integers s_i up to the k-th square-free integer.  The certification route:
   * the lattice row (sum a_i [N*sqrt(sf_i)] - b*N, a_1, ..., a_k) then has
     squared length at least lambda^2, the squared length of the shortest
     nonzero lattice vector;
-  * if lambda^2 exceeds (1 + k*sqrt(sf_k)/2)^2 + k^2*sf_k, unwinding the
+  * if lambda^2 exceeds T = (1 + k*sqrt(sf_k)/2)^2 + k^2*sf_k, unwinding the
     rounding errors [N*sqrt(s)] - N*sqrt(s) in the first coordinate forces
-    |sum(a_i*sqrt(sf_i)) - b| >= 1/N.
+    |sum(a_i*sqrt(sf_i)) - b| >= 1/N;
+  * the library clears a rational bar just above T instead, sqrt(sf_k)
+    rounded up once (certification_threshold), so both the certificate's
+    test and the determinant floor are one exact rational decision.
 
 The reduction pipeline only ever certifies a lower bound on lambda via the
 minimum Gram-Schmidt norm of a reduced basis, and first checks from the rows
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import squarefree
+from . import exactnum, squarefree
 from .exactnum import Enclosure, PrecisionExhausted, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from .lattice import LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
@@ -53,44 +56,33 @@ class NoCertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SqrtThreshold:
-    """Exact comparator against the value rational_part + coeff*sqrt(radicand).
+class Threshold:
+    """The certification bar: a basis certifies when its minimum squared
+    Gram-Schmidt norm exceeds value, one exact Fraction comparison."""
 
-    The radicand is square-free and >= 2, so the radical is irrational and a
-    rational x never equals the threshold; x exceeds it iff
-    x - rational_part > 0 and (x - rational_part)^2 > coeff^2 * radicand,
-    both checks on rationals.
-    """
-
-    rational_part: Fraction
-    radical_coeff: int
-    radicand: int
+    value: Fraction
 
     def exceeded_by(self, x: Fraction | int) -> bool:
-        d = Fraction(x) - self.rational_part
-        if d <= 0:
-            return False
-        return d * d > self.radical_coeff**2 * self.radicand
+        return x > self.value
 
     def unreachable(self, det: int, dim: int) -> bool:
-        """True when det^2 <= T_lo^dim, T_lo = rational_part +
-        radical_coeff*isqrt(radicand) <= T: then no basis of a dim-dimensional
+        """True when det^2 <= value^dim: then no basis of a dim-dimensional
         lattice of determinant det has a minimum squared Gram-Schmidt norm
-        above T, since the dim squared norms multiply to det^2.
+        above value, since the dim squared norms multiply to det^2.
 
-        All-integer: with T_lo = num/den it tests det^2 * den^dim <= num^dim.
+        All-integer: with value = num/den it tests det^2 * den^dim <= num^dim,
+        on the very number exceeded_by compares with, so the floor is exact.
         The floor belongs to the minimum-Gram-Schmidt rule only.  A
         certificate from an exact shortest vector must use Hermite's bound
         gamma_dim * det^(2/dim) on lambda_1^2 instead: a complete enumeration
-        puts lambda_1^2 above T at k = 40, N = 10^104, below this floor's
-        10^104.99.
+        puts lambda_1^2 above the threshold at k = 40, N = 10^104, below this
+        floor's 10^104.99.
         """
-        den = self.rational_part.denominator
-        num = self.rational_part.numerator + self.radical_coeff * math.isqrt(self.radicand) * den
+        num, den = self.value.numerator, self.value.denominator
         return det * det * den**dim <= num**dim
 
     def approx(self) -> float:
-        return float(self.rational_part) + self.radical_coeff * math.sqrt(self.radicand)
+        return float(self.value)
 
 
 def _check_level(k: int) -> None:
@@ -98,16 +90,19 @@ def _check_level(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def certification_threshold(k: int) -> SqrtThreshold:
+def certification_threshold(k: int) -> Threshold:
     """Squared-length bar the shortest lattice vector must clear for level k.
 
-    (1 + k*sqrt(s)/2)^2 + k^2*s expands to 1 + k*sqrt(s) + (5/4)*k^2*s with
-    s the k-th square-free integer; isolating the single radical keeps the
-    comparison with rational squared norms exact.
+    T = (1 + k*sqrt(s)/2)^2 + k^2*s = 1 + (5/4)*k^2*s + k*sqrt(s), with s the
+    k-th square-free integer, is irrational; the bar is the rational T_hi
+    with sqrt(s) replaced by the upper end of its DEFAULT_START_BITS
+    enclosure, so T < T_hi <= T + k*2^-64.  A norm above T_hi is above T,
+    so clearing the higher bar certifies as well.
     """
     _check_level(k)
     s = squarefree.nth_squarefree(k)
-    return SqrtThreshold(1 + Fraction(5, 4) * k * k * s, k, s)
+    root_hi = exactnum.sqrt_enclosure(s, exactnum.DEFAULT_START_BITS).hi
+    return Threshold(1 + Fraction(5, 4) * k * k * s + k * root_hi)
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,8 @@ class LowerBoundCertificate:
     sigma_k: int
     scale: int  # the certified bound is 1/scale
     min_gs_norm_sq: Fraction
-    threshold: SqrtThreshold
-    difference: Fraction  # min_gs_norm_sq - threshold.rational_part
+    threshold: Threshold
+    difference: Fraction  # min_gs_norm_sq - threshold.value
     threshold_passed: bool
     swaps: int  # LLL swaps of the reduction the certificate comes from
     tours: int  # BKZ tours it began; 0 where LLL alone cleared the threshold
@@ -176,11 +171,11 @@ def _certify(
         min_norm, swaps, tours = reduced_profile(reduced).min_norm_sq, reduced.swaps, reduced.tours
     cert = LowerBoundCertificate(
         k=k,
-        sigma_k=threshold.radicand,
+        sigma_k=squarefree.nth_squarefree(k),
         scale=scale,
         min_gs_norm_sq=min_norm,
         threshold=threshold,
-        difference=min_norm - threshold.rational_part,
+        difference=min_norm - threshold.value,
         threshold_passed=threshold.exceeded_by(min_norm),
         swaps=swaps,
         tours=tours,
@@ -193,7 +188,7 @@ def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
 
     Builds the lattice over the first k square-free integers, reduces it
     until its exact minimum Gram-Schmidt norm exceeds the certification
-    threshold (compared by radical isolation), and certifies from the basis
+    threshold (one exact Fraction comparison), and certifies from the basis
     where that first happens: after the LLL (tours 0) or after some BKZ
     insertion.  The minimum of any basis bounds the shortest vector from
     below, so the first basis that clears the threshold certifies as well
@@ -204,7 +199,7 @@ def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
 
     The squared Gram-Schmidt norms of every basis multiply to the squared
     determinant, scale^2, so below the determinant floor, where
-    scale^2 <= T_lo^(k+1) (SqrtThreshold.unreachable), no basis clears the
+    scale^2 <= T^(k+1) (Threshold.unreachable), no basis clears the
     threshold.  There nothing is built or reduced: the certificate is the
     input basis's, with min_gs_norm_sq 1 and swaps = tours = 0.
     """

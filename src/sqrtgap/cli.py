@@ -238,8 +238,7 @@ def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
         "min_gs_norm_sq": _ser_fraction(cert.min_gs_norm_sq),
         "min_gs_norm_sq_approx": _approx(cert.min_gs_norm_sq),
         "threshold_sq_approx": cert.threshold.approx(),
-        "threshold_rational_part": _ser_fraction(cert.threshold.rational_part),
-        "threshold_radical": f"{cert.threshold.radical_coeff}*sqrt({cert.threshold.radicand})",
+        "threshold_sq": _ser_fraction(cert.threshold.value),
         "difference": _ser_fraction(cert.difference),
         "threshold_passed": cert.threshold_passed,
         "claimed_lower_bound_log10": -math.log10(cert.scale) if cert.threshold_passed else None,

@@ -1,6 +1,6 @@
+import hashlib
 import json
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +20,7 @@ from sqrtgap.bounds import (
     row_witness,
     upper_bound_from_reduction,
 )
-from sqrtgap.exactnum import abs_at_most, enclose_radical_sum, sqrt_enclosure
+from sqrtgap.exactnum import abs_at_most, enclose_radical_sum
 from sqrtgap.lattice import LatticeBasis, as_rows, build_basis
 from sqrtgap.reduction import ReductionError, bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
@@ -33,31 +33,16 @@ def test_threshold_values():
     assert abs(certification_threshold(1).approx() - (3.5 + math.sqrt(2))) < 1e-12
 
 
-def test_threshold_exact_comparison_against_intervals():
-    # radical isolation must agree with a 256-bit interval evaluation
-    rng = random.Random(31)
-    for _ in range(100):
-        k = rng.randint(1, 120)
-        thr = certification_threshold(k)
-        scale = thr.rational_part + rng.randint(-10**6, 10**6) / Fraction(997)
-        probe = max(Fraction(1), scale)
-        root = sqrt_enclosure(thr.radicand, 256)
-        lo = thr.rational_part + thr.radical_coeff * root.lo
-        hi = thr.rational_part + thr.radical_coeff * root.hi
-        if probe > hi:
-            assert thr.exceeded_by(probe)
-        elif probe < lo:
-            assert not thr.exceeded_by(probe)
-        # probes inside the 256-bit sliver are undecided by intervals; the
-        # exact route always decides, just nothing to compare against
-
-
-def test_threshold_never_equal():
-    thr = certification_threshold(7)
-    d = thr.rational_part
-    # a rational can never equal rational_part + k*sqrt(s): both branches exact
-    assert not thr.exceeded_by(d)
-    assert thr.exceeded_by(d + thr.radical_coeff * thr.radicand + 1)
+def test_threshold_rounds_t_up_by_at_most_k_times_2_pow_minus_64():
+    # T_hi = 1 + (5/4)k^2 s + k*x with x = p/q: T < T_hi iff x > sqrt(s) iff
+    # p^2 > s*q^2, and T_hi <= T + k*2^-64 iff y = x - 2^-64 <= sqrt(s), all
+    # decided in integers
+    for k in range(1, 256):
+        s = nth_squarefree(k)
+        x = (certification_threshold(k).value - 1 - Fraction(5, 4) * k * k * s) / k
+        assert x > 0 and x.numerator**2 > s * x.denominator**2, k
+        y = x - Fraction(1, 2**64)
+        assert y <= 0 or y.numerator**2 <= s * y.denominator**2, k
 
 
 def test_one_exact_gso_per_certificate(monkeypatch):
@@ -87,26 +72,43 @@ def test_certify_fails_at_unit_scale():
 CONVERGED_BOUNDARY = {2: 3, 3: 4, 4: 7, 5: 9, 6: 10, 7: 12, 8: 16, 9: 17, 10: 19}
 
 
-def test_certify_verdict_matches_converged_bkz_near_the_boundary():
-    for k, boundary in CONVERGED_BOUNDARY.items():
-        threshold = certification_threshold(k)
-        for e in range(boundary - 2, boundary + 2):
-            converged = bkz(build_basis(squarefree_upto(k), 10**e))
-            verdict = threshold.exceeded_by(converged.profile.min_norm_sq)
-            assert verdict == (e >= boundary)
-            assert certify_lower_bound(k, 10**e).threshold_passed == verdict, (k, e)
+# k -> e where certify_lower_bound first passes at N = 10^e.
+FIRST_CERTIFIED = {1: 1, 2: 3, 3: 4, 4: 7, 5: 9, 6: 10, 7: 12, 8: 16, 9: 17, 10: 19, 11: 21, 12: 24}
+# SHA-256 of (scale, min_gs_norm_sq, threshold_passed, swaps, tours) of every
+# certificate below: certify_lower_bound at N = 10^0 .. 10^(e+1), e from
+# FIRST_CERTIFIED, so through the determinant floor and the first pass, and
+# every probe of find_lower_bound(k, step=10, start_scale=10^k) at k = 10, 12,
+# 14, whose warm probes start from the previous rows.  Any change to what a
+# certificate reports, or to where a reduction stopped, shows here.
+PINNED_CERTIFICATE_DIGEST = "c907f9da66b46ab89217f94c4a10e48707141e0b72313d374b858b1d2242e242"
+
+
+def test_certificate_outputs_are_pinned():
+    ladder = [certify_lower_bound(k, 10**e) for k, first in FIRST_CERTIFIED.items() for e in range(first + 2)]
+    assert [(c.k, c.scale) for c in ladder if c.threshold_passed] == [
+        (k, 10**e) for k, first in FIRST_CERTIFIED.items() for e in (first, first + 1)
+    ]
+    searches = []
+    for k in (10, 12, 14):
+        find_lower_bound(k, step=10, start_scale=10**k, progress=searches.append)
+    h = hashlib.sha256()
+    for c in ladder + searches:
+        h.update(repr((c.scale, c.min_gs_norm_sq, c.threshold_passed, c.swaps, c.tours)).encode())
+    assert h.hexdigest() == PINNED_CERTIFICATE_DIGEST
 
 
 def test_certify_pass_and_fields():
     cert = certify_lower_bound(3, 10**8)
     assert cert.threshold_passed
     assert cert.k == 3 and cert.sigma_k == 5 and cert.scale == 10**8
-    assert cert.difference == cert.min_gs_norm_sq - cert.threshold.rational_part
-    # passing means the isolated-radical inequality holds exactly
+    assert cert.difference == cert.min_gs_norm_sq - cert.threshold.value
+    # passing means the norm clears T_hi, so also T = 1 + (5/4)k^2 s + k*sqrt(s),
+    # decided here by isolating the radical
     assert cert.difference > 0
-    assert cert.difference**2 > cert.threshold.radical_coeff**2 * cert.threshold.radicand
+    above_rational_part = cert.min_gs_norm_sq - 1 - Fraction(5, 4) * cert.k**2 * cert.sigma_k
+    assert above_rational_part > 0 and above_rational_part**2 > cert.k**2 * cert.sigma_k
     # the LLL alone clears it; a failed attempt above the determinant floor
-    # (N = 4000 at k = 3) converges, so it ran tours
+    # (N = 4090 at k = 3) converges, so it ran tours
     assert cert.swaps > 0 and cert.tours == 0
     assert certify_lower_bound(3, 5000).tours >= 1
     # 10^2 lies below the floor: decided without a reduction
@@ -126,14 +128,15 @@ def test_below_the_determinant_floor_nothing_is_reduced(monkeypatch):
         assert cert.swaps == cert.tours == 0
         # the input basis's squared Gram-Schmidt norms are N^2, 1, ..., 1
         assert cert.min_gs_norm_sq == 1
-        assert cert.difference == 1 - cert.threshold.rational_part
+        assert cert.difference == 1 - cert.threshold.value
         assert cert.sigma_k == nth_squarefree(k)
 
 
 def test_determinant_floor_boundary_at_k3(monkeypatch):
-    # T_lo = 229/4 + 3*isqrt(5) = 253/4, and N^2 <= T_lo^4 iff N <= 253^2/16 = 4000.56
+    # T_hi = 229/4 + 3*sqrt(5) + (below 3*2^-64) = 63.958..., and N^2 <= T_hi^4
+    # iff N <= T_hi^2 = 4090.67...
     threshold = certification_threshold(3)
-    assert threshold.unreachable(4000, 4) and not threshold.unreachable(4001, 4)
+    assert threshold.unreachable(4090, 4) and not threshold.unreachable(4091, 4)
     calls = []
 
     def counting(basis, **kwargs):
@@ -141,21 +144,25 @@ def test_determinant_floor_boundary_at_k3(monkeypatch):
         return bkz(basis, **kwargs)
 
     monkeypatch.setattr(bounds, "bkz", counting)
-    assert certify_lower_bound(3, 4000).tours == 0 and calls == []
-    assert not certify_lower_bound(3, 4001).threshold_passed
+    assert certify_lower_bound(3, 4090).tours == 0 and calls == []
+    assert not certify_lower_bound(3, 4091).threshold_passed
     assert len(calls) == 1
 
 
-def test_determinant_floor_bounds_every_converged_profile():
-    # min ||b_i*||^(2n) <= prod ||b_i*||^2 = det^2 for every basis, so no
-    # converged basis clears the threshold where the floor holds
+def test_certify_verdict_matches_converged_bkz_near_the_boundary():
+    # the certificate's verdict is converged BKZ's; and min ||b_i*||^(2n) <=
+    # prod ||b_i*||^2 = det^2 for every basis, so no converged basis clears
+    # the threshold where the determinant floor holds
     for k, boundary in CONVERGED_BOUNDARY.items():
         threshold = certification_threshold(k)
         for e in range(boundary - 2, boundary + 2):
             profile = bkz(build_basis(squarefree_upto(k), 10**e)).profile
+            verdict = threshold.exceeded_by(profile.min_norm_sq)
+            assert verdict == (e >= boundary)
+            assert certify_lower_bound(k, 10**e).threshold_passed == verdict, (k, e)
             assert profile.min_norm_sq ** (k + 1) <= profile.gram_det == 10 ** (2 * e)
             if threshold.unreachable(10**e, k + 1):
-                assert not threshold.exceeded_by(profile.min_norm_sq), (k, e)
+                assert not verdict, (k, e)
 
 
 def test_find_lower_bound_rejects_step_one():
