@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -149,20 +150,32 @@ def test_determinant_floor_boundary_at_k3(monkeypatch):
     assert len(calls) == 1
 
 
+@functools.cache
+def converged_profiles():
+    # (k, e, converged BKZ profile at N = 10^e) for every cell around each
+    # boundary, reduced once and shared by the two tests below
+    return [
+        (k, e, bkz(build_basis(squarefree_upto(k), 10**e)).profile)
+        for k, boundary in CONVERGED_BOUNDARY.items()
+        for e in range(boundary - 2, boundary + 2)
+    ]
+
+
 def test_certify_verdict_matches_converged_bkz_near_the_boundary():
-    # the certificate's verdict is converged BKZ's; and min ||b_i*||^(2n) <=
-    # prod ||b_i*||^2 = det^2 for every basis, so no converged basis clears
-    # the threshold where the determinant floor holds
-    for k, boundary in CONVERGED_BOUNDARY.items():
+    for k, e, profile in converged_profiles():
+        verdict = certification_threshold(k).exceeded_by(profile.min_norm_sq)
+        assert verdict == (e >= CONVERGED_BOUNDARY[k])
+        assert certify_lower_bound(k, 10**e).threshold_passed == verdict, (k, e)
+
+
+def test_determinant_floor_bounds_every_converged_profile():
+    # min ||b_i*||^(2n) <= prod ||b_i*||^2 = det^2 for every basis, so no
+    # converged basis clears the threshold where the floor holds
+    for k, e, profile in converged_profiles():
         threshold = certification_threshold(k)
-        for e in range(boundary - 2, boundary + 2):
-            profile = bkz(build_basis(squarefree_upto(k), 10**e)).profile
-            verdict = threshold.exceeded_by(profile.min_norm_sq)
-            assert verdict == (e >= boundary)
-            assert certify_lower_bound(k, 10**e).threshold_passed == verdict, (k, e)
-            assert profile.min_norm_sq ** (k + 1) <= profile.gram_det == 10 ** (2 * e)
-            if threshold.unreachable(10**e, k + 1):
-                assert not verdict, (k, e)
+        assert profile.min_norm_sq ** (k + 1) <= profile.gram_det == 10 ** (2 * e)
+        if threshold.unreachable(10**e, k + 1):
+            assert not threshold.exceeded_by(profile.min_norm_sq), (k, e)
 
 
 def test_find_lower_bound_rejects_step_one():
