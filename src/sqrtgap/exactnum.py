@@ -117,7 +117,8 @@ class RadicalSum:
 
     Canonical means: radicands are pairwise distinct square-free integers
     >= 2 in increasing order, all coefficients nonzero, and rational terms
-    (radicand 1) are folded into the offset.  Construct via from_terms.
+    (radicand 1) are folded into the offset.  Construct via from_terms, or
+    from the terms that merge_terms returns.
     """
 
     terms: tuple[tuple[int, int], ...]  # (coefficient, radicand)
@@ -125,29 +126,21 @@ class RadicalSum:
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]], offset: int = 0) -> "RadicalSum":
-        merged: dict[int, int] = {}
-        rational = -offset
+        folded: list[tuple[int, int]] = []
         for coeff, radicand in terms:
             if radicand < 1:
                 raise ValueError(f"radicand must be >= 1, got {radicand}")
-            if coeff == 0:
-                continue
-            a, s = squarefree.squarefree_decompose(radicand)
-            if s == 1:
-                rational += coeff * a
-            else:
-                merged[s] = merged.get(s, 0) + coeff * a
-        canon = tuple(sorted((s, c) for s, c in merged.items() if c != 0))
-        return cls(tuple((c, s) for s, c in canon), -rational)
+            if coeff:
+                a, s = squarefree.squarefree_decompose(radicand)
+                folded.append((coeff * a, s))
+        canon, rational = merge_terms(folded)
+        return cls(canon, offset - rational)
 
     def is_zero(self) -> bool:
         return not self.terms and self.offset == 0
 
     def negate(self) -> "RadicalSum":
         return RadicalSum(tuple((-c, s) for c, s in self.terms), -self.offset)
-
-    def with_offset(self, offset: int) -> "RadicalSum":
-        return RadicalSum(self.terms, offset)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -167,20 +160,45 @@ class RadicalSum:
         return " ".join(pieces)
 
 
-def radical_sum_bracket(value: RadicalSum, precision_bits: int = DEFAULT_START_BITS) -> tuple[int, int]:
-    """Integers (lo, hi) with lo/2^p <= value <= hi/2^p, at p = precision_bits.
+def merge_terms(terms: Iterable[tuple[int, int]]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Canonical form of sum(c * sqrt(s)) over square-free s >= 1.
 
-    Each is one exact integer sum: coefficient times the lower or upper
-    square-root bracket, the two swapped for a negative coefficient, minus
-    the offset.  So the only width comes from the brackets: at p bits hi - lo
-    is at most sum(|a_i|), and brackets at higher precision nest inside
-    those at lower precision.  Every precision-ladder decision compares
-    these integers; two brackets at the same p share the denominator 2^p.
+    Returns the RadicalSum terms (nonzero coefficients over distinct
+    radicands >= 2, in increasing order) and the rational part, the sum of
+    the coefficients at s = 1.
+    """
+    merged: dict[int, int] = {}
+    rational = 0
+    for coeff, s in terms:
+        if s == 1:
+            rational += coeff
+        else:
+            merged[s] = merged.get(s, 0) + coeff
+    return tuple((c, s) for s, c in sorted(merged.items()) if c), rational
+
+
+def radical_sum_bracket(value: RadicalSum, precision_bits: int = DEFAULT_START_BITS) -> tuple[int, int]:
+    """Integers (lo, hi) with lo/2^p <= value <= hi/2^p, at p = precision_bits."""
+    return terms_bracket(value.terms, precision_bits, value.offset)
+
+
+def terms_bracket(terms: Iterable[tuple[int, int]], precision_bits: int, offset: int = 0) -> tuple[int, int]:
+    """Integers (lo, hi) bracketing sum(c * sqrt(s)) - offset over 2^p.
+
+    Each endpoint is one exact integer sum: coefficient times the lower or
+    upper square-root bracket, the two swapped for a negative coefficient,
+    minus the offset.  Any terms with radicands >= 1 are bracketed; merging
+    equal radicands, as a RadicalSum's terms are, only narrows the pair and
+    leaves lo + hi unchanged.  The only width comes from the brackets: at p bits
+    hi - lo is at most sum(|a_i|), and brackets at higher precision nest
+    inside those at lower precision.  Every precision-ladder decision
+    compares these integers; two brackets at the same p share the
+    denominator 2^p.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-    lo = hi = -value.offset << precision_bits
-    for coeff, radicand in value.terms:
+    lo = hi = -offset << precision_bits
+    for coeff, radicand in terms:
         m_lo, m_hi = _sqrt_bracket(radicand, precision_bits)
         if coeff < 0:
             m_lo, m_hi = m_hi, m_lo

@@ -19,9 +19,16 @@ expression depends only on the multiset of (sign, radicand) pairs, which
 cuts the search space by the factorial of the number of repeats.  Exact
 zeros (e.g. sqrt(2) + sqrt(2) - sqrt(8)) are recognized from the canonical
 square-free form and discarded, never by numeric smallness; the running
-minimum is maintained by exact comparison.  Each sum is bracketed once, at
-SCREEN_BITS, and its candidates' brackets are that pair shifted by their
-offsets; a candidate whose bracket clears the best's is decided there, and
+minimum is maintained by exact comparison.  The work per multiset is on
+integers: each radicand 1..n is decomposed once into a*a*s with s
+square-free, and a multiset is a tuple of (+-a, s) terms.  Their bracket at
+SCREEN_BITS (exactnum.terms_bracket, unmerged) drops every multiset whose
+sum no integer brings within the best's bracket, which is nearly all of
+them.  A survivor is merged (exactnum.merge_terms) into its canonical terms
+and rational part and bracketed once more; its candidates' brackets are
+that pair shifted by their offsets, only the offsets that can still beat
+the best are formed, and a RadicalSum is built only for a candidate that
+passes.  A candidate whose bracket clears the best's is decided there, and
 only overlapping brackets climb the precision ladder in compare_abs.
 Each variant counts the instances it will offer (sums, times the
 OFFSETS_PER_SUM candidates where t is free) before enumerating, and a
@@ -42,9 +49,11 @@ from .exactnum import (
     certify_sign,
     compare_abs,
     enclose_radical_sum,  # perfbench/tracer.py binds oracle.enclose_radical_sum by getattr
-    radical_sum_bracket,
+    merge_terms,
     round_half_up,
+    terms_bracket,
 )
+from .squarefree import squarefree_decompose
 
 VARIANTS = ("r1", "r2", "R")
 DEFAULT_CAP = 10**8
@@ -66,6 +75,11 @@ def _multiset_count(alphabet: int, size: int) -> int:
     return math.comb(alphabet + size - 1, size)
 
 
+def _within(lo: int, hi: int, radius: int) -> tuple[int, int]:
+    """First and last integer v with lo - radius <= v * 2^SCREEN_BITS <= hi + radius."""
+    return -((radius - lo) >> SCREEN_BITS), (hi + radius) >> SCREEN_BITS
+
+
 def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     """Exact minimum positive value over all instances of the given variant.
 
@@ -82,28 +96,29 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
-    positive = [(1, s) for s in range(1, n + 1)]
-    negative = [(-1, s) for s in range(1, n + 1)]
+    # each radicand r = a*a*s (s square-free) as its term (a, s), decomposed once
+    positive = [squarefree_decompose(r) for r in range(1, n + 1)]
+    negative = [(-a, s) for a, s in positive]
     if variant == "r1":
         half = k // 2
         if n == 1 and k == 2 * half:
             raise ValueError(f"r1 at n=1 with even k={k} has only zero sums: "
                              f"+sqrt(1) taken {half} times cancels -sqrt(1) taken {half} times")
         total = _multiset_count(n, half) * _multiset_count(n, k - half)
-        sums = (RadicalSum.from_terms(pos + neg)
-                for pos in combinations_with_replacement(positive, half)
-                for neg in combinations_with_replacement(negative, k - half))
+        multisets = (pos + neg
+                     for pos in combinations_with_replacement(positive, half)
+                     for neg in combinations_with_replacement(negative, k - half))
     elif variant == "r2":
         if k > n:
             raise ValueError(f"r2 needs k distinct radicands <= n, got k={k} > n={n}")
         total = math.comb(n, k)
-        sums = (RadicalSum.from_terms(comb) for comb in combinations(positive, k))
+        multisets = combinations(positive, k)
     else:
         # multisets of signed terms of every size up to k; terms with sign 0
         # simply shrink the multiset
         total = sum(_multiset_count(2 * n, m) for m in range(k + 1))
-        sums = (RadicalSum.from_terms(combo) for size in range(k + 1)
-                for combo in combinations_with_replacement(positive + negative, size))
+        multisets = (combo for size in range(k + 1)
+                     for combo in combinations_with_replacement(positive + negative, size))
     if variant != "r1":
         total *= OFFSETS_PER_SUM
     if total > DEFAULT_CAP:
@@ -112,22 +127,37 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets |best|
     best: RadicalSum | None = None
     best_lo = best_hi = 0
-    for value in sums:
-        lo, hi = radical_sum_bracket(value, SCREEN_BITS)
+    for multiset in multisets:
+        if best is not None:
+            # the unmerged terms bracket the whole sum, a little more loosely
+            # than its canonical form; a sum that no integer v brings within
+            # best_hi has no candidate that can beat the best
+            first, last = _within(*terms_bracket(multiset, SCREEN_BITS), best_hi)
+            if first > last:
+                continue
+        terms, rational = merge_terms(multiset)
+        # [lo, hi] / 2^SCREEN_BITS brackets the radical part, so the candidate
+        # with offset u is bracketed by [lo, hi] - u * 2^SCREEN_BITS
+        lo, hi = terms_bracket(terms, SCREEN_BITS)
         # r1 has no free integer t; the others try each t near the sum
         if variant == "r1":
-            offsets = (value.offset,)
+            first = last = -rational
         else:
-            t = round_half_up(lo + hi, 2 << SCREEN_BITS)
-            offsets = range(t - OFFSETS_PER_SUM // 2, t + OFFSETS_PER_SUM // 2 + 1)
-        for u in offsets:
-            shift = (value.offset - u) << SCREEN_BITS
-            c_lo, c_hi = abs_bracket(lo + shift, hi + shift)
+            t = rational + round_half_up(lo + hi, 2 << SCREEN_BITS)
+            first, last = t - OFFSETS_PER_SUM // 2, t + OFFSETS_PER_SUM // 2
+        if best is not None:
+            # form only the offsets that can still beat the best; the loop
+            # re-checks each, as best_hi shrinks
+            near_first, near_last = _within(lo, hi, best_hi)
+            first, last = max(first, near_first), min(last, near_last)
+        for u in range(first, last + 1):
+            shift = u << SCREEN_BITS
+            c_lo, c_hi = abs_bracket(lo - shift, hi - shift)
             if best is not None and c_lo > best_hi:
                 continue  # strictly larger than the best
-            candidate = value.with_offset(u)
-            if candidate.is_zero():
-                continue
+            if not terms and u == 0:
+                continue  # exactly zero
+            candidate = RadicalSum(terms, u)
             if best is None or c_hi < best_lo or compare_abs(candidate, best) < 0:
                 best, best_lo, best_hi = candidate, c_lo, c_hi
     sign, enclosure = certify_sign(best)

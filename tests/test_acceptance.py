@@ -98,7 +98,7 @@ def test_criterion_2_desk_scale_lower_bound():
 def test_criterion_3_soundness_cross_check():
     violations = []
     checked = 0
-    for k in (3, 4):
+    for k in (3, 4, 5):
         truth = brute_force(nth_squarefree(k), k, "R")
         certificates = [
             find_lower_bound(k, step=10, start_scale=1),
@@ -111,11 +111,11 @@ def test_criterion_3_soundness_cross_check():
             checked += 1
             if Fraction(1, cert.scale) > truth.value.lo:
                 violations.append((k, cert.scale))
-    ok = checked >= 4 and not violations
+    ok = checked >= 7 and not violations
     _report(
         3,
         ok,
-        f"{checked} certificates at k=3,4 all satisfy 1/N <= brute-forced minimum "
+        f"{checked} certificates at k=3,4,5 all satisfy 1/N <= brute-forced minimum "
         f"(zero tolerance); violations: {violations}",
     )
 

@@ -295,7 +295,7 @@ def _bracket_samples() -> list[RadicalSum]:
         v = RadicalSum.from_terms(terms)
         # offset at the nearest integer, so magnitudes are below 1/2 and close
         lo, hi = radical_sum_bracket(v, 64)
-        values.append(v.with_offset(exactnum.round_half_up(lo + hi, 2 << 64)))
+        values.append(RadicalSum(v.terms, exactnum.round_half_up(lo + hi, 2 << 64)))
     values += [_pell_near_miss(q) for q in (10, 10**3, 10**6, 10**11, 10**12)]
     values.append(RadicalSum.from_terms([(1, 2), (1, 2), (-1, 8)]))  # exactly 0
     return values + [v.negate() for v in values]

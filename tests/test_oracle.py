@@ -186,3 +186,26 @@ def test_k4_outputs_are_pinned():
     # the same digest for k = 4 and n <= 7, taken before the oracle screened
     # candidates on integer brackets, with the same r1 re-pin
     assert _digest(range(1, 8), (4,)) == "b7335095abf4fc749f685381950b22147937548321125671577bc6bca09d4f36"
+
+
+
+def test_k5_outputs_are_pinned(monkeypatch):
+    # the same digest for k = 5 and n <= 7, taken before the oracle merged
+    # each multiset on integers and formed only the offsets that can still
+    # beat the best.  Its r2 items at n = 5 and 6 pin values above the true
+    # minimum, as the loop computes them: an r2 sum's five offsets are
+    # centred on the sum plus its rational part, not on the sum
+    assert _digest(range(1, 8), (5,)) == "5e7c34db239d8f6105ae20a0bd701c32427357dd249b77c316aec9d8d1d077f1"
+    # the screen leaves only 13 of the 9100 candidates of (6, 4, "R") to the
+    # precision ladder
+    compare_abs = oracle.compare_abs
+    calls = 0
+
+    def counted(left, right):
+        nonlocal calls
+        calls += 1
+        return compare_abs(left, right)
+
+    monkeypatch.setattr(oracle, "compare_abs", counted)
+    brute_force(6, 4, "R")
+    assert calls <= 13
