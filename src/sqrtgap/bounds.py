@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import exactnum, squarefree
-from .exactnum import Enclosure, PrecisionExhausted, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
+from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from .lattice import LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
@@ -155,14 +155,12 @@ def _reduce_checked(
 
 
 def _certify(
-    k: int, scale: int, start: Sequence[Row] | None = None
+    k: int, scale: int, threshold: Threshold, start: Sequence[Row] | None = None
 ) -> tuple[LowerBoundCertificate, tuple[Row, ...] | None]:
-    """certify_lower_bound, reducing from start as _reduce_checked does;
-    also returns the coordinates of the reduced rows, or None where the
-    determinant floor decided the scale without a reduction."""
-    _check_level(k)
-    check_basis_size(k, scale)  # every input limit before the threshold's sieve
-    threshold = certification_threshold(k)
+    """certify_lower_bound against threshold, reducing from start as
+    _reduce_checked does; also returns the coordinates of the reduced rows,
+    or None where the determinant floor decided the scale without a reduction."""
+    check_basis_size(k, scale)
     if threshold.unreachable(scale, k + 1):
         # the input basis decides: its squared Gram-Schmidt norms are N^2, 1, ..., 1
         min_norm, swaps, tours, coords = Fraction(1), 0, 0, None
@@ -203,7 +201,9 @@ def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
     threshold.  There nothing is built or reduced: the certificate is the
     input basis's, with min_gs_norm_sq 1 and swaps = tours = 0.
     """
-    return _certify(k, scale)[0]
+    _check_level(k)
+    check_basis_size(k, scale)  # every input limit before the threshold's sieve
+    return _certify(k, scale, certification_threshold(k))[0]
 
 
 def find_lower_bound(
@@ -235,11 +235,11 @@ def find_lower_bound(
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
     _check_level(k)
-    check_basis_size(k, 1)  # before the default start, a (6.6k)-bit power of ten
+    check_basis_size(k, 1)  # before the sieve and the default start, a (6.6k)-bit power of ten
     scale = 10 ** (2 * k) if start_scale is None else start_scale
-    coords = None
+    threshold, coords = certification_threshold(k), None
     for _ in range(DEFAULT_MAX_ITERS):
-        cert, coords = _certify(k, scale, coords)
+        cert, coords = _certify(k, scale, threshold, coords)
         if progress is not None:
             progress(cert)
         if cert.threshold_passed:
@@ -424,7 +424,7 @@ def _scan_cell(k: int, log10_scale: int) -> RatioCell:
     scale = 10**log10_scale
     try:
         _, reduced, _ = _reduce_checked(k, scale)
-    except (ReductionError, PrecisionExhausted) as exc:  # the failures that exit 2
+    except ReductionError as exc:  # the failure that exits 2
         return RatioCell(k=k, log10_scale=log10_scale, error=f"{type(exc).__name__}: {exc}")
     min_norm = reduced_profile(reduced).min_norm_sq
     l_sq = min(sum(c * c for c in row) for row in reduced.rows)
@@ -443,8 +443,8 @@ def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[R
     order.  A cell whose ratio falls at or below 1/k is flagged: that would
     contradict the expected shortest-vector growth on the certificate side
     (the reduced lambda* lower bound, not the true shortest length).
-    Every cell's size is checked before the first reduction, so a cell can
-    record only a ReductionError or PrecisionExhausted.
+    Every cell's size is checked before the first reduction, which runs no
+    precision ladder, so a cell can record only a ReductionError.
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")

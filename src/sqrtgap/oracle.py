@@ -19,19 +19,21 @@ expression depends only on the multiset of (sign, radicand) pairs, which
 cuts the search space by the factorial of the number of repeats.  Exact
 zeros (e.g. sqrt(2) + sqrt(2) - sqrt(8)) are recognized from the canonical
 square-free form and discarded, never by numeric smallness; the running
-minimum is maintained by exact comparison.  The work per multiset is on
-integers: each radicand 1..n is decomposed once into a*a*s with s
-square-free, and a multiset is a tuple of (+-a, s) terms.  Their bracket at
-SCREEN_BITS (exactnum.terms_bracket, unmerged) drops every multiset whose
-sum no integer brings within the best's bracket, which is nearly all of
-them.  A survivor is merged (exactnum.merge_terms) into its canonical terms
-and rational part and bracketed once more; its candidates' brackets are
-that pair shifted by their offsets, only the offsets that can still beat
-the best are formed, and a RadicalSum is built only for a candidate that
-passes.  A candidate whose bracket clears the best's is decided there, and
-only overlapping brackets climb the precision ladder in compare_abs.
-Each variant counts the instances it will offer (sums, times the
-OFFSETS_PER_SUM candidates where t is free) before enumerating, and a
+minimum starts at 1, which every variant reaches, and is maintained by
+exact comparison.  The work per multiset is on integers: each radicand
+1..n is decomposed once into a*a*s with s square-free, and a multiset is a
+tuple of (+-a, s) terms.  Their bracket at SCREEN_BITS
+(exactnum.terms_bracket, unmerged) drops every multiset whose sum no
+integer brings within the best's bracket, which is nearly all of them.  A
+survivor is merged (exactnum.merge_terms) into its canonical terms and
+rational part, and its radical part is bracketed once more.  Its offsets
+u, for candidates (radical part) - u, are the integers that bring that
+bracket within the best's (for r1, only u = -rational); a candidate's
+bracket is the pair shifted by u, and a RadicalSum is built only for a
+candidate that passes.  A candidate whose bracket clears the best's is
+decided there, and only overlapping brackets climb the precision ladder in
+compare_abs.  Each variant counts the instances it will offer (sums, times
+the OFFSETS_PER_SUM candidates where t is free) before enumerating, and a
 count above DEFAULT_CAP = 10^8 instances raises ValueError.
 """
 
@@ -50,7 +52,6 @@ from .exactnum import (
     compare_abs,
     enclose_radical_sum,  # perfbench/tracer.py binds oracle.enclose_radical_sum by getattr
     merge_terms,
-    round_half_up,
     terms_bracket,
 )
 from .squarefree import squarefree_decompose
@@ -58,9 +59,9 @@ from .squarefree import squarefree_decompose
 VARIANTS = ("r1", "r2", "R")
 DEFAULT_CAP = 10**8
 SCREEN_BITS = 64
-# The offsets that can minimize the positive |sum - t| lie within 1 of the
-# sum, so the five integers around the rounded midpoint of its bracket
-# always include them.
+# Where t is free, instance_count counts each sum as five instances: the
+# offsets that can minimize the positive |sum - t| lie within 1 of the sum,
+# among the five integers nearest it.
 OFFSETS_PER_SUM = 5
 
 
@@ -124,41 +125,38 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     if total > DEFAULT_CAP:
         raise ValueError(f"{variant} enumeration needs {total} > DEFAULT_CAP = {DEFAULT_CAP} instances")
 
-    # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets |best|
-    best: RadicalSum | None = None
-    best_lo = best_hi = 0
+    # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets
+    # |best|.  It starts at 1, which every variant reaches or undercuts: where
+    # t is free, an integer lies within 1 of any sum; r1 with odd k has the
+    # all-sqrt(1) sum, -1; r1 with even k and n >= 2 has sqrt(2) - 1.  A
+    # minimum of exactly 1 has canonical form +-1, which normalises to this seed.
+    best = RadicalSum((), -1)
+    best_lo = best_hi = 1 << SCREEN_BITS
     for multiset in multisets:
-        if best is not None:
-            # the unmerged terms bracket the whole sum, a little more loosely
-            # than its canonical form; a sum that no integer v brings within
-            # best_hi has no candidate that can beat the best
-            first, last = _within(*terms_bracket(multiset, SCREEN_BITS), best_hi)
-            if first > last:
-                continue
+        # the unmerged terms bracket the whole sum, a little more loosely
+        # than its canonical form; a sum that no integer v brings within
+        # best_hi has no candidate that can beat the best
+        first, last = _within(*terms_bracket(multiset, SCREEN_BITS), best_hi)
+        if first > last:
+            continue
         terms, rational = merge_terms(multiset)
         # [lo, hi] / 2^SCREEN_BITS brackets the radical part, so the candidate
-        # with offset u is bracketed by [lo, hi] - u * 2^SCREEN_BITS
+        # with offset u is bracketed by [lo, hi] - u * 2^SCREEN_BITS; form only
+        # the offsets that can still beat the best, and the loop re-checks
+        # each, as best_hi shrinks
         lo, hi = terms_bracket(terms, SCREEN_BITS)
-        # r1 has no free integer t; the others try each t near the sum
-        if variant == "r1":
-            first = last = -rational
-        else:
-            t = rational + round_half_up(lo + hi, 2 << SCREEN_BITS)
-            first, last = t - OFFSETS_PER_SUM // 2, t + OFFSETS_PER_SUM // 2
-        if best is not None:
-            # form only the offsets that can still beat the best; the loop
-            # re-checks each, as best_hi shrinks
-            near_first, near_last = _within(lo, hi, best_hi)
-            first, last = max(first, near_first), min(last, near_last)
+        first, last = _within(lo, hi, best_hi)
+        if variant == "r1":  # no free integer t: the one offset -rational
+            first, last = max(first, -rational), min(last, -rational)
         for u in range(first, last + 1):
             shift = u << SCREEN_BITS
             c_lo, c_hi = abs_bracket(lo - shift, hi - shift)
-            if best is not None and c_lo > best_hi:
-                continue  # strictly larger than the best
+            if c_lo >= best_hi:
+                continue  # no smaller than the best
             if not terms and u == 0:
                 continue  # exactly zero
             candidate = RadicalSum(terms, u)
-            if best is None or c_hi < best_lo or compare_abs(candidate, best) < 0:
+            if c_hi < best_lo or compare_abs(candidate, best) < 0:
                 best, best_lo, best_hi = candidate, c_lo, c_hi
     sign, enclosure = certify_sign(best)
     if sign == NEGATIVE:

@@ -60,6 +60,18 @@ def test_brute_force_json(capsys):
     assert isinstance(result["value"]["precision_bits"], int)
 
 
+def test_brute_force_r2_reads_offsets_against_the_radical_part(capsys):
+    # the minimising sum sqrt(1) + sqrt(3) + sqrt(4) + sqrt(5) has rational
+    # part 3; offsets centred on the whole sum reported sqrt(2) + sqrt(3) +
+    # sqrt(5) - 5 = 0.382 instead
+    code, out, _ = _run(capsys, "brute-force", "--n", "5", "--k", "4", "--variant", "r2")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["witness"]["display"] == "-√3 - √5 + 4"
+    assert abs(result["value_approx"] - 0.0318812149313330) < 1e-15
+    assert result["instance_count"] == 25
+
+
 def test_root_separation_json(capsys):
     code, out, _ = _run(capsys, "root-separation", "--n", "165", "--k", "100", "--variant", "R")
     assert code == 0

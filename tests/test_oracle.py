@@ -79,6 +79,14 @@ def test_matches_naive_enumeration():
             got = brute_force(n, k, variant).value.approx()
             want = _naive_minimum(n, k, variant)
             assert abs(got - want) < 1e-7, (n, k, variant, got, want)
+    # r2 cases whose minimising sum takes sqrt(1) + sqrt(4) = 3 as its rational
+    # part, which an offset window centred on the whole sum would shift away
+    # from the radical part; the naive t range reaches 4k + 3, past the
+    # largest sum, 17.3 at (12, 5)
+    for n, k in [(4, 4), (5, 4), (5, 5), (6, 4), (8, 5), (12, 5)]:
+        got = brute_force(n, k, "r2").value.approx()
+        want = _naive_minimum(n, k, "r2")
+        assert abs(got - want) < 1e-7, (n, k, "r2", got, want)
 
 
 def test_variant_ordering_invariant():
@@ -160,9 +168,9 @@ def test_validation():
             brute_force(1, k, "r1")
 
 
-def _digest(ns, ks):
+def _digest(ns, ks, variants=("r1", "r2", "R")):
     h = hashlib.sha256()
-    for variant in ("r1", "r2", "R"):
+    for variant in variants:
         for n in ns:
             for k in ks:
                 try:
@@ -183,21 +191,23 @@ def test_outputs_are_pinned():
 
 
 def test_k4_outputs_are_pinned():
-    # the same digest for k = 4 and n <= 7, taken before the oracle screened
-    # candidates on integer brackets, with the same r1 re-pin
-    assert _digest(range(1, 8), (4,)) == "b7335095abf4fc749f685381950b22147937548321125671577bc6bca09d4f36"
-
+    # the same digest for k = 4 and n <= 7: r1 and R taken before the oracle
+    # screened candidates on integer brackets, with the same r1 re-pin; r2
+    # taken once its offsets were read against the radical part alone
+    assert _digest(range(1, 8), (4,), ("r1", "R")) == "2bdab5d9f6e93c70c81a8e204cf55e5d6a7525eeaf971ba7a0856364053816c1"
+    assert _digest(range(1, 8), (4,), ("r2",)) == "162c3c666a470f4feffcb17149a885959b51ee905f37fb036ac0bb4070a66dec"
 
 
 def test_k5_outputs_are_pinned(monkeypatch):
-    # the same digest for k = 5 and n <= 7, taken before the oracle merged
-    # each multiset on integers and formed only the offsets that can still
-    # beat the best.  Its r2 items at n = 5 and 6 pin values above the true
-    # minimum, as the loop computes them: an r2 sum's five offsets are
-    # centred on the sum plus its rational part, not on the sum
-    assert _digest(range(1, 8), (5,)) == "5e7c34db239d8f6105ae20a0bd701c32427357dd249b77c316aec9d8d1d077f1"
-    # the screen leaves only 13 of the 9100 candidates of (6, 4, "R") to the
-    # precision ladder
+    # the same digests for k = 5 and n <= 7: r1 and R taken before the oracle
+    # merged each multiset on integers and formed only the offsets that can
+    # still beat the best; r2 taken once its offsets were read against the
+    # radical part alone, where they had been shifted by the rational part
+    # and missed the minimum at n = 5 and 6
+    assert _digest(range(1, 8), (5,), ("r1", "R")) == "db2fdd501f8c90d2ed0acb3f537c5d3bd087bf3e1447e14ec1877ce9bd35f820"
+    assert _digest(range(1, 8), (5,), ("r2",)) == "61c0dd784d5fe7f40ad4567dae589fb94903342d073d93b1b848d25539ae743d"
+    # the screen leaves at most 13 of the 9100 candidates of (6, 4, "R") to
+    # the precision ladder
     compare_abs = oracle.compare_abs
     calls = 0
 
