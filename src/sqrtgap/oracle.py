@@ -33,8 +33,10 @@ bracket is the pair shifted by u, and a RadicalSum is built only for a
 candidate that passes.  A candidate whose bracket clears the best's is
 decided there, and only overlapping brackets climb the precision ladder in
 compare_abs.  Each variant counts the instances it will offer (sums, times
-the OFFSETS_PER_SUM candidates where t is free) before enumerating, and a
-count above DEFAULT_CAP = 10^8 instances raises ValueError.
+the OFFSETS_PER_SUM candidates where t is free) as one binomial (r1: one
+per sign group), before any radicand is decomposed.  A count above
+DEFAULT_CAP = 10^8 raises ValueError, whose message says "more than" for a
+count of 2^64 or more and where a binomial's smaller index alone passes it.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class BruteForceResult:
     instance_count: int
 
 
-def _multiset_count(alphabet: int, size: int) -> int:
-    return math.comb(alphabet + size - 1, size)
-
-
 def _within(lo: int, hi: int, radius: int) -> tuple[int, int]:
     """First and last integer v with lo - radius <= v * 2^SCREEN_BITS <= hi + radius."""
     return -((radius - lo) >> SCREEN_BITS), (hi + radius) >> SCREEN_BITS
@@ -97,33 +95,38 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
+    half = k // 2
+    if variant == "r1":
+        if n == 1 and k == 2 * half:
+            raise ValueError(f"r1 at n=1 with even k={k} has only zero sums: "
+                             f"+sqrt(1) taken {half} times cancels -sqrt(1) taken {half} times")
+        factors = ((n + half - 1, half), (n + k - half - 1, k - half))
+    elif variant == "r2":
+        if k > n:
+            raise ValueError(f"r2 needs k distinct radicands <= n, got k={k} > n={n}")
+        factors = ((n, k), (OFFSETS_PER_SUM, 1))  # times one of the offsets t, as in R
+    else:  # sizes m <= k over 2n signed terms: sum_m C(2n + m - 1, m) = C(2n + k, k)
+        factors = ((2 * n + k, k), (OFFSETS_PER_SUM, 1))
+    # C(a, b) >= 2^min(b, a - b): a binomial that alone passes the cap is never formed
+    past = any(min(b, a - b) >= DEFAULT_CAP.bit_length() for a, b in factors)
+    total = None if past else math.prod(math.comb(a, b) for a, b in factors)
+    if past or total > DEFAULT_CAP:
+        needs = "more than" if past or total >> 64 else f"{total} >"
+        raise ValueError(f"{variant} enumeration needs {needs} DEFAULT_CAP = {DEFAULT_CAP} instances")
+
     # each radicand r = a*a*s (s square-free) as its term (a, s), decomposed once
     positive = [squarefree_decompose(r) for r in range(1, n + 1)]
     negative = [(-a, s) for a, s in positive]
     if variant == "r1":
-        half = k // 2
-        if n == 1 and k == 2 * half:
-            raise ValueError(f"r1 at n=1 with even k={k} has only zero sums: "
-                             f"+sqrt(1) taken {half} times cancels -sqrt(1) taken {half} times")
-        total = _multiset_count(n, half) * _multiset_count(n, k - half)
         multisets = (pos + neg
                      for pos in combinations_with_replacement(positive, half)
                      for neg in combinations_with_replacement(negative, k - half))
     elif variant == "r2":
-        if k > n:
-            raise ValueError(f"r2 needs k distinct radicands <= n, got k={k} > n={n}")
-        total = math.comb(n, k)
         multisets = combinations(positive, k)
     else:
-        # multisets of signed terms of every size up to k; terms with sign 0
-        # simply shrink the multiset
-        total = sum(_multiset_count(2 * n, m) for m in range(k + 1))
+        # terms with sign 0 simply shrink the multiset
         multisets = (combo for size in range(k + 1)
                      for combo in combinations_with_replacement(positive + negative, size))
-    if variant != "r1":
-        total *= OFFSETS_PER_SUM
-    if total > DEFAULT_CAP:
-        raise ValueError(f"{variant} enumeration needs {total} > DEFAULT_CAP = {DEFAULT_CAP} instances")
 
     # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets
     # |best|.  It starts at 1, which every variant reaches or undercuts: where

@@ -18,6 +18,7 @@ import bisect
 import math
 import threading
 from itertools import compress, count, islice
+from typing import Iterator
 
 # Covers the primes up to the cube root of 2**64 that squarefree_decompose needs.
 MAX_SIEVE_LIMIT = 1 << 22
@@ -55,23 +56,28 @@ def _sieve(limit: int) -> tuple[list[int], bytearray]:
     return _primes, _squarefree
 
 
-def nth_squarefree(i: int) -> int:
-    """Return the i-th square-free integer counting from 2 (1-indexed)."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
-    return squarefree_upto(i)[-1]
-
-
-def squarefree_upto(i: int) -> list[int]:
-    """Return the first i square-free integers >= 2 as a list.
+def _squarefree_from_2(i: int) -> Iterator[int]:
+    """The square-free integers >= 2, read lazily from a sieve that holds i of them.
 
     [0, 2i + 16) always holds i of them: at most x * sum(1/p^2) < 0.46x
     integers in [1, x] are divisible by the square of a prime, so more than
     1.08i integers in [2, 2i + 16) are square-free.
     """
+    return compress(count(), _sieve(2 * i + 16)[1])
+
+
+def nth_squarefree(i: int) -> int:
+    """Return the i-th square-free integer counting from 2 (1-indexed)."""
+    if i < 1:
+        raise ValueError(f"index must be >= 1, got {i}")
+    return next(islice(_squarefree_from_2(i), i - 1, None))
+
+
+def squarefree_upto(i: int) -> list[int]:
+    """Return the first i square-free integers >= 2 as a list."""
     if i < 1:
         raise ValueError(f"count must be >= 1, got {i}")
-    return list(islice(compress(count(), _sieve(2 * i + 16)[1]), i))
+    return list(islice(_squarefree_from_2(i), i))
 
 
 def is_squarefree(n: int) -> bool:

@@ -294,6 +294,10 @@ _REJECTED = [
     (("certify", "--k", "2000000", "--N", "10"), "BASIS_MAX_DIM"),
     (("upper-bound", "--k", "2000000", "--N", "10"), "BASIS_MAX_DIM"),
     (("lower-bound", "--k", "3000000"), "BASIS_MAX_DIM"),
+    # counted before any radicand is decomposed
+    (("brute-force", "--n", "1000000", "--k", "2", "--variant", "r2"), "DEFAULT_CAP"),
+    # a count of thousands of digits, rejected without forming it
+    (("brute-force", "--n", "6000", "--k", "6000", "--variant", "R"), "DEFAULT_CAP"),
 ]
 
 

@@ -128,7 +128,7 @@ def test_instance_count_reported():
     res = brute_force(2, 2, "r1")
     # 2 positive-group choices... k=2: 1 positive, 1 negative: 2*2 = 4
     assert res.instance_count == 4
-    for n, k in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]:
+    for n, k in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (2, 6), (3, 5)]:
         for variant in ("r1", "r2", "R"):
             if (variant == "r2" and k > n) or (variant == "r1" and n == 1 and k % 2 == 0):
                 continue
@@ -152,6 +152,24 @@ def test_cap_counts_offered_instances(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_CAP", 5 * math.comb(6, 3) - 1)
     with pytest.raises(ValueError, match=r"needs 100 > DEFAULT_CAP = 99"):
         brute_force(6, 3, "r2")
+
+
+def test_cap_is_decided_without_forming_a_huge_binomial(monkeypatch):
+    # C(a, b) >= 2^min(b, a - b) passes DEFAULT_CAP once the smaller index
+    # reaches the cap's bit length, 27, so no such binomial is formed
+    comb = math.comb
+
+    def small_only(a, b):
+        assert min(b, a - b) < 27, (a, b)
+        return comb(a, b)
+
+    monkeypatch.setattr(oracle.math, "comb", small_only)
+    with pytest.raises(ValueError, match=r"^R enumeration needs more than DEFAULT_CAP = 100000000 instances$"):
+        brute_force(10**6, 10**6, "R")
+    # a count formed but of 2^64 or more is not printed either: this one has
+    # about 1400 digits
+    with pytest.raises(ValueError, match=r"^r2 enumeration needs more than DEFAULT_CAP"):
+        brute_force(10**700, 2, "r2")
 
 
 def test_validation():

@@ -165,6 +165,14 @@ def test_sieve_cap_rejects_before_allocating():
         assert _peak_bytes(attempt)[1] < 1 << 20, call.__name__
 
 
+def test_nth_squarefree_reads_the_sieve_without_a_list(empty_sieve):
+    # the largest admitted index, whose sieve [0, 2i + 16] reaches the cap; once
+    # the sieve is warm, a list of the first i values would add about 72 MB
+    largest = (MAX_SIEVE_LIMIT - 16) // 2
+    assert nth_squarefree(largest) == 3449667
+    assert _peak_bytes(lambda: nth_squarefree(largest))[1] < 1 << 20
+
+
 def test_prime_count():
     assert prime_count(1) == 0
     assert prime_count(2) == 1
