@@ -18,11 +18,12 @@ import bisect
 import math
 import threading
 from itertools import compress, count, islice
-from typing import Iterator
 
 # Covers the primes up to the cube root of 2**64 that squarefree_decompose needs.
 MAX_SIEVE_LIMIT = 1 << 22
 DECOMPOSE_LIMIT = 1 << 64
+# nth_squarefree counts flags a block at a time: an index below 2032 reads at most one block
+_BLOCK = 4096
 
 _lock = threading.Lock()
 _limit = -1  # the cache covers [0, _limit]
@@ -56,28 +57,33 @@ def _sieve(limit: int) -> tuple[list[int], bytearray]:
     return _primes, _squarefree
 
 
-def _squarefree_from_2(i: int) -> Iterator[int]:
-    """The square-free integers >= 2, read lazily from a sieve that holds i of them.
-
-    [0, 2i + 16) always holds i of them: at most x * sum(1/p^2) < 0.46x
-    integers in [1, x] are divisible by the square of a prime, so more than
-    1.08i integers in [2, 2i + 16) are square-free.
-    """
-    return compress(count(), _sieve(2 * i + 16)[1])
-
-
 def nth_squarefree(i: int) -> int:
-    """Return the i-th square-free integer counting from 2 (1-indexed)."""
+    """Return the i-th square-free integer counting from 2 (1-indexed).
+
+    The sieve reads [0, end) with end = 2i + 16, which always holds i of
+    them: at most x * sum(1/p^2) < 0.46x integers in [1, x] are divisible by
+    the square of a prime, so more than 1.08i integers in [2, 2i + 16) are
+    square-free.  Whole blocks are counted in C until one holds the i-th
+    flag, and a block that reaches end holds it uncounted; only [start, end)
+    is read position by position, and only up to that flag.
+    """
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    return next(islice(_squarefree_from_2(i), i - 1, None))
+    end = 2 * i + 16
+    flags = _sieve(end)[1]
+    start = 0
+    while start + _BLOCK < end and (held := flags.count(1, start, start + _BLOCK)) < i:
+        i -= held
+        start += _BLOCK
+    return next(islice(compress(count(start), flags[start:end]), i - 1, None))
 
 
 def squarefree_upto(i: int) -> list[int]:
     """Return the first i square-free integers >= 2 as a list."""
     if i < 1:
         raise ValueError(f"count must be >= 1, got {i}")
-    return list(islice(_squarefree_from_2(i), i))
+    # [0, 2i + 16) holds i of them, as nth_squarefree shows
+    return list(islice(compress(count(), _sieve(2 * i + 16)[1]), i))
 
 
 def is_squarefree(n: int) -> bool:

@@ -98,7 +98,7 @@ def test_criterion_2_desk_scale_lower_bound():
 def test_criterion_3_soundness_cross_check():
     violations = []
     checked = 0
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         truth = brute_force(nth_squarefree(k), k, "R")
         certificates = [
             find_lower_bound(k, step=10, start_scale=1),
@@ -115,7 +115,7 @@ def test_criterion_3_soundness_cross_check():
     _report(
         3,
         ok,
-        f"{checked} certificates at k=3,4,5 all satisfy 1/N <= brute-forced minimum "
+        f"{checked} certificates at k=3,4,5,6 all satisfy 1/N <= brute-forced minimum "
         f"(zero tolerance); violations: {violations}",
     )
 

@@ -298,6 +298,8 @@ _REJECTED = [
     (("brute-force", "--n", "1000000", "--k", "2", "--variant", "r2"), "DEFAULT_CAP"),
     # a count of thousands of digits, rejected without forming it
     (("brute-force", "--n", "6000", "--k", "6000", "--variant", "R"), "DEFAULT_CAP"),
+    # 10^8 instances, under DEFAULT_CAP, but half lists that would hold every radicand
+    (("brute-force", "--n", "20000000", "--k", "1", "--variant", "r2"), "HOLD_CAP"),
 ]
 
 

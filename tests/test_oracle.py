@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -172,6 +174,45 @@ def test_cap_is_decided_without_forming_a_huge_binomial(monkeypatch):
         brute_force(10**700, 2, "r2")
 
 
+def test_held_slots_are_capped_before_any_radicand_is_decomposed():
+    # r2 at k = 1 offers 5n instances, under DEFAULT_CAP up to n = 2 * 10^7,
+    # but its half lists would hold every radicand: refused on the count alone
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^r2 search needs 60000002 > HOLD_CAP = 1048576 slots$"):
+            brute_force(2 * 10**7, 1, "r2")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.25 and peak < 1 << 20
+    # few entries, but long ones: r1 at n = 2, k = 19997 offers 9999 * 10000
+    # instances, under DEFAULT_CAP, from lists of about 10^4 entries of
+    # about 10^4 terms each
+    with pytest.raises(ValueError, match=r"^r1 search needs 199980003 > HOLD_CAP"):
+        brute_force(2, 19997, "r1")
+    # a count of 2^64 or more is not printed
+    with pytest.raises(ValueError, match=r"^r1 search needs more than HOLD_CAP = 1048576 slots$"):
+        brute_force(1, 10**30 + 1, "r1")
+
+
+def test_hold_cap_counts_what_the_half_lists_hold(monkeypatch):
+    # (6, 4, "R"): n = 6 radicands, and on each side the multisets of 6
+    # letters of size j <= 4, C(5 + j, j) of them, at 1 + j slots each:
+    # 6 + 2 * (1 + 2*6 + 3*21 + 4*56 + 5*126) = 1866
+    monkeypatch.setattr(oracle, "HOLD_CAP", 1866)
+    assert brute_force(6, 4, "R").instance_count == 9100
+    monkeypatch.setattr(oracle, "HOLD_CAP", 1865)
+    with pytest.raises(ValueError, match=r"R search needs 1866 > HOLD_CAP = 1865 slots"):
+        brute_force(6, 4, "R")
+    # (6, 3, "r2"): radicands 1..3 against 4..6, sizes j and 3 - j:
+    # 6 + 2 * (1*1 + 2*3 + 3*3 + 4*1) = 46
+    monkeypatch.setattr(oracle, "HOLD_CAP", 45)
+    with pytest.raises(ValueError, match=r"r2 search needs 46 > HOLD_CAP = 45 slots"):
+        brute_force(6, 3, "r2")
+
+
 def test_validation():
     with pytest.raises(ValueError):
         brute_force(0, 3, "R")
@@ -214,6 +255,12 @@ def test_k4_outputs_are_pinned():
     # taken once its offsets were read against the radical part alone
     assert _digest(range(1, 8), (4,), ("r1", "R")) == "2bdab5d9f6e93c70c81a8e204cf55e5d6a7525eeaf971ba7a0856364053816c1"
     assert _digest(range(1, 8), (4,), ("r2",)) == "162c3c666a470f4feffcb17149a885959b51ee905f37fb036ac0bb4070a66dec"
+
+
+def test_k6_outputs_are_pinned():
+    # the same digest for k = 6 and n <= 8, all three variants, taken before
+    # the oracle paired half-multisets instead of walking every multiset
+    assert _digest(range(1, 9), (6,)) == "bc44b8a9cc6dc9c51e7cc4e596631466f8148491d1f200f46a3074fb8c7250cf"
 
 
 def test_k5_outputs_are_pinned(monkeypatch):
