@@ -22,11 +22,11 @@ minimum Gram-Schmidt norm of a reduced basis, and first checks from the rows
 alone that they are a basis of the input lattice, so every certificate here
 is sound regardless of reduction quality; quality only affects how small an
 N can be certified.  So a certificate reduces only until the minimum clears
-the threshold (bkz's until), and BKZ converges only at scales where it
-never does.  The witness and scan paths reduce without a target: their
-rows are the product, and a stopped or preconditioned basis gives other
-rows (at k = 15, N near 10^80 it gave a weaker witness).  In the other
-direction, any short reduced row yields a
+the threshold (bkz's until, on the minimum the verified profile reads), and
+BKZ converges only at scales where it never does.  The witness and scan
+paths reduce without a target: their rows are the product, and a stopped
+or preconditioned basis gives other rows (at k = 15, N near 10^80 it gave
+a weaker witness).  In the other direction, any short reduced row yields a
 concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at most
 (|s| + sum|a_i|/2) / N, a constructive upper bound.
 """
@@ -48,6 +48,9 @@ DEFAULT_MAX_ITERS = 200
 # Largest qian-wang k, checked before any binomial: the coefficients alone
 # take about k^2/2 bits, so k = 10^6 would need about 62 GB.
 QIAN_WANG_MAX_K = 4096
+# Largest predicted qian-wang precision, k - log2(rhs) bits (the coefficients sum to
+# 2^k): the deciding rung lies within about 70 bits above it, so all decide by 8192.
+QIAN_WANG_MAX_BITS = 8000
 
 
 class NoCertificateError(RuntimeError):
@@ -85,11 +88,6 @@ class Threshold:
         return float(self.value)
 
 
-def _check_level(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def certification_threshold(k: int) -> Threshold:
     """Squared-length bar the shortest lattice vector must clear for level k.
 
@@ -99,7 +97,6 @@ def certification_threshold(k: int) -> Threshold:
     enclosure, so T < T_hi <= T + k*2^-64.  A norm above T_hi is above T,
     so clearing the higher bar certifies as well.
     """
-    _check_level(k)
     s = squarefree.nth_squarefree(k)
     root_hi = exactnum.sqrt_enclosure(s, exactnum.DEFAULT_START_BITS).hi
     return Threshold(1 + Fraction(5, 4) * k * k * s + k * root_hi)
@@ -107,15 +104,26 @@ def certification_threshold(k: int) -> Threshold:
 
 @dataclass(frozen=True)
 class LowerBoundCertificate:
+    """A certificate's numbers; its verdict is derived from them, never stored."""
+
     k: int
-    sigma_k: int
     scale: int  # the certified bound is 1/scale
     min_gs_norm_sq: Fraction
     threshold: Threshold
-    difference: Fraction  # min_gs_norm_sq - threshold.value
-    threshold_passed: bool
     swaps: int  # LLL swaps of the reduction the certificate comes from
     tours: int  # BKZ tours it began; 0 where LLL alone cleared the threshold
+
+    @property
+    def sigma_k(self) -> int:
+        return squarefree.nth_squarefree(self.k)
+
+    @property
+    def difference(self) -> Fraction:
+        return self.min_gs_norm_sq - self.threshold.value
+
+    @property
+    def threshold_passed(self) -> bool:
+        return self.threshold.exceeded_by(self.min_gs_norm_sq)
 
 
 def _reduce_checked(
@@ -139,9 +147,9 @@ def _reduce_checked(
     full-rank sublattice of the same determinant is the lattice itself.
     Raises ReductionError otherwise, so nothing is ever derived from rows
     that are not a basis of the lattice, whatever the reducer did.  Returns
-    the basis, the reduction and the coordinates of its rows.
+    the basis, the reduction and the coordinates of its rows.  The public
+    caller checks k and scale before any sieve; build_basis checks again.
     """
-    check_basis_size(k, scale)  # before the sieve, which k alone can make huge
     basis = build_basis(squarefree.squarefree_upto(k), scale)
     # bkz's first argument is positional: perfbench's tracer reads args[0].
     reduced = bkz(basis if start is None else [basis.vector(c) for c in start], until=until)
@@ -160,7 +168,6 @@ def _certify(
     """certify_lower_bound against threshold, reducing from start as
     _reduce_checked does; also returns the coordinates of the reduced rows,
     or None where the determinant floor decided the scale without a reduction."""
-    check_basis_size(k, scale)
     if threshold.unreachable(scale, k + 1):
         # the input basis decides: its squared Gram-Schmidt norms are N^2, 1, ..., 1
         min_norm, swaps, tours, coords = Fraction(1), 0, 0, None
@@ -169,12 +176,9 @@ def _certify(
         min_norm, swaps, tours = reduced_profile(reduced).min_norm_sq, reduced.swaps, reduced.tours
     cert = LowerBoundCertificate(
         k=k,
-        sigma_k=squarefree.nth_squarefree(k),
         scale=scale,
         min_gs_norm_sq=min_norm,
         threshold=threshold,
-        difference=min_norm - threshold.value,
-        threshold_passed=threshold.exceeded_by(min_norm),
         swaps=swaps,
         tours=tours,
     )
@@ -195,13 +199,10 @@ def certify_lower_bound(k: int, scale: int) -> LowerBoundCertificate:
     failed attempt, not an error; the exact norm it carries shows how far
     the comparison missed.
 
-    The squared Gram-Schmidt norms of every basis multiply to the squared
-    determinant, scale^2, so below the determinant floor, where
-    scale^2 <= T^(k+1) (Threshold.unreachable), no basis clears the
-    threshold.  There nothing is built or reduced: the certificate is the
-    input basis's, with min_gs_norm_sq 1 and swaps = tours = 0.
+    Below the determinant floor (Threshold.unreachable) no basis clears the
+    threshold, so nothing is built or reduced: the certificate is the input
+    basis's, with min_gs_norm_sq 1 and swaps = tours = 0.
     """
-    _check_level(k)
     check_basis_size(k, scale)  # every input limit before the threshold's sieve
     return _certify(k, scale, certification_threshold(k))[0]
 
@@ -234,8 +235,9 @@ def find_lower_bound(
     """
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
-    _check_level(k)
-    check_basis_size(k, 1)  # before the sieve and the default start, a (6.6k)-bit power of ten
+    # Before the sieve and the 10^(2k) default start.  build_basis checks a grown
+    # scale; one the floor decides lies inside BASIS_MAX_BITS for every k.
+    check_basis_size(k, 1 if start_scale is None else start_scale)
     scale = 10 ** (2 * k) if start_scale is None else start_scale
     threshold, coords = certification_threshold(k), None
     for _ in range(DEFAULT_MAX_ITERS):
@@ -320,9 +322,9 @@ def upper_bound_from_reduction(k: int, scale: int) -> UpperBoundWitness:
     precision on enclosure overlap); any row satisfies the row inequality,
     but the shortest row is not always the best witness.
     """
-    _check_level(k)
     if scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
+    check_basis_size(k, scale)  # before the sieve, which k alone can make huge
     basis, reduced, _ = _reduce_checked(k, scale)
     best: Optional[UpperBoundWitness] = None
     for row in reduced.rows:
@@ -390,16 +392,13 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
         raise ValueError(f"t must be >= 1, got {t}")
     if t + k >= squarefree.DECOMPOSE_LIMIT:  # the radicands t .. t + k are decomposed
         raise ValueError(f"t + k must be below 2**64 (DECOMPOSE_LIMIT), got {(t + k).bit_length()} bits")
-    terms = []
-    for i in range(k + 1):
-        c = math.comb(k, i)
-        terms.append((c if i % 2 == 0 else -c, t + i))
-    value = RadicalSum.from_terms(terms)
-    odd_product = 1
-    for odd in range(1, 2 * k - 2, 2):
-        odd_product *= odd
-    rhs_sq = Fraction(odd_product * odd_product, 4**k * t ** (2 * k - 1))
+    odd_product = math.prod(range(1, 2 * k - 2, 2))
     rhs_log10 = math.log10(odd_product) - k * math.log10(2) - (k - 0.5) * math.log10(t)
+    bits = k - rhs_log10 * math.log2(10)
+    if bits > QIAN_WANG_MAX_BITS:
+        raise ValueError(f"deciding |sum| <= rhs needs about {bits:.0f} bits > QIAN_WANG_MAX_BITS = {QIAN_WANG_MAX_BITS}")
+    value = RadicalSum.from_terms(((-1) ** i * math.comb(k, i), t + i) for i in range(k + 1))
+    rhs_sq = Fraction(odd_product * odd_product, 4**k * t ** (2 * k - 1))
     return QianWangInstance(k=k, t=t, value=value, rhs_sq=rhs_sq, rhs_log10=rhs_log10)
 
 

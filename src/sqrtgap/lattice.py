@@ -88,7 +88,7 @@ class LatticeBasis:
 def check_basis_size(k: int, scale: int) -> None:
     """Raise ValueError unless build_basis admits k radicands at this scale."""
     if k < 1:
-        raise ValueError(f"need at least one radicand, got k = {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     if k >= BASIS_MAX_DIM:
         raise ValueError(f"{k + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
     if scale < 1:

@@ -34,10 +34,11 @@ certificate needs only some basis whose minimum clears the threshold,
 since any basis's minimum bounds lambda_1 from below, so converging further
 would only cost time.  That path first runs one LLL pass at
 PRECONDITION_DELTA = 3/4, which needs fewer swaps, and then the
-DEFAULT_DELTA pass on the same state; the target is checked after that pass
-and after each insertion's re-reduction, on the reducer's own d, so every
-state it sees is DEFAULT_DELTA-reduced.  Without a target the schedule is
-the plain one, and its output does not change.
+DEFAULT_DELTA pass on the same state; the target is checked, on
+GramSchmidtProfile.from_d of the reducer's own d (the minimum the verified
+profile reads), after that pass and after each insertion's re-reduction, so
+every state it sees is DEFAULT_DELTA-reduced.  Without a target the
+schedule is the plain one, and its output does not change.
 
 Both reducers return a ReducedBasis, which re-verifies size reduction and
 the Lovasz condition on a fresh integer GSO of the output rows
@@ -178,12 +179,8 @@ class _IntegralLLL:
                 k += 1
 
     def min_norm_sq(self) -> Fraction:
-        """min d[i+1]/d[i], by integer cross-multiplication; needs kmax = n - 1."""
-        d, best = self.d, 0
-        for i in range(1, self.n):
-            if d[i + 1] * d[best] < d[best + 1] * d[i]:
-                best = i
-        return Fraction(d[best + 1], d[best])
+        """min d[i+1]/d[i] as the verified profile computes it; needs kmax = n - 1."""
+        return GramSchmidtProfile.from_d(self.d).min_norm_sq
 
 
 def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:

@@ -11,6 +11,7 @@ from sqrtgap import bounds, cli, lattice, reduction
 from sqrtgap.bounds import (
     DEFAULT_STEP,
     QIAN_WANG_MAX_K,
+    LowerBoundCertificate,
     NoCertificateError,
     certification_threshold,
     certify_lower_bound,
@@ -115,6 +116,19 @@ def test_certify_pass_and_fields():
     # 10^2 lies below the floor: decided without a reduction
     assert cert.threshold.unreachable(10**2, 4)
     assert certify_lower_bound(3, 10**2).tours == 0
+
+
+def test_certificate_verdict_is_derived_from_its_numbers():
+    threshold = certification_threshold(3)
+    fields = dict(k=3, scale=10**8, threshold=threshold, swaps=0, tours=0)
+    at_bar = LowerBoundCertificate(min_gs_norm_sq=threshold.value, **fields)
+    assert at_bar.threshold_passed is False and at_bar.difference == 0
+    assert at_bar.sigma_k == 5
+    above = LowerBoundCertificate(min_gs_norm_sq=threshold.value + Fraction(1, 10**30), **fields)
+    assert above.threshold_passed is True and above.difference == Fraction(1, 10**30)
+    # a verdict cannot be stored beside the numbers it would contradict
+    with pytest.raises(TypeError):
+        LowerBoundCertificate(min_gs_norm_sq=Fraction(1), threshold_passed=True, **fields)
 
 
 def test_below_the_determinant_floor_nothing_is_reduced(monkeypatch):
@@ -414,6 +428,10 @@ def test_qian_wang_validates():
     try:
         with pytest.raises(ValueError, match="QIAN_WANG_MAX_K"):
             qian_wang_instance(QIAN_WANG_MAX_K + 1, 1)
+        # predicted to decide at about 12 700 bits (k - log2 rhs), so it is
+        # rejected before any coefficient is formed
+        with pytest.raises(ValueError, match="about 12672 bits > QIAN_WANG_MAX_BITS = 8000"):
+            qian_wang_instance(1024, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

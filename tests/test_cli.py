@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -264,12 +265,12 @@ def test_root_separation_overflow_is_input_error(capsys):
     assert out == "" and "double range" in err
 
 
-# Each case fails fast: exit 1 and no report, within 1 MB traced, with a
-# message that names the limit or the expected form.
+# Each case fails fast: exit 1 and no report, within 1 MB traced and 1 s,
+# with a message that names the limit or the expected form.
 _REJECTED = [
     (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)), f"exceeds {MAX_POWER_BITS} bits"),
     (("ratio-scan", "--k", "3", "--log10n", "8,-1"), "negative exponent in 10^-1"),
-    (("ratio-scan", "--k", "0", "--log10n", "10"), "need at least one radicand, got k = 0"),
+    (("ratio-scan", "--k", "0", "--log10n", "10"), "k must be >= 1, got 0"),
     (("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"), "BASIS_MAX_DIM"),
     (("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
     (("upper-bound", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
@@ -300,14 +301,20 @@ _REJECTED = [
     (("brute-force", "--n", "6000", "--k", "6000", "--variant", "R"), "DEFAULT_CAP"),
     # 10^8 instances, under DEFAULT_CAP, but half lists that would hold every radicand
     (("brute-force", "--n", "20000000", "--k", "1", "--variant", "r2"), "HOLD_CAP"),
+    # predicted to decide at about 42 500 and 223 000 bits: rejected before any
+    # coefficient or radicand (they ran for 55 s and over 10 minutes)
+    (("qian-wang", "--k", "4096", "--t", "10^6"), "QIAN_WANG_MAX_BITS"),
+    (("qian-wang", "--k", "4096", "--t", "18446744073709547519"), "QIAN_WANG_MAX_BITS"),
 ]
 
 
 @pytest.mark.parametrize("argv, reason", _REJECTED, ids=[f"argv{i}" for i in range(len(_REJECTED))])
 def test_first_value_past_each_limit_fails_fast(capsys, argv, reason):
     tracemalloc.start()
+    start = time.perf_counter()
     try:
         code = main(list(argv))
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,6 +322,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv, reason):
     assert code == 1
     assert out.out == ""
     assert peak < 1 << 20
+    assert elapsed < 1.0
     assert reason in out.err
     assert "_parse" not in out.err and len(out.err) < 200
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the source tree."""
+"""Each demo script runs to completion against the source tree, with every
+warning an error (the -W error of the test run does not reach a subprocess)."""
 
 import os
 import subprocess
@@ -15,6 +16,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
