@@ -73,7 +73,7 @@ cert = find_lower_bound(
     progress=lambda c: print(
         f"  N = 10^{len(str(c.scale)) - 1:>3}: floor^2 ~ {float(c.min_gs_norm_sq):9.1f} "
         f"-> {'certified' if c.threshold_passed else 'not yet'}"
-        f"{' (below the determinant floor, not reduced)' if c.threshold.unreachable(c.scale, k + 1) else ''}"
+        f"{' (below the determinant floor, not reduced)' if c.below_floor else ''}"
     ),
 )
 print(f"\ncertificate: every gap at this height exceeds 1/N = 10^{-math.log10(cert.scale):.0f}")

@@ -16,8 +16,6 @@ from .exactnum import (
     compare_abs,
     dyadic_decimal,
     enclose_radical_sum,
-    scaled_nearest_sqrt,
-    sqrt_enclosure,
 )
 from .squarefree import (
     is_squarefree,
@@ -35,6 +33,7 @@ from .lattice import (
     determinant,
     enumerate_shortest,
     gram_schmidt,
+    scaled_nearest_sqrt,
 )
 from .reduction import (
     ReducedBasis,

@@ -17,18 +17,20 @@ integers s_i up to the k-th square-free integer.  The certification route:
     rounded up once (certification_threshold), so both the certificate's
     test and the determinant floor are one exact rational decision.
 
-The reduction pipeline only ever certifies a lower bound on lambda via the
-minimum Gram-Schmidt norm of a reduced basis, and first checks from the rows
-alone that they are a basis of the input lattice, so every certificate here
-is sound regardless of reduction quality; quality only affects how small an
-N can be certified.  So a certificate reduces only until the minimum clears
-the threshold (bkz's until, on the minimum the verified profile reads), and
-BKZ converges only at scales where it never does.  The witness and scan
-paths reduce without a target: their rows are the product, and a stopped
-or preconditioned basis gives other rows (at k = 15, N near 10^80 it gave
-a weaker witness).  In the other direction, any short reduced row yields a
-concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at most
-(|s| + sum|a_i|/2) / N, a constructive upper bound.
+A certificate's soundness rests on integers alone: the sieve (squarefree),
+the rows and the exact Gram-Schmidt pass whose minimum bounds lambda from
+below (lattice), the check that the reduced rows are a basis of the input
+lattice, and the rational threshold.  It rests neither on exactnum, the
+interval layer of witnesses, the oracle and qian-wang, nor on the LLL, BKZ
+or the enumeration, which only choose the rows: their quality only affects
+how small an N can be certified.  So a certificate reduces only until the
+minimum clears the threshold (bkz's until, on the minimum the verified
+profile reads), and BKZ converges only at scales where it never does.  The
+witness and scan paths reduce without a target: their rows are the product,
+and a stopped or preconditioned basis gives other rows (at k = 15, N near
+10^80 it gave a weaker witness).  In the other direction, any short reduced
+row yields a concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at
+most (|s| + sum|a_i|/2) / N, a constructive upper bound.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import exactnum, squarefree
+from . import squarefree
 from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from .lattice import LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
@@ -93,12 +95,12 @@ def certification_threshold(k: int) -> Threshold:
 
     T = (1 + k*sqrt(s)/2)^2 + k^2*s = 1 + (5/4)*k^2*s + k*sqrt(s), with s the
     k-th square-free integer, is irrational; the bar is the rational T_hi
-    with sqrt(s) replaced by the upper end of its DEFAULT_START_BITS
-    enclosure, so T < T_hi <= T + k*2^-64.  A norm above T_hi is above T,
-    so clearing the higher bar certifies as well.
+    with sqrt(s) rounded up to (isqrt(s * 2^128) + 1) / 2^64, s >= 2 being
+    square-free and so no square: T < T_hi <= T + k*2^-64, and a norm above
+    T_hi is above T, so clearing the higher bar certifies as well.
     """
     s = squarefree.nth_squarefree(k)
-    root_hi = exactnum.sqrt_enclosure(s, exactnum.DEFAULT_START_BITS).hi
+    root_hi = Fraction(math.isqrt(s << 128) + 1, 1 << 64)
     return Threshold(1 + Fraction(5, 4) * k * k * s + k * root_hi)
 
 
@@ -124,6 +126,11 @@ class LowerBoundCertificate:
     @property
     def threshold_passed(self) -> bool:
         return self.threshold.exceeded_by(self.min_gs_norm_sq)
+
+    @property
+    def below_floor(self) -> bool:
+        """Whether the determinant floor decides this level-k lattice (det N, dim k + 1)."""
+        return self.threshold.unreachable(self.scale, self.k + 1)
 
 
 def _reduce_checked(

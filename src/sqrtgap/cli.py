@@ -260,13 +260,12 @@ def _scale_label(scale: int) -> str:
 def _run_lower_bound(args) -> dict:
     def progress(cert):
         norm = _approx(cert.min_gs_norm_sq)
-        floor = cert.threshold.unreachable(cert.scale, cert.k + 1)
         print(
             f"scale {_scale_label(cert.scale)}: min GS norm^2 ~ "
             f"{'(beyond double range)' if norm is None else format(norm, '.4g')} "
             f"vs {cert.threshold.approx():.4g} "
             f"-> {'pass' if cert.threshold_passed else 'fail'}"
-            f"{' (below the determinant floor, not reduced)' if floor else ''}",
+            f"{' (below the determinant floor, not reduced)' if cert.below_floor else ''}",
             file=sys.stderr,
         )
 

@@ -3,8 +3,8 @@
 Everything here is exact or outward-rounded.  An Enclosure is a pair of
 dyadic rationals guaranteed to bracket a real value; a RadicalSum's
 bracket at p bits is two exact integer sums over 2^p, built from integer
-square-root brackets.  The only rounding in the whole library happens
-when a square root is bracketed, and that step rounds outward.  Every
+square-root brackets, its only rounding and always outward (a certificate
+rounds on integers in lattice and never calls this module).  Every
 decision climbs one precision ladder (refine) and compares those
 integers; Fractions are built only for a reported Enclosure.  Sign
 decisions are therefore certificates, never floating point guesses: a
@@ -34,26 +34,6 @@ NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 class PrecisionExhausted(RuntimeError):
     """Raised when a sign could not be separated within the precision cap."""
-
-
-def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
-    """Integer nearest scale*sqrt(radicand), computed without floating point.
-
-    Rounds halves up, matching floor(x + 1/2).  With t = isqrt(4*scale^2*s),
-    the answer is (t+1)//2 in every case: t is the floor of twice the target,
-    and the parity of t settles which integer is nearest.
-    """
-    if radicand < 1:
-        raise ValueError(f"radicand must be >= 1, got {radicand}")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    t = math.isqrt(4 * scale * scale * radicand)
-    return (t + 1) // 2
-
-
-def round_half_up(num: int, den: int) -> int:
-    """Integer nearest num/den for den > 0, halves rounded up: floor(num/den + 1/2)."""
-    return (2 * num + den) // (2 * den)
 
 
 def abs_bracket(lo, hi):
@@ -100,15 +80,6 @@ def _sqrt_bracket(radicand: int, bits: int) -> tuple[int, int]:
     if m * m == radicand << (2 * bits):
         return m, m
     return m, m + 1
-
-
-def sqrt_enclosure(radicand: int, precision_bits: int) -> Enclosure:
-    """Outward-rounded dyadic enclosure of sqrt(radicand), width <= 2^-bits."""
-    if radicand < 0:
-        raise ValueError(f"sqrt of negative value {radicand}")
-    m_lo, m_hi = _sqrt_bracket(radicand, precision_bits)
-    unit = Fraction(1, 1 << precision_bits)
-    return Enclosure(m_lo * unit, m_hi * unit, precision_bits)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ all-integer on the integral Gram-Schmidt data, with no Fraction and no float.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import round_half_up, scaled_nearest_sqrt
 from .squarefree import is_squarefree
 
 Row = tuple[int, ...]
@@ -83,6 +83,26 @@ class LatticeBasis:
         tail = tuple(coords[1:])
         first = coords[0] * self.scale + sum(c * r[0] for c, r in zip(tail, self.rows[1:]))
         return (first,) + tail
+
+
+def round_half_up(num: int, den: int) -> int:
+    """Integer nearest num/den for den > 0, halves rounded up: floor(num/den + 1/2)."""
+    return (2 * num + den) // (2 * den)
+
+
+def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
+    """Integer nearest scale*sqrt(radicand), computed without floating point.
+
+    Rounds halves up, matching floor(x + 1/2).  With t = isqrt(4*scale^2*s),
+    the answer is (t+1)//2 in every case: t is the floor of twice the target,
+    and the parity of t settles which integer is nearest.
+    """
+    if radicand < 1:
+        raise ValueError(f"radicand must be >= 1, got {radicand}")
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+    t = math.isqrt(4 * scale * scale * radicand)
+    return (t + 1) // 2
 
 
 def check_basis_size(k: int, scale: int) -> None:

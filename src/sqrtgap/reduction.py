@@ -55,7 +55,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import lattice
-from .exactnum import round_half_up
 from .lattice import (
     GramSchmidtProfile,
     LatticeBasis,
@@ -63,6 +62,7 @@ from .lattice import (
     as_rows,
     enumerate_block,
     fraction_gso,  # perfbench/tracer.py binds reduction.fraction_gso by getattr
+    round_half_up,
     update_integral_gso,
 )
 

@@ -1,5 +1,7 @@
+import ast
 import functools
 import hashlib
+import inspect
 import json
 import math
 import tracemalloc
@@ -7,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtgap import bounds, cli, lattice, reduction
+from sqrtgap import bounds, cli, exactnum, lattice, reduction, squarefree
 from sqrtgap.bounds import (
     DEFAULT_STEP,
     QIAN_WANG_MAX_K,
@@ -145,6 +147,33 @@ def test_below_the_determinant_floor_nothing_is_reduced(monkeypatch):
         assert cert.min_gs_norm_sq == 1
         assert cert.difference == 1 - cert.threshold.value
         assert cert.sigma_k == nth_squarefree(k)
+
+
+def test_certificate_reads_its_floor_verdict():
+    cert = certify_lower_bound(3, 4000)
+    assert cert.below_floor is True and cert.swaps == cert.tours == 0
+    assert certify_lower_bound(3, 10**4).below_floor is False
+
+
+def _tree(obj) -> ast.AST:
+    return ast.parse(inspect.getsource(obj))
+
+
+def test_certificate_stack_imports_nothing_from_exactnum():
+    for module in (squarefree, lattice, reduction):
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                assert not any("exactnum" in name for name in names), module.__name__
+    # every name exactnum defines at its top level, and the module itself
+    defined = {"exactnum"}
+    for node in _tree(exactnum).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            defined |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    used = {n.id for n in ast.walk(_tree(bounds.certification_threshold)) if isinstance(n, ast.Name)}
+    assert not used & defined
 
 
 def test_determinant_floor_boundary_at_k3(monkeypatch):

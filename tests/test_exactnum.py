@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ from sqrtgap.exactnum import (
     dyadic_decimal,
     enclose_radical_sum,
     radical_sum_bracket,
-    scaled_nearest_sqrt,
-    sqrt_enclosure,
+    terms_bracket,
 )
+from sqrtgap.lattice import round_half_up, scaled_nearest_sqrt
 
 
 @pytest.mark.parametrize(
@@ -30,7 +31,7 @@ from sqrtgap.exactnum import (
     + [(n, 1, n) for n in (-7, -1, 0, 1, 12)],
 )
 def test_round_half_up(num, den, nearest):
-    assert exactnum.round_half_up(num, den) == nearest
+    assert round_half_up(num, den) == nearest
 
 
 def test_scaled_nearest_sqrt_examples():
@@ -40,16 +41,10 @@ def test_scaled_nearest_sqrt_examples():
 
 
 def test_scaled_nearest_sqrt_half_cases():
-    # 2*sqrt(9/4)... engineered halves: scale*sqrt(s) = m + 1/2 exactly
-    # happens iff 4*scale^2*s = (2m+1)^2; e.g. s = 25, scale = 1 gives 5 (exact),
-    # s = 2, scale = 2: sqrt(32) = 5.656 -> 6.
+    # a tie needs 4*scale^2*s to be an odd square, which an even number never
+    # is, so halves cannot occur; these round the nearest way
     assert scaled_nearest_sqrt(25, 1) == 5
     assert scaled_nearest_sqrt(2, 2) == 3  # 2.828 rounds to 3
-    # exact half: scale*sqrt(s) = 2.5 for s = 25, scale = ... use s=1 trick:
-    # 4*scale^2*s a perfect odd square: s = 25, scale = 1 handled; do a direct one:
-    # sqrt(6.25) via s = 625, scale = 1 -> 25 exact; half-integer case s=9, scale=?:
-    # there is no integer half case for square-free s, so test via s = 49/4 style
-    # composites only: 4*1^2*12 = 48 not a square; keep the bracket property instead.
 
 
 def test_scaled_nearest_sqrt_bracket_property():
@@ -64,17 +59,16 @@ def test_scaled_nearest_sqrt_bracket_property():
         assert m < (2 * r + 1) ** 2
 
 
-def test_sqrt_enclosure_bracket_and_width():
+def test_sqrt_bracket_and_width():
     for s in (2, 3, 5, 165, 2**40 + 1):
         for bits in (16, 64, 100):
-            enc = sqrt_enclosure(s, bits)
-            assert enc.lo * enc.lo <= s <= enc.hi * enc.hi
-            assert enc.hi - enc.lo <= Fraction(1, 2**bits)
+            lo, hi = terms_bracket(((1, s),), bits)
+            assert lo * lo <= s << 2 * bits <= hi * hi
+            assert hi - lo <= 1
 
 
-def test_sqrt_enclosure_exact_squares():
-    enc = sqrt_enclosure(49, 64)
-    assert enc.lo == enc.hi == 7
+def test_sqrt_bracket_exact_squares():
+    assert terms_bracket(((1, 49),), 64) == (7 << 64, 7 << 64)
 
 
 def test_radical_sum_canonicalization():
@@ -114,13 +108,15 @@ def test_enclose_examples():
 
 
 def _interval_sum_reference(value: RadicalSum, bits: int) -> tuple[Fraction, Fraction]:
-    """Endpoints by interval arithmetic on Fractions: each sqrt_enclosure
-    scaled by its coefficient (endpoints swapped when it is negative),
-    summed, then shifted by the offset."""
+    """Endpoints by interval arithmetic on Fractions: each square root's
+    2^-bits bracket from math.isqrt, scaled by its coefficient (endpoints
+    swapped when it is negative), summed, then shifted by the offset."""
     lo = hi = Fraction(-value.offset)
+    unit = Fraction(1, 1 << bits)
     for coeff, radicand in value.terms:
-        enc = sqrt_enclosure(radicand, bits)
-        a, b = (enc.lo, enc.hi) if coeff >= 0 else (enc.hi, enc.lo)
+        m = math.isqrt(radicand << 2 * bits)
+        root_lo, root_hi = m * unit, (m + (m * m != radicand << 2 * bits)) * unit
+        a, b = (root_lo, root_hi) if coeff >= 0 else (root_hi, root_lo)
         lo += coeff * a
         hi += coeff * b
     return lo, hi
@@ -295,7 +291,7 @@ def _bracket_samples() -> list[RadicalSum]:
         v = RadicalSum.from_terms(terms)
         # offset at the nearest integer, so magnitudes are below 1/2 and close
         lo, hi = radical_sum_bracket(v, 64)
-        values.append(RadicalSum(v.terms, exactnum.round_half_up(lo + hi, 2 << 64)))
+        values.append(RadicalSum(v.terms, round_half_up(lo + hi, 2 << 64)))
     values += [_pell_near_miss(q) for q in (10, 10**3, 10**6, 10**11, 10**12)]
     values.append(RadicalSum.from_terms([(1, 2), (1, 2), (-1, 8)]))  # exactly 0
     return values + [v.negate() for v in values]

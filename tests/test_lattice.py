@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from sqrtgap.lattice import (
     fraction_gso,
     gram_schmidt,
     integral_gso,
+    scaled_nearest_sqrt,
 )
+from sqrtgap.exactnum import Enclosure, RadicalSum
 from sqrtgap.reduction import bkz, lll
-from sqrtgap.squarefree import squarefree_upto
+from sqrtgap.squarefree import prime_count, squarefree_upto
 
 
 def test_basis_dimension_cap_rejects_before_allocating():
@@ -291,3 +294,32 @@ def test_enumerate_block_matches_box_search():
     # the tie-break: among e_0, e_1, e_2 the smallest coefficient vector wins
     d, lam = integral_gso(bases[0])
     assert enumerate_block(d, lam, 0, 3, 1) == ((0, 0, 1), 1)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: scaled_nearest_sqrt(0, 1), (ValueError, "radicand must be >= 1, got 0")),
+        (lambda: scaled_nearest_sqrt(2, 0), (ValueError, "scale must be >= 1, got 0")),
+        (lambda: Enclosure(Fraction(0), Fraction(0), 0), (ValueError, "precision_bits must be >= 1, got 0")),
+        (lambda: repr(Enclosure(Fraction(1, 3), Fraction(1, 2), 64)), "Enclosure(0.333333, 0.5, bits=64)"),
+        (lambda: str(RadicalSum(())), "0"),
+        (lambda: str(RadicalSum((), 5)), "-5"),
+        (lambda: squarefree_upto(0), (ValueError, "count must be >= 1, got 0")),
+        (lambda: prime_count(-1), (ValueError, "expected a nonnegative integer, got -1")),
+        (lambda: determinant([(1, 2)]), (ValueError, "determinant needs a square matrix")),
+        (lambda: determinant([(0, 1), (0, 2)]), 0),  # no pivot in the first column
+        (lambda: fraction_gso([(1, 2), (2, 4)]), (DependentRowsError, "row 1 is dependent on earlier rows")),
+    ],
+    ids=[
+        "sqrt_radicand", "sqrt_scale", "enclosure_bits", "enclosure_repr", "zero_sum_str",
+        "offset_only_str", "squarefree_count", "prime_count", "det_shape", "det_singular", "gso_dependent",
+    ],
+)
+def test_rarely_reached_checks_pin_their_results(call, expected):
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    else:
+        assert call() == expected
