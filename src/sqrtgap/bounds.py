@@ -26,17 +26,22 @@ or the enumeration, which only choose the rows: their quality only affects
 how small an N can be certified.  So a certificate reduces only until the
 minimum clears the threshold (bkz's until, on the minimum the verified
 profile reads), and BKZ converges only at scales where it never does.  The
-witness and scan paths reduce without a target: their rows are the product,
-and a stopped or preconditioned basis gives other rows (at k = 15, N near
-10^80 it gave a weaker witness).  In the other direction, any short reduced
-row yields a concrete integer combination with |sum(a_i*sqrt(sf_i)) - b| at
-most (|s| + sum|a_i|/2) / N, a constructive upper bound.
+witness and scan paths reduce without a target to convergence, since their
+rows are the product: a stopped basis gives other rows.  Up to k = 15
+(reduction.HKZ_MAX_DIM rows) bkz's window spans the basis, so those rows
+are HKZ-reduced, the same up to sign from any start, and the 3/4 LLL
+pre-pass saves swaps without changing them.  Above it BKZ-10 runs from the
+plain 99/100 LLL, because there a pre-pass changes the rows (BKZ-10 after
+it gave a weaker witness at k = 15, N near 10^80).  In the other
+direction, any short reduced row yields a concrete integer combination with
+|sum(a_i*sqrt(sf_i)) - b| at most (|s| + sum|a_i|/2) / N, a constructive
+upper bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -282,6 +287,10 @@ class UpperBoundWitness:
     value: RadicalSum
     bound: Enclosure
     n_effective: int
+    # LLL swaps and BKZ tours of the reduction the row comes from; 0 for a
+    # row given to row_witness directly
+    swaps: int = 0
+    tours: int = 0
 
     def row_inequality_rhs(self) -> Fraction:
         return _row_inequality_rhs(self.first_coord, self.coefficients, self.scale)
@@ -342,7 +351,7 @@ def upper_bound_from_reduction(k: int, scale: int) -> UpperBoundWitness:
             best = witness
     if best is None:
         raise ArithmeticError("no row with nonzero coefficients (impossible for scale >= 2)")
-    return best
+    return replace(best, swaps=reduced.swaps, tours=reduced.tours)
 
 
 def root_separation_log10(n: int, k: int, variant: str = "R") -> float:

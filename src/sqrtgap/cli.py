@@ -286,6 +286,7 @@ def _run_upper_bound(args) -> dict:
         "abs_value": _ser_enclosure(witness.bound),
         "abs_value_log10": _log10_of(witness.bound),
         "row_inequality_rhs": _ser_fraction(witness.row_inequality_rhs()),
+        "reduction": {"swaps": witness.swaps, "tours": witness.tours},
     }
 
 

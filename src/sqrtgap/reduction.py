@@ -37,15 +37,26 @@ PRECONDITION_DELTA = 3/4, which needs fewer swaps, and then the
 DEFAULT_DELTA pass on the same state; the target is checked, on
 GramSchmidtProfile.from_d of the reducer's own d (the minimum the verified
 profile reads), after that pass and after each insertion's re-reduction, so
-every state it sees is DEFAULT_DELTA-reduced.  Without a target the
-schedule is the plain one, and its output does not change.
+every state it sees is DEFAULT_DELTA-reduced.
+
+Without a target the pre-pass runs only where the window spans the basis,
+as bkz's default window does up to HKZ_MAX_DIM rows.  BKZ with such a
+window converges to an HKZ-reduced basis (Kannan, STOC 1983;
+Schnorr-Euchner, Math. Programming 1994): each row's projection is a
+shortest vector of the lattice projected orthogonally to the rows before
+it, and the row is size-reduced.  That basis is determined by the lattice
+up to row signs (and ties between equally short vectors), so where the LLL
+started, and with which delta, cannot change the rows it returns, only the
+swaps it takes.  With a narrower window, above HKZ_MAX_DIM rows, the
+converged basis depends on the start, so there the schedule is the plain
+one: a 3/4 pre-pass before BKZ-10 weakened the k = 15, N ~ 10^80 witness.
 
 Both reducers return a ReducedBasis, which re-verifies size reduction and
 the Lovasz condition on a fresh integer GSO of the output rows
 (lattice.integral_gso, from the rows alone, not the reducer's d and lam)
 and keeps that pass's exact profile d[i+1]/d[i] and Gram determinant d[n]:
 the only exact GSO a certificate needs.  The library reduces with bkz's
-default DEFAULT_BLOCK_SIZE; no caller outside this module sets it.
+default window; no caller outside this module sets block_size.
 """
 
 from __future__ import annotations
@@ -71,9 +82,14 @@ DEFAULT_DELTA = Fraction(99, 100)
 # swaps before the DEFAULT_DELTA pass, which then starts from shorter rows.
 PRECONDITION_DELTA = Fraction(3, 4)
 DEFAULT_BLOCK_SIZE = 10
+# Up to this many rows, bkz's default window spans the whole basis, so its
+# converged output is HKZ-reduced: the same rows up to sign from any start.
+# The largest dimension at which that changed no witness of
+# scripts/hkz_sweep.py (BENCH_hkz_sweep.json); at 17 to 20 rows it did.
+HKZ_MAX_DIM = 16
 # The settings as every CLI report prints them, under defaults.reduction.
 SETTINGS = {"delta": str(DEFAULT_DELTA), "precondition_delta": str(PRECONDITION_DELTA),
-            "block_size": DEFAULT_BLOCK_SIZE}
+            "block_size": DEFAULT_BLOCK_SIZE, "hkz_max_dim": HKZ_MAX_DIM}
 
 
 class ReductionError(RuntimeError):
@@ -255,12 +271,14 @@ def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]])
 
 def bkz(
     basis: "LatticeBasis | Sequence[Sequence[int]]",
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    block_size: int | None = None,
     *,
     until: Callable[[Fraction], bool] | None = None,
 ) -> ReducedBasis:
     """Block reduction: LLL, then sliding-window exact enumeration.
 
+    The default block_size spans the whole basis of n <= HKZ_MAX_DIM rows
+    and is DEFAULT_BLOCK_SIZE above that; an explicit block_size is kept.
     Without until, on return each window of block_size consecutive
     Gram-Schmidt projected vectors starts with a vector achieving the exact
     projected shortest length: tours repeat until one makes no change, and
@@ -269,6 +287,13 @@ def bkz(
     lexicographically smallest coefficient vector with positive leading
     coefficient, so results are deterministic.
 
+    Where block_size >= n the windows [i, n) are the whole projected
+    lattices, so the converged rows are HKZ-reduced and, up to row signs
+    and ties, the same from any start: the LLL first runs at
+    PRECONDITION_DELTA, which only saves swaps.  Otherwise, without until,
+    it runs at DEFAULT_DELTA alone, since a narrower window's result
+    depends on where the LLL left the rows.
+
     With until, a predicate on the exact minimum squared Gram-Schmidt norm,
     the LLL first runs at PRECONDITION_DELTA and then at DEFAULT_DELTA, and
     bkz returns the first state whose minimum passes until: checked after
@@ -276,10 +301,13 @@ def bkz(
     re-reduction.  That state is DEFAULT_DELTA-reduced but its windows need
     not be optimal.  If no state passes, the result is the converged one.
     """
-    if block_size < 2:
+    if block_size is not None and block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
     state = _IntegralLLL(as_rows(basis))
-    if until is not None:
+    n = state.n
+    if block_size is None:
+        block_size = n if n <= HKZ_MAX_DIM else DEFAULT_BLOCK_SIZE
+    if until is not None or block_size >= n:
         state.reduce(delta=PRECONDITION_DELTA)
     state.reduce()
 
@@ -288,7 +316,6 @@ def bkz(
 
     if until is not None and until(state.min_norm_sq()):
         return result(0)
-    n = state.n
     tours = _tour_budget(n)
     for tour in range(1, tours + 1):
         changed = False

@@ -26,7 +26,7 @@ from sqrtgap.bounds import (
 )
 from sqrtgap.exactnum import abs_at_most, enclose_radical_sum
 from sqrtgap.lattice import LatticeBasis, as_rows, build_basis
-from sqrtgap.reduction import ReductionError, bkz
+from sqrtgap.reduction import ReductionError, bkz, lll
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
 
@@ -343,6 +343,18 @@ def test_warm_search_is_no_weaker_than_the_cold_walk(k, step, start):
     while scale < warm.scale:  # every cold probe below the warm result fails
         assert not certify_lower_bound(k, scale).threshold_passed
         scale *= step
+
+
+def test_witness_at_16_rows_keeps_its_strength_on_the_cheap_path():
+    # The pool's strongest k = 15 witness: BKZ-10 after the 3/4 pre-pass would
+    # weaken it to 10^-76.6234; the window that spans the basis keeps it, and
+    # needs fewer swaps than the cold 99/100 LLL alone.
+    scale = 10**80 * (10**9 + 523) // 10**9
+    witness = upper_bound_from_reduction(15, scale)
+    hi = witness.bound.hi
+    assert abs(math.log10(hi.numerator) - math.log10(hi.denominator) + 76.63547289357933) < 1e-9
+    assert 0 < witness.swaps < lll(build_basis(squarefree_upto(15), scale)).swaps
+    assert witness.tours >= 1
 
 
 def test_upper_bound_validates():

@@ -40,7 +40,7 @@ def test_sigma_json_roundtrip(capsys):
     assert report["command"] == "sigma"
     assert report["result"]["value"] == "165"
     assert report["defaults"]["reduction"] == {  # defaults recorded in the header
-        "delta": "99/100", "precondition_delta": "3/4", "block_size": 10}
+        "delta": "99/100", "precondition_delta": "3/4", "block_size": 10, "hkz_max_dim": 16}
 
 
 def test_sigma_past_sieve_cap_is_input_error(capsys):
@@ -172,6 +172,9 @@ def test_upper_bound_json(capsys):
     rhs = Fraction(int(result["row_inequality_rhs"]["num"]), int(result["row_inequality_rhs"]["den"]))
     assert 0 <= lo <= hi <= rhs
     assert int(result["n_effective"]) > 0
+    witness = bounds.upper_bound_from_reduction(4, 10**20)
+    assert result["reduction"] == {"swaps": witness.swaps, "tours": witness.tours}
+    assert witness.swaps > 0 and witness.tours >= 1
 
 
 def test_qian_wang_json(capsys):
