@@ -29,13 +29,13 @@ profile reads), and BKZ converges only at scales where it never does.  The
 witness and scan paths reduce without a target to convergence, since their
 rows are the product: a stopped basis gives other rows.  Up to k = 15
 (reduction.HKZ_MAX_DIM rows) bkz's window spans the basis, so those rows
-are HKZ-reduced, the same up to sign from any start, and the 3/4 LLL
-pre-pass saves swaps without changing them.  Above it BKZ-10 runs from the
-plain 99/100 LLL, because there a pre-pass changes the rows (BKZ-10 after
-it gave a weaker witness at k = 15, N near 10^80).  In the other
-direction, any short reduced row yields a concrete integer combination with
-|sum(a_i*sqrt(sf_i)) - b| at most (|s| + sum|a_i|/2) / N, a constructive
-upper bound.
+are HKZ-reduced, with ties and signs settled by rule, the same from any
+start, and the 3/4 LLL pre-pass saves swaps without changing them.  Above
+it BKZ-10 runs from the plain 99/100 LLL, because there a pre-pass changes
+the rows (BKZ-10 after it gave a weaker witness at k = 15, N near 10^80).
+In the other direction, any short reduced row yields a concrete integer
+combination with |sum(a_i*sqrt(sf_i)) - b| at most (|s| + sum|a_i|/2) / N,
+a constructive upper bound.
 """
 
 from __future__ import annotations

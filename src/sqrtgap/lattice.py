@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .squarefree import is_squarefree
 
@@ -223,6 +223,26 @@ def update_integral_gso(
                 raise DependentRowsError(f"row {r} is dependent on earlier rows")
 
 
+def projected_rows(
+    rows: Sequence[Sequence[int]], d: Sequence[int], lam: Sequence[Sequence[int]], start: int
+) -> list[list[int]]:
+    """The rows projected orthogonally to the rows before start, scaled to
+    integer vectors: entry r is d[s] * pi_s(rows[r]) with s = min(r, start),
+    so the rows before start give their scaled Gram-Schmidt vectors d[r] * v*_r.
+
+    d and lam are integral_gso's data.  Fraction-free, one row of
+    projections at a time: d[j+1] * pi_{j+1}(b) = (d[j+1] * w - lam_b[j] * w_j) / d[j]
+    for w = d[j] * pi_j(b) and w_j = d[j] * v*_j, an exact division.
+    """
+    w = [list(r) for r in rows]
+    for j in range(start):
+        wj, dj, dj1 = w[j], d[j], d[j + 1]
+        for r in range(j + 1, len(w)):
+            c = lam[r][j]
+            w[r] = [(dj1 * a - c * b) // dj for a, b in zip(w[r], wj)]
+    return w
+
+
 @dataclass(frozen=True)
 class GramSchmidtProfile:
     norms_sq: tuple[Fraction, ...]
@@ -272,13 +292,14 @@ class ShortestVector:
     coefficients: tuple[int, ...]
 
 
-def _canonical_coeffs(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    for c in coeffs:
+def canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
+    """Whichever of v and -v has its first nonzero entry positive."""
+    for c in v:
         if c > 0:
-            return coeffs
+            return v
         if c < 0:
-            return tuple(-x for x in coeffs)
-    return coeffs
+            return tuple(-x for x in v)
+    return v
 
 
 def enumerate_block(
@@ -287,6 +308,7 @@ def enumerate_block(
     start: int,
     end: int,
     radius_q: int,
+    tie_key: Optional[Callable[[tuple[int, ...]], tuple[int, ...]]] = None,
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """Shortest nonzero combination of rows [start, end) in the lattice
     projected orthogonally to rows before start.
@@ -294,9 +316,10 @@ def enumerate_block(
     d and lam are the integral Gram-Schmidt data of integral_gso.  Lengths
     are carried as q = d[start] * ||pi_start(v)||^2, an integer for every
     lattice vector v; the search covers q <= radius_q.  Returns the canonical
-    coefficient vector (first nonzero coefficient positive, lexicographically
-    smallest among equal-norm candidates) and its q, or None if nothing lies
-    within radius_q.
+    coefficient vector (first nonzero coefficient positive) and its q, or
+    None if nothing lies within radius_q.  Among equal-norm candidates the
+    one returned is the lexicographically smallest coefficient vector, or,
+    given tie_key, the one with the smallest tie_key(coefficients).
 
     Schnorr-Euchner zig-zag enumeration, iterative and all-integer: at
     absolute level a the partial length Q = d[a] * ||pi_a(v)||^2 is again an
@@ -334,11 +357,13 @@ def enumerate_block(
                 step[t] = 1 if c >= base * den else -1
                 continue
             if q:
-                cand = _canonical_coeffs(tuple(x))
+                cand = canonical_sign(tuple(x))
                 if q < best_q:
                     best_q, best = q, cand
                     limit = [best_q * di // dd[0] for di in dd[:m]]
-                elif best is None or cand < best:
+                elif best is None or (
+                    cand < best if tie_key is None else tie_key(cand) < tie_key(best)
+                ):
                     best = cand
         else:
             t += 1

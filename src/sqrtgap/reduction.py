@@ -44,12 +44,19 @@ as bkz's default window does up to HKZ_MAX_DIM rows.  BKZ with such a
 window converges to an HKZ-reduced basis (Kannan, STOC 1983;
 Schnorr-Euchner, Math. Programming 1994): each row's projection is a
 shortest vector of the lattice projected orthogonally to the rows before
-it, and the row is size-reduced.  That basis is determined by the lattice
-up to row signs (and ties between equally short vectors), so where the LLL
-started, and with which delta, cannot change the rows it returns, only the
-swaps it takes.  With a narrower window, above HKZ_MAX_DIM rows, the
-converged basis depends on the start, so there the schedule is the plain
-one: a 3/4 pre-pass before BKZ-10 weakened the k = 15, N ~ 10^80 witness.
+it, and the row is size-reduced.  That leaves three things to the start:
+which of several equally short projections a row takes, the row's sign,
+and a size-reduction coefficient of exactly +-1/2.  bkz settles all three.
+A spanning window also replaces a row that only ties the shortest
+projection, by the tie whose projection d[i] * pi_i(v), signed to start
+positive, is lexicographically smallest; and on convergence
+_IntegralLLL.normalize signs each row by its Gram-Schmidt vector and takes
+every mu into [-1/2, 1/2).  The rows returned are then a function of the
+lattice alone, so where the LLL started, and with which delta, changes
+only the swaps it takes.  With a narrower window, above HKZ_MAX_DIM rows,
+the converged basis depends on the start, so there the schedule is the
+plain one: a 3/4 pre-pass before BKZ-10 weakened the k = 15, N ~ 10^80
+witness.
 
 Both reducers return a ReducedBasis, which re-verifies size reduction and
 the Lovasz condition on a fresh integer GSO of the output rows
@@ -61,6 +68,7 @@ default window; no caller outside this module sets block_size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -71,6 +79,7 @@ from .lattice import (
     LatticeBasis,
     Row,
     as_rows,
+    canonical_sign,
     enumerate_block,
     fraction_gso,  # perfbench/tracer.py binds reduction.fraction_gso by getattr
     round_half_up,
@@ -83,9 +92,10 @@ DEFAULT_DELTA = Fraction(99, 100)
 PRECONDITION_DELTA = Fraction(3, 4)
 DEFAULT_BLOCK_SIZE = 10
 # Up to this many rows, bkz's default window spans the whole basis, so its
-# converged output is HKZ-reduced: the same rows up to sign from any start.
-# The largest dimension at which that changed no witness of
-# scripts/hkz_sweep.py (BENCH_hkz_sweep.json); at 17 to 20 rows it did.
+# converged output is HKZ-reduced and, with ties and signs settled, the same
+# rows from any start.  The largest dimension at which that weakened no
+# witness of scripts/hkz_sweep.py (BENCH_hkz_sweep.json: 42 scales per
+# dimension, 10^10 to 10^100 and the pool's); at 17 to 20 rows it did.
 HKZ_MAX_DIM = 16
 # The settings as every CLI report prints them, under defaults.reduction.
 SETTINGS = {"delta": str(DEFAULT_DELTA), "precondition_delta": str(PRECONDITION_DELTA),
@@ -151,15 +161,16 @@ class _IntegralLLL:
         lattice.update_integral_gso(self.rows[: k + 1], self.d, self.lam, k, k + 1)
 
     def _red(self, k: int, j: int) -> None:
-        lam, d = self.lam, self.d
-        if 2 * abs(lam[k][j]) <= d[j + 1]:
-            return
-        q = round_half_up(lam[k][j], d[j + 1])
-        rk, rj = self.rows[k], self.rows[j]
-        self.rows[k] = [a - q * b for a, b in zip(rk, rj)]
+        if 2 * abs(self.lam[k][j]) > self.d[j + 1]:
+            self._subtract(k, j, round_half_up(self.lam[k][j], self.d[j + 1]))
+
+    def _subtract(self, k: int, j: int, q: int) -> None:
+        """rows[k] -= q * rows[j], for j < k, with lam[k] kept current."""
+        lam = self.lam
+        self.rows[k] = [a - q * b for a, b in zip(self.rows[k], self.rows[j])]
         for t in range(j):
             lam[k][t] -= q * lam[j][t]
-        lam[k][j] -= q * d[j + 1]
+        lam[k][j] -= q * self.d[j + 1]
 
     def _swap(self, k: int) -> None:
         lam, d = self.lam, self.d
@@ -193,6 +204,26 @@ class _IntegralLLL:
                 for j in range(k - 2, -1, -1):
                     self._red(k, j)
                 k += 1
+
+    def normalize(self) -> None:
+        """Fix what HKZ reduction leaves free, so the rows depend on the
+        lattice alone: each row's sign, so that its Gram-Schmidt vector's first
+        nonzero entry is positive, and its size reduction, with every
+        mu[i][j] in [-1/2, 1/2) rather than [-1/2, 1/2].  Neither changes a
+        Gram-Schmidt norm, so the rows stay DEFAULT_DELTA-reduced."""
+        lam, d, n = self.lam, self.d, self.n
+        gs = lattice.projected_rows(self.rows, d, lam, n)
+        for i in range(n):
+            if canonical_sign(tuple(gs[i])) != tuple(gs[i]):
+                self.rows[i] = [-a for a in self.rows[i]]
+                for j in range(i):
+                    lam[i][j] = -lam[i][j]
+                for t in range(i + 1, n):
+                    lam[t][i] = -lam[t][i]
+            for j in range(i - 1, -1, -1):
+                q = round_half_up(lam[i][j], d[j + 1])
+                if q:
+                    self._subtract(i, j, q)
 
     def min_norm_sq(self) -> Fraction:
         """min d[i+1]/d[i] as the verified profile computes it; needs kmax = n - 1."""
@@ -288,11 +319,14 @@ def bkz(
     coefficient, so results are deterministic.
 
     Where block_size >= n the windows [i, n) are the whole projected
-    lattices, so the converged rows are HKZ-reduced and, up to row signs
-    and ties, the same from any start: the LLL first runs at
-    PRECONDITION_DELTA, which only saves swaps.  Otherwise, without until,
-    it runs at DEFAULT_DELTA alone, since a narrower window's result
-    depends on where the LLL left the rows.
+    lattices, so the converged rows are HKZ-reduced.  There equal-norm
+    candidates resolve by their projections instead (_projection_key), a
+    window whose row only ties the shortest takes the tie rule's pick, and
+    the converged rows are normalized (_IntegralLLL.normalize), so they are
+    the same from any start: the LLL first runs at PRECONDITION_DELTA,
+    which only saves swaps.  Otherwise, without until, it runs at
+    DEFAULT_DELTA alone, since a narrower window's result depends on where
+    the LLL left the rows.
 
     With until, a predicate on the exact minimum squared Gram-Schmidt norm,
     the LLL first runs at PRECONDITION_DELTA and then at DEFAULT_DELTA, and
@@ -307,7 +341,8 @@ def bkz(
     n = state.n
     if block_size is None:
         block_size = n if n <= HKZ_MAX_DIM else DEFAULT_BLOCK_SIZE
-    if until is not None or block_size >= n:
+    spanning = block_size >= n
+    if until is not None or spanning:
         state.reduce(delta=PRECONDITION_DELTA)
     state.reduce()
 
@@ -322,9 +357,12 @@ def bkz(
         for i in range(n - 1):
             m = min(block_size, n - i)
             # The window's first row has q = d[i+1], the radius, so a vector
-            # is always found; a strictly smaller q is a shorter one.
-            coeffs, q = enumerate_block(state.d, state.lam, i, i + m, state.d[i + 1])
-            if q >= state.d[i + 1]:
+            # is always found; a strictly smaller q is a shorter one.  A
+            # spanning window also replaces a row that only ties the shortest,
+            # by the tie rule's pick, so no tie is left to the start.
+            tie_key = _projection_key(state, i) if spanning else None
+            coeffs, q = enumerate_block(state.d, state.lam, i, i + m, state.d[i + 1], tie_key)
+            if q == state.d[i + 1] and (tie_key is None or not any(coeffs[1:])):
                 continue
             state.rows[i : i + m] = complete_to_unimodular(coeffs, state.rows[i : i + m])
             update_integral_gso(state.rows, state.d, state.lam, i, i + m)
@@ -333,8 +371,39 @@ def bkz(
             if until is not None and until(state.min_norm_sq()):
                 return result(tour)
         if not changed:
+            if spanning:
+                state.normalize()
             return result(tour)
     raise ReductionError(f"BKZ windows still improving after {tours} tours")
+
+
+def _projection_key(state: _IntegralLLL, i: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """enumerate_block's tie_key for the window [i, n): the candidate's
+    projection d[i] * pi_i(v), signed by canonical_sign.  That is a function
+    of the lattice projected orthogonally to rows 0..i-1, not of the rows
+    that span it.  The projections are computed at the window's first tie."""
+
+    @functools.cache
+    def columns() -> list[tuple[int, ...]]:
+        return list(zip(*lattice.projected_rows(state.rows, state.d, state.lam, i)[i:]))
+
+    def key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+        return canonical_sign(tuple(sum(c * p for c, p in zip(coeffs, col)) for col in columns()))
+
+    return key
+
+
+def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
+    """Whether each window [i, i + block_size) of the rows' fresh integer
+    GSO starts with a shortest projected vector of the window: bkz's
+    postcondition without until.  A block_size of len(rows) or more asks
+    whether the rows are HKZ-reduced."""
+    d, lam = lattice.integral_gso(rows)
+    n = len(rows)
+    return all(
+        enumerate_block(d, lam, i, min(i + block_size, n), d[i + 1])[1] == d[i + 1]
+        for i in range(n - 1)
+    )
 
 
 def reduced_profile(reduced: ReducedBasis) -> GramSchmidtProfile:

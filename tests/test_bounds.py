@@ -357,6 +357,16 @@ def test_witness_at_16_rows_keeps_its_strength_on_the_cheap_path():
     assert witness.tours >= 1
 
 
+def test_witness_where_shortest_vectors_tie_keeps_its_strength():
+    # At k = 14, N = 10^10 two vectors of squared length 29 tie for the first
+    # row.  The spanning window's tie rule picks the one the cold BKZ-10
+    # reducer before it kept, so the witness row is the same up to sign.
+    witness = upper_bound_from_reduction(14, 10**10)
+    assert witness.coefficients == (2, -2, 2, 0, 2, -1, -1, 1, 1, -3, 0, 3, 2, 2)
+    hi = witness.bound.hi
+    assert abs(math.log10(hi.numerator) - math.log10(hi.denominator) + 11.01517101575832) < 1e-9
+
+
 def test_upper_bound_validates():
     with pytest.raises(ValueError):
         upper_bound_from_reduction(0, 100)

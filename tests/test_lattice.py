@@ -18,6 +18,7 @@ from sqrtgap.lattice import (
     fraction_gso,
     gram_schmidt,
     integral_gso,
+    projected_rows,
     scaled_nearest_sqrt,
 )
 from sqrtgap.exactnum import Enclosure, RadicalSum
@@ -291,9 +292,37 @@ def test_enumerate_block_matches_box_search():
                 assert enumerate_block(d, lam, start, end, d[start + 1]) == (minima[0], q)
                 assert enumerate_block(d, lam, start, end, int(q) - 1) is None
     assert ties >= 10
-    # the tie-break: among e_0, e_1, e_2 the smallest coefficient vector wins
+    # the tie-break: among e_0, e_1, e_2 the smallest coefficient vector wins,
+    # or the one with the smallest tie_key
     d, lam = integral_gso(bases[0])
     assert enumerate_block(d, lam, 0, 3, 1) == ((0, 0, 1), 1)
+    assert enumerate_block(d, lam, 0, 3, 1, lambda c: tuple(-x for x in c)) == ((1, 0, 0), 1)
+
+
+def test_projected_rows_match_rational_projections():
+    # d[s] * pi_s(b_r), s = min(r, start), against Gram-Schmidt over Fraction
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        rows = [tuple(rng.randint(-50, 50) for _ in range(n + 1)) for _ in range(n)]
+        if gram_schmidt(rows).gram_det == 0:
+            continue
+        stars = []
+        for r in rows:
+            v = [Fraction(a) for a in r]
+            for s in stars:
+                c = sum(a * b for a, b in zip(v, s)) / sum(b * b for b in s)
+                v = [a - c * b for a, b in zip(v, s)]
+            stars.append(v)
+        d, lam = integral_gso(rows)
+        for start in range(n + 1):
+            for r, got in enumerate(projected_rows(rows, d, lam, start)):
+                s = min(r, start)
+                v = [Fraction(a) for a in rows[r]]
+                for star in stars[:s]:
+                    c = sum(a * b for a, b in zip(v, star)) / sum(b * b for b in star)
+                    v = [a - c * b for a, b in zip(v, star)]
+                assert got == [d[s] * a for a in v]
 
 
 @pytest.mark.parametrize(

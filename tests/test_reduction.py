@@ -14,6 +14,7 @@ from sqrtgap.lattice import (
     fraction_gso,
     gram_schmidt,
     integral_gso,
+    projected_rows,
     update_integral_gso,
 )
 from sqrtgap.reduction import (
@@ -25,6 +26,7 @@ from sqrtgap.reduction import (
     lll,
     reduced_profile,
     verify_reduced,
+    windows_are_shortest,
 )
 from sqrtgap.squarefree import squarefree_upto
 
@@ -283,17 +285,16 @@ def test_bkz_window_optimality_postcondition():
     # the exact shortest projected length within that window
     for k, scale, block in [(6, 10**18, 3), (8, 10**24, 5)]:
         rb = bkz(build_basis(squarefree_upto(k), scale), block_size=block)
-        d, lam = integral_gso(rb.rows)
-        n = len(rb.rows)
-        for i in range(n - 1):
-            m = min(block, n - i)
-            found = enumerate_block(d, lam, i, i + m, d[i + 1])
-            assert found is not None
-            assert found[1] == d[i + 1], f"window {i} has a shorter projected vector"
+        assert windows_are_shortest(rb.rows, block)
 
 
-def _up_to_sign(rows):
-    return tuple(max(row, tuple(-x for x in row)) for row in rows)
+def test_windows_are_shortest_finds_a_shorter_projection():
+    # the check on its own: LLL rows of this basis are not BKZ-3 reduced, and
+    # BKZ-10 from a cold LLL at k = 15 is not HKZ
+    rows = lll(build_basis(squarefree_upto(10), 10**30)).rows
+    assert windows_are_shortest(rows, 2) and not windows_are_shortest(rows, 3)
+    bkz10 = bkz(build_basis(squarefree_upto(15), _pool_scale(85)), block_size=10).rows
+    assert windows_are_shortest(bkz10, 10) and not windows_are_shortest(bkz10, 16)
 
 
 def _pool_scale(e):
@@ -303,23 +304,28 @@ def _pool_scale(e):
 
 def test_default_bkz_is_hkz_up_to_16_rows():
     # The default window spans a basis of at most HKZ_MAX_DIM rows, so every
-    # window [i, n) of the converged output starts with its shortest vector.
-    inputs = [(k, 10 ** (2 * k)) for k in range(3, 16)] + [(15, _pool_scale(85))]
+    # window [i, n) of the converged output starts with its shortest vector;
+    # each row's Gram-Schmidt vector starts positive and every mu is in [-1/2, 1/2).
+    inputs = [(k, 10 ** (2 * k)) for k in range(3, 16)] + [(15, _pool_scale(85)), (14, 10**10)]
     for k, scale in inputs:
-        rb = bkz(build_basis(squarefree_upto(k), scale))
-        d, lam = integral_gso(rb.rows)
-        n = len(rb.rows)
-        assert n <= reduction.HKZ_MAX_DIM
-        for i in range(n - 1):
-            assert enumerate_block(d, lam, i, n, d[i + 1])[1] == d[i + 1], (k, scale, i)
+        rows = bkz(build_basis(squarefree_upto(k), scale)).rows
+        assert len(rows) <= reduction.HKZ_MAX_DIM
+        assert windows_are_shortest(rows, len(rows)), (k, scale)
+        mu, _ = fraction_gso(rows)
+        assert all(-1 <= 2 * mu[i][j] < 1 for i in range(len(rows)) for j in range(i)), (k, scale)
+        d, lam = integral_gso(rows)
+        for v in projected_rows(rows, d, lam, len(rows)):
+            assert next(a for a in v if a) > 0, (k, scale)
 
 
 def test_default_bkz_does_not_depend_on_the_start():
-    # An HKZ basis is the same up to row signs whatever the LLL started from,
-    # unless equally short vectors tie (none do here), so a unimodular
-    # transform of the input changes no row but its sign.
+    # A spanning window leaves nothing to the start: ties between equally
+    # short projections go to the tie rule's pick, and normalize fixes signs
+    # and size reduction, so a unimodular transform of the input changes no
+    # row.  At N = 10^10, k = 12..14, equally short vectors tie.
     rng = random.Random(31)
-    for k, scale in [(15, _pool_scale(85)), (12, _pool_scale(60)), (8, 10**30)]:
+    inputs = [(15, _pool_scale(85)), (12, _pool_scale(60)), (8, 10**30), (12, 10**10), (13, 10**10), (14, 10**10)]
+    for k, scale in inputs:
         rows = [list(r) for r in build_basis(squarefree_upto(k), scale).rows]
         moved = [r[:] for r in rows]
         for _ in range(40):
@@ -327,7 +333,7 @@ def test_default_bkz_does_not_depend_on_the_start():
             q = rng.choice((-2, -1, 1, 2))
             moved[i] = [a + q * b for a, b in zip(moved[i], moved[j])]
         rng.shuffle(moved)
-        assert _up_to_sign(bkz(moved).rows) == _up_to_sign(bkz(rows).rows)
+        assert bkz(moved).rows == bkz(rows).rows, (k, scale)
 
 
 def test_integral_gso_matches_rational_gso():
@@ -413,9 +419,10 @@ def test_swap_counts_are_pinned():
 
 # SHA-256 of the rows and exact Gram-Schmidt norms that lll and bkz return on
 # the inputs below; any change to what lll or bkz returns shows here.  Where
-# the window spans the basis, bkz runs the 3/4 pre-pass: on those 51 of the
-# 132 bkz outputs the rows stayed the same up to sign (8 flipped a row).
-PINNED_REDUCTION_DIGEST = "ba7c89042ca472c4afe8deade602650ef4824c07d4f8fa3dfb16eb46f1dbc497"
+# the window spans the basis, bkz runs the 3/4 pre-pass, breaks ties by
+# projection and normalizes signs: those 51 of the 132 bkz outputs kept the
+# rows of the reducer before HKZ_MAX_DIM up to sign (47 flipped 113 rows).
+PINNED_REDUCTION_DIGEST = "313423b56935382d9a35590eb8a2436472154ed52c44fdf395bf4b5342d33cf4"
 
 
 def _pinned_inputs():
