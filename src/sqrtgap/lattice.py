@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .squarefree import is_squarefree
 
@@ -303,23 +303,24 @@ def canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def enumerate_block(
+    rows: Sequence[Sequence[int]],
     d: Sequence[int],
     lam: Sequence[Sequence[int]],
     start: int,
     end: int,
-    radius_q: int,
-    tie_key: Optional[Callable[[tuple[int, ...]], tuple[int, ...]]] = None,
-) -> Optional[tuple[tuple[int, ...], int]]:
+) -> tuple[tuple[int, ...], int]:
     """Shortest nonzero combination of rows [start, end) in the lattice
     projected orthogonally to rows before start.
 
-    d and lam are the integral Gram-Schmidt data of integral_gso.  Lengths
-    are carried as q = d[start] * ||pi_start(v)||^2, an integer for every
-    lattice vector v; the search covers q <= radius_q.  Returns the canonical
-    coefficient vector (first nonzero coefficient positive) and its q, or
-    None if nothing lies within radius_q.  Among equal-norm candidates the
-    one returned is the lexicographically smallest coefficient vector, or,
-    given tie_key, the one with the smallest tie_key(coefficients).
+    d and lam are the integral Gram-Schmidt data of integral_gso for rows.
+    Lengths are carried as q = d[start] * ||pi_start(v)||^2, an integer for
+    every lattice vector v.  The search radius is the window's first row,
+    q = d[start+1], so a vector is always found.  Returns the canonical
+    coefficient vector (first nonzero coefficient positive) and its q.
+    Among equal-length candidates the one returned has the smallest
+    projection d[start] * pi_start(v), signed by canonical_sign: a function
+    of the projected lattice, not of the rows that span it.  The projections
+    are computed at the window's first tie.
 
     Schnorr-Euchner zig-zag enumeration, iterative and all-integer: at
     absolute level a the partial length Q = d[a] * ||pi_a(v)||^2 is again an
@@ -337,7 +338,14 @@ def enumerate_block(
     step = [0] * m  # next zig-zag move at each level
     q_above = [0] * (m + 1)  # q_above[t]: Q of levels t and above
     best: Optional[tuple[int, ...]] = None
-    best_q = radius_q
+    best_q = dd[1]
+    projections: list[tuple[int, ...]] = []  # columns of the window rows' projections
+
+    def key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+        if not projections:
+            projections.extend(zip(*projected_rows(rows[:end], d, lam, start)[start:]))
+        return canonical_sign(tuple(sum(c * p for c, p in zip(coeffs, col)) for col in projections))
+
     # limit[t]: the largest Q at level t that can still lead to best_q or less
     limit = [best_q * di // dd[0] for di in dd[:m]]
     t = m - 1
@@ -358,12 +366,10 @@ def enumerate_block(
                 continue
             if q:
                 cand = canonical_sign(tuple(x))
-                if q < best_q:
+                if q < best_q or best is None:
                     best_q, best = q, cand
                     limit = [best_q * di // dd[0] for di in dd[:m]]
-                elif best is None or (
-                    cand < best if tie_key is None else tie_key(cand) < tie_key(best)
-                ):
+                elif key(cand) < key(best):
                     best = cand
         else:
             t += 1
@@ -376,16 +382,16 @@ def enumerate_block(
             step[t] = -step[t] - (1 if step[t] > 0 else -1)
         else:
             x[t] += 1
-    if best is None:
-        return None
     return best, best_q
 
 
 def enumerate_shortest(basis: "LatticeBasis | Iterable[Sequence[int]]") -> ShortestVector:
     """Exact shortest nonzero lattice vector by complete enumeration.
 
-    Oracle-scale only: dimensions up to 6.  The search radius is the squared
-    norm of the shortest input row, so a vector is always found.
+    Oracle-scale only: dimensions up to 6.  The search radius is the first
+    row's squared norm.  Of several shortest vectors the one returned is the
+    smallest after canonical_sign, and it is returned signed so: a function
+    of the lattice alone, not of its basis.
     """
     rows = as_rows(basis)
     n = len(rows)
@@ -393,6 +399,8 @@ def enumerate_shortest(basis: "LatticeBasis | Iterable[Sequence[int]]") -> Short
         raise ValueError(f"enumeration supports dimension <= {ENUMERATION_MAX_DIM}, got {n}")
     d, lam = integral_gso(rows)
     # d[0] = 1, so q is the squared norm itself
-    coeffs, norm = enumerate_block(d, lam, 0, n, min(_dot(r, r) for r in rows))
+    coeffs, norm = enumerate_block(rows, d, lam, 0, n)
     vec = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0])))
+    if canonical_sign(vec) != vec:
+        vec, coeffs = canonical_sign(vec), tuple(-c for c in coeffs)
     return ShortestVector(vec, Fraction(norm), coeffs)

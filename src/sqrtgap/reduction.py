@@ -18,8 +18,13 @@ depend on rows 0..i alone, so a row built late gets exactly the values an
 eager update would have given it, and every decision is the same.
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
-Gram-Schmidt-projected basis, on the same integer d and lam, and whenever a
-strictly shorter projected vector exists, applies a unimodular combination
+Gram-Schmidt-projected basis, on the same integer d and lam.  The window
+follows from the number of rows n alone: it spans the basis up to
+HKZ_MAX_DIM rows and has DEFAULT_BLOCK_SIZE rows above that; nothing else
+sets it.  Each window's search (lattice.enumerate_block) has the window's
+first row as its radius and breaks ties between equally short vectors by
+their projections, never by their coefficients.  Whenever a strictly
+shorter projected vector exists, bkz applies a unimodular combination
 of the window rows that starts with it, one elementary row operation at a
 time (complete_to_unimodular), and re-reduces.  An insertion into the
 window [i, i+m) changes only those rows, so the integer Gram-Schmidt data
@@ -39,36 +44,33 @@ GramSchmidtProfile.from_d of the reducer's own d (the minimum the verified
 profile reads), after that pass and after each insertion's re-reduction, so
 every state it sees is DEFAULT_DELTA-reduced.
 
-Without a target the pre-pass runs only where the window spans the basis,
-as bkz's default window does up to HKZ_MAX_DIM rows.  BKZ with such a
-window converges to an HKZ-reduced basis (Kannan, STOC 1983;
-Schnorr-Euchner, Math. Programming 1994): each row's projection is a
+Without a target the pre-pass runs only where the window spans the basis.
+BKZ with such a window converges to an HKZ-reduced basis (Kannan, STOC
+1983; Schnorr-Euchner, Math. Programming 1994): each row's projection is a
 shortest vector of the lattice projected orthogonally to the rows before
 it, and the row is size-reduced.  That leaves three things to the start:
 which of several equally short projections a row takes, the row's sign,
 and a size-reduction coefficient of exactly +-1/2.  bkz settles all three.
 A spanning window also replaces a row that only ties the shortest
-projection, by the tie whose projection d[i] * pi_i(v), signed to start
-positive, is lexicographically smallest; and on convergence
-_IntegralLLL.normalize signs each row by its Gram-Schmidt vector and takes
-every mu into [-1/2, 1/2).  The rows returned are then a function of the
-lattice alone, so where the LLL started, and with which delta, changes
-only the swaps it takes.  With a narrower window, above HKZ_MAX_DIM rows,
-the converged basis depends on the start, so there the schedule is the
-plain one: a 3/4 pre-pass before BKZ-10 weakened the k = 15, N ~ 10^80
-witness.
+projection, by enumerate_block's pick, the tie whose projection
+d[i] * pi_i(v), signed to start positive, is lexicographically smallest;
+and on convergence _IntegralLLL.normalize signs each row by its
+Gram-Schmidt vector and takes every mu into [-1/2, 1/2).  The rows
+returned are then a function of the lattice alone, so where the LLL
+started, and with which delta, changes only the swaps it takes.  With a
+narrower window, above HKZ_MAX_DIM rows, the converged basis depends on the
+start, so there the schedule is the plain one: a 3/4 pre-pass before
+BKZ-10 weakened the k = 15, N ~ 10^80 witness.
 
 Both reducers return a ReducedBasis, which re-verifies size reduction and
 the Lovasz condition on a fresh integer GSO of the output rows
 (lattice.integral_gso, from the rows alone, not the reducer's d and lam)
 and keeps that pass's exact profile d[i+1]/d[i] and Gram determinant d[n]:
-the only exact GSO a certificate needs.  The library reduces with bkz's
-default window; no caller outside this module sets block_size.
+the only exact GSO a certificate needs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -302,31 +304,31 @@ def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]])
 
 def bkz(
     basis: "LatticeBasis | Sequence[Sequence[int]]",
-    block_size: int | None = None,
     *,
     until: Callable[[Fraction], bool] | None = None,
 ) -> ReducedBasis:
     """Block reduction: LLL, then sliding-window exact enumeration.
 
-    The default block_size spans the whole basis of n <= HKZ_MAX_DIM rows
-    and is DEFAULT_BLOCK_SIZE above that; an explicit block_size is kept.
-    Without until, on return each window of block_size consecutive
-    Gram-Schmidt projected vectors starts with a vector achieving the exact
-    projected shortest length: tours repeat until one makes no change, and
-    ReductionError is raised if _tour_budget tours pass without that.
-    Within enumeration, equal-norm candidates resolve to the
-    lexicographically smallest coefficient vector with positive leading
-    coefficient, so results are deterministic.
+    The window follows from the basis: it spans all n rows up to
+    HKZ_MAX_DIM and is DEFAULT_BLOCK_SIZE above that.  Without until, on
+    return each window of consecutive Gram-Schmidt projected vectors starts
+    with a vector achieving the exact projected shortest length: tours
+    repeat until one makes no change, and ReductionError is raised if
+    _tour_budget tours pass without that.  enumerate_block settles ties
+    between equally short vectors by their projections, so its pick depends
+    on the window's lattice alone.
 
-    Where block_size >= n the windows [i, n) are the whole projected
-    lattices, so the converged rows are HKZ-reduced.  There equal-norm
-    candidates resolve by their projections instead (_projection_key), a
-    window whose row only ties the shortest takes the tie rule's pick, and
-    the converged rows are normalized (_IntegralLLL.normalize), so they are
-    the same from any start: the LLL first runs at PRECONDITION_DELTA,
-    which only saves swaps.  Otherwise, without until, it runs at
-    DEFAULT_DELTA alone, since a narrower window's result depends on where
-    the LLL left the rows.
+    Where the window spans the basis, the windows [i, n) are the whole
+    projected lattices, so the converged rows are HKZ-reduced.  There a
+    window whose row only ties the shortest also takes enumerate_block's
+    pick, and the converged rows are normalized (_IntegralLLL.normalize), so
+    they are the same from any start: the LLL first runs at
+    PRECONDITION_DELTA, which only saves swaps.  A narrower window inserts
+    only a strictly shorter vector, since its result depends on where the
+    LLL left the rows anyway: on 2244 stress reductions (random bases at
+    every window, k = 2..30 at N = 10^3..10^24), inserting ties there too
+    changed 153 outputs of the coefficient tie rule, and the projection tie
+    rule alone 16.  Without until it runs at DEFAULT_DELTA alone.
 
     With until, a predicate on the exact minimum squared Gram-Schmidt norm,
     the LLL first runs at PRECONDITION_DELTA and then at DEFAULT_DELTA, and
@@ -335,12 +337,9 @@ def bkz(
     re-reduction.  That state is DEFAULT_DELTA-reduced but its windows need
     not be optimal.  If no state passes, the result is the converged one.
     """
-    if block_size is not None and block_size < 2:
-        raise ValueError(f"block_size must be >= 2, got {block_size}")
     state = _IntegralLLL(as_rows(basis))
     n = state.n
-    if block_size is None:
-        block_size = n if n <= HKZ_MAX_DIM else DEFAULT_BLOCK_SIZE
+    block_size = n if n <= HKZ_MAX_DIM else DEFAULT_BLOCK_SIZE
     spanning = block_size >= n
     if until is not None or spanning:
         state.reduce(delta=PRECONDITION_DELTA)
@@ -356,13 +355,10 @@ def bkz(
         changed = False
         for i in range(n - 1):
             m = min(block_size, n - i)
-            # The window's first row has q = d[i+1], the radius, so a vector
-            # is always found; a strictly smaller q is a shorter one.  A
-            # spanning window also replaces a row that only ties the shortest,
-            # by the tie rule's pick, so no tie is left to the start.
-            tie_key = _projection_key(state, i) if spanning else None
-            coeffs, q = enumerate_block(state.d, state.lam, i, i + m, state.d[i + 1], tie_key)
-            if q == state.d[i + 1] and (tie_key is None or not any(coeffs[1:])):
+            # A strictly smaller q than the window's first row's d[i+1] is a
+            # shorter vector; a spanning window also takes a tie's pick.
+            coeffs, q = enumerate_block(state.rows, state.d, state.lam, i, i + m)
+            if q == state.d[i + 1] and not (spanning and any(coeffs[1:])):
                 continue
             state.rows[i : i + m] = complete_to_unimodular(coeffs, state.rows[i : i + m])
             update_integral_gso(state.rows, state.d, state.lam, i, i + m)
@@ -377,22 +373,6 @@ def bkz(
     raise ReductionError(f"BKZ windows still improving after {tours} tours")
 
 
-def _projection_key(state: _IntegralLLL, i: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """enumerate_block's tie_key for the window [i, n): the candidate's
-    projection d[i] * pi_i(v), signed by canonical_sign.  That is a function
-    of the lattice projected orthogonally to rows 0..i-1, not of the rows
-    that span it.  The projections are computed at the window's first tie."""
-
-    @functools.cache
-    def columns() -> list[tuple[int, ...]]:
-        return list(zip(*lattice.projected_rows(state.rows, state.d, state.lam, i)[i:]))
-
-    def key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        return canonical_sign(tuple(sum(c * p for c, p in zip(coeffs, col)) for col in columns()))
-
-    return key
-
-
 def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
     """Whether each window [i, i + block_size) of the rows' fresh integer
     GSO starts with a shortest projected vector of the window: bkz's
@@ -401,7 +381,7 @@ def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
     d, lam = lattice.integral_gso(rows)
     n = len(rows)
     return all(
-        enumerate_block(d, lam, i, min(i + block_size, n), d[i + 1])[1] == d[i + 1]
+        enumerate_block(rows, d, lam, i, min(i + block_size, n))[1] == d[i + 1]
         for i in range(n - 1)
     )
 

@@ -240,7 +240,7 @@ def test_fraction_gso_shapes():
 
 
 def _box_search(rows, start, end):
-    """The sorted canonical coefficient vectors of least projected norm in the
+    """The canonical coefficient vectors of least projected norm in the
     window [start, end), and that norm, by exhaustive search of a box that
     holds every vector no longer than the window's first row.
 
@@ -265,7 +265,24 @@ def _box_search(rows, start, end):
             norm += y * y * norms[t]
         found.append((norm, x))
     best = min(norm for norm, _ in found)
-    return sorted(x for norm, x in found if norm == best), best
+    return [x for norm, x in found if norm == best], best
+
+
+def _signed_projection(rows, start, coeffs):
+    """d[start] * pi_start(v) for v = sum(coeffs[j] * rows[start + j]), with
+    its first nonzero entry made positive, from Gram-Schmidt over Fraction:
+    d[start] is the product of the first start squared norms, and pi_start
+    removes v's components along the first start Gram-Schmidt vectors."""
+    mu, norms = fraction_gso(rows)
+    stars = []
+    for i, row in enumerate(rows[:start]):
+        stars.append([a - sum(mu[i][j] * s[c] for j, s in enumerate(stars)) for c, a in enumerate(row)])
+    v = [sum(c * rows[start + j][col] for j, c in enumerate(coeffs)) for col in range(len(rows[0]))]
+    for s, norm in zip(stars, norms):
+        f = sum(a * b for a, b in zip(v, s)) / norm
+        v = [a - f * b for a, b in zip(v, s)]
+    scaled = tuple(math.prod(norms[:start]) * a for a in v)
+    return scaled if next(a for a in scaled if a) > 0 else tuple(-a for a in scaled)
 
 
 def test_enumerate_block_matches_box_search():
@@ -289,14 +306,83 @@ def test_enumerate_block_matches_box_search():
                 ties += len(minima) > 1
                 q = norm * d[start]
                 assert q.denominator == 1
-                assert enumerate_block(d, lam, start, end, d[start + 1]) == (minima[0], q)
-                assert enumerate_block(d, lam, start, end, int(q) - 1) is None
+                # of equally short vectors, the one whose signed projection is smallest
+                pick = min(minima, key=lambda x: _signed_projection(rows, start, x))
+                assert enumerate_block(rows, d, lam, start, end) == (pick, q)
     assert ties >= 10
-    # the tie-break: among e_0, e_1, e_2 the smallest coefficient vector wins,
-    # or the one with the smallest tie_key
-    d, lam = integral_gso(bases[0])
-    assert enumerate_block(d, lam, 0, 3, 1) == ((0, 0, 1), 1)
-    assert enumerate_block(d, lam, 0, 3, 1, lambda c: tuple(-x for x in c)) == ((1, 0, 0), 1)
+    # the tie-break: among e_0, e_1, e_2 the smallest vector wins, in
+    # whichever order the rows list them
+    for rows, pick in [(bases[0], (0, 0, 1)), (bases[0][::-1], (1, 0, 0))]:
+        d, lam = integral_gso(rows)
+        assert enumerate_block(rows, d, lam, 0, 3) == (pick, 1)
+
+
+def _rebased_window(rng, rows, start, end):
+    """rows with the window [start, end) replaced by a random unimodular
+    combination of itself: row operations, sign flips and a shuffle."""
+    window = [list(r) for r in rows[start:end]]
+    for _ in range(12):
+        if len(window) > 1:
+            i, j = rng.sample(range(len(window)), 2)
+            q = rng.choice((-1, 1))
+            window[i] = [a + q * b for a, b in zip(window[i], window[j])]
+        i = rng.randrange(len(window))
+        window[i] = [-a for a in window[i]]
+    rng.shuffle(window)
+    return list(rows[:start]) + [tuple(r) for r in window] + list(rows[end:])
+
+
+def test_enumerate_block_pick_does_not_depend_on_the_window_basis():
+    # The window's lattice, not the rows that span it, decides between equally
+    # short vectors: a unimodular re-basis of the window, with the rows before
+    # it unchanged, gives the same length and the same signed projection.
+    rng = random.Random(32)
+    bases = [
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)],
+        [(3, 1, 0, 0), (1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, 1)],
+    ]
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        if determinant(rows):
+            bases.append(list(lll(rows).rows))
+    ties = 0
+    for rows in bases:
+        n = len(rows)
+        for start in range(n - 1):
+            for end in range(start + 2, n + 1):
+                d, lam = integral_gso(rows)
+                coeffs, q = enumerate_block(rows, d, lam, start, end)
+                minima, _ = _box_search(rows, start, end)
+                ties += len(minima) > 1
+                want = _signed_projection(rows, start, coeffs)
+                for _ in range(4):
+                    moved = _rebased_window(rng, rows, start, end)
+                    d2, lam2 = integral_gso(moved)
+                    coeffs2, q2 = enumerate_block(moved, d2, lam2, start, end)
+                    assert q2 == q and _signed_projection(moved, start, coeffs2) == want
+    assert ties >= 10
+
+
+def test_enumerate_shortest_does_not_depend_on_the_basis():
+    # The vector returned is the lattice's smallest shortest vector after
+    # canonical_sign, whatever the order and signs of the rows.
+    rng = random.Random(33)
+    assert enumerate_shortest([(0, 0, 1), (0, 1, 0), (1, 0, 0)]).vector == (0, 0, 1)
+    bases = [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)],
+        [(2, 1, 0), (1, -1, 1), (0, 1, 2)],
+    ]
+    for rows in bases:
+        want = enumerate_shortest(rows)
+        assert next(a for a in want.vector if a) > 0
+        for _ in range(10):
+            moved = [tuple(sign * a for a in r) for r, sign in zip(rows, rng.choices((-1, 1), k=len(rows)))]
+            rng.shuffle(moved)
+            got = enumerate_shortest(moved)
+            assert (got.vector, got.norm_sq) == (want.vector, want.norm_sq)
 
 
 def test_projected_rows_match_rational_projections():

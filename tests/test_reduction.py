@@ -9,7 +9,6 @@ from sqrtgap.lattice import (
     DependentRowsError,
     build_basis,
     determinant,
-    enumerate_block,
     enumerate_shortest,
     fraction_gso,
     gram_schmidt,
@@ -65,18 +64,20 @@ def _solve_transform(reduced, rows):
     return [[aug[j][n + r] for j in range(n)] for r in range(n)]
 
 
+def _bkz_with_window(monkeypatch, rows, block_size):
+    """bkz with windows of block_size rows at every dimension: spanning where
+    block_size >= len(rows), narrow otherwise."""
+    monkeypatch.setattr(reduction, "HKZ_MAX_DIM", 1)
+    monkeypatch.setattr(reduction, "DEFAULT_BLOCK_SIZE", block_size)
+    return bkz(rows)
+
+
 def _assert_unimodular_image(reduced, rows):
     transform = _solve_transform(reduced, rows)
     assert all(x.denominator == 1 for row in transform for x in row)
     transform = [[int(x) for x in row] for row in transform]
     assert _apply(transform, rows) == tuple(tuple(r) for r in reduced)
     assert determinant(transform) == 1  # |det T|
-
-
-def test_params_validation():
-    # dependent rows: the block size must be rejected before any reduction work
-    with pytest.raises(ValueError, match="block_size"):
-        bkz([(1, 0), (2, 0)], block_size=1)
 
 
 def test_lll_identity_unchanged():
@@ -223,23 +224,18 @@ def test_complete_to_unimodular_rejects_imprimitive():
         complete_to_unimodular([0, 0], identity)
 
 
-def test_bkz_block2_is_pairwise_optimal():
-    # with block size 2 every consecutive projected pair must start with its
-    # shortest vector (the classic pairwise swap condition)
+def test_bkz_block2_is_pairwise_optimal(monkeypatch):
+    # with windows of 2 rows every consecutive projected pair must start with
+    # its shortest vector (the classic pairwise swap condition)
     basis = build_basis(squarefree_upto(5), 10**12)
-    rb = bkz(basis, block_size=2)
-    d, lam = integral_gso(rb.rows)
-    for i in range(len(rb.rows) - 1):
-        found = enumerate_block(d, lam, i, i + 2, d[i + 1])
-        assert found is not None
-        _, best_q = found
-        assert best_q == d[i + 1]
+    rb = _bkz_with_window(monkeypatch, basis, 2)
+    assert windows_are_shortest(rb.rows, 2)
 
 
-def test_bkz_no_worse_than_lll():
+def test_bkz_no_worse_than_lll(monkeypatch):
     basis = build_basis(squarefree_upto(10), 10**50)
     lll_min = reduced_profile(lll(basis)).min_norm_sq
-    bkz_min = reduced_profile(bkz(basis, block_size=10)).min_norm_sq
+    bkz_min = reduced_profile(_bkz_with_window(monkeypatch, basis, 10)).min_norm_sq
     assert bkz_min >= lll_min
 
 
@@ -248,7 +244,7 @@ def test_bkz_transform_and_lattice_preservation():
     for _ in range(10):
         n = rng.randint(2, 5)
         rows = _random_invertible(rng, n, span=40)
-        rb = bkz(rows, block_size=min(10, n))
+        rb = bkz(rows)
         _assert_unimodular_image(rb.rows, rows)
         assert determinant(rb.rows) == determinant(rows)
 
@@ -280,20 +276,20 @@ def test_unreduced_vs_reduced_profile():
     assert reduced_profile(bkz(basis)).min_norm_sq > 1
 
 
-def test_bkz_window_optimality_postcondition():
+def test_bkz_window_optimality_postcondition(monkeypatch):
     # after termination, the first vector of every sliding window achieves
     # the exact shortest projected length within that window
     for k, scale, block in [(6, 10**18, 3), (8, 10**24, 5)]:
-        rb = bkz(build_basis(squarefree_upto(k), scale), block_size=block)
+        rb = _bkz_with_window(monkeypatch, build_basis(squarefree_upto(k), scale), block)
         assert windows_are_shortest(rb.rows, block)
 
 
-def test_windows_are_shortest_finds_a_shorter_projection():
+def test_windows_are_shortest_finds_a_shorter_projection(monkeypatch):
     # the check on its own: LLL rows of this basis are not BKZ-3 reduced, and
     # BKZ-10 from a cold LLL at k = 15 is not HKZ
     rows = lll(build_basis(squarefree_upto(10), 10**30)).rows
     assert windows_are_shortest(rows, 2) and not windows_are_shortest(rows, 3)
-    bkz10 = bkz(build_basis(squarefree_upto(15), _pool_scale(85)), block_size=10).rows
+    bkz10 = _bkz_with_window(monkeypatch, build_basis(squarefree_upto(15), _pool_scale(85)), 10).rows
     assert windows_are_shortest(bkz10, 10) and not windows_are_shortest(bkz10, 16)
 
 
@@ -386,7 +382,7 @@ def test_lazy_gso_covers_exactly_the_rows_reached(monkeypatch):
     rng = random.Random(29)
     for k in (6, 9):
         lll(build_basis(squarefree_upto(k), 10 ** (2 * k)))
-        bkz(build_basis(squarefree_upto(k), 10 ** (2 * k)), block_size=3)
+        _bkz_with_window(monkeypatch, build_basis(squarefree_upto(k), 10 ** (2 * k)), 3)
     for _ in range(10):
         lll(_random_invertible(rng, rng.randint(2, 7), span=60))
     # swaps happened both before LLL reached the last row and after
@@ -431,11 +427,11 @@ def _pinned_inputs():
     return inputs + [_random_invertible(rng, rng.randint(2, 8), span=60) for _ in range(20)]
 
 
-def test_reduction_outputs_are_pinned():
+def test_reduction_outputs_are_pinned(monkeypatch):
     inputs = _pinned_inputs()
     h = hashlib.sha256()
     for rows in inputs:
-        for rb in [lll(rows)] + [bkz(rows, block_size=b) for b in (2, 3, 5, 10)]:
+        for rb in [lll(rows)] + [_bkz_with_window(monkeypatch, rows, b) for b in (2, 3, 5, 10)]:
             h.update(repr((rb.rows, rb.profile.norms_sq)).encode())
     assert h.hexdigest() == PINNED_REDUCTION_DIGEST
 
@@ -452,20 +448,20 @@ def test_incremental_gso_matches_fresh_gso_after_each_insertion(monkeypatch):
     rng = random.Random(28)
     for k in range(3, 11):
         for block in (2, 3, 5):
-            bkz(build_basis(squarefree_upto(k), 10 ** (2 * k)), block_size=block)
+            _bkz_with_window(monkeypatch, build_basis(squarefree_upto(k), 10 ** (2 * k)), block)
     for _ in range(10):
-        bkz(_random_invertible(rng, rng.randint(2, 6), span=60), block_size=3)
+        _bkz_with_window(monkeypatch, _random_invertible(rng, rng.randint(2, 6), span=60), 3)
     # insertions at the first row, in the middle, and at the last window
     assert any(lo == 0 for lo, _, _ in windows)
     assert any(0 < lo and hi < n for lo, hi, n in windows)
     assert any(hi == n for _, hi, n in windows)
 
 
-def test_integer_verification_matches_the_fraction_reference():
+def test_integer_verification_matches_the_fraction_reference(monkeypatch):
     rng = random.Random(30)
     inputs = _pinned_inputs() + [_random_invertible(rng, rng.randint(2, 9)) for _ in range(30)]
     for rows in inputs:
-        for rb in (lll(rows), bkz(rows, block_size=3)):
+        for rb in (lll(rows), _bkz_with_window(monkeypatch, rows, 3)):
             assert verify_reduced(rb.rows).norms_sq == tuple(fraction_gso(list(rb.rows))[1])
 
 
