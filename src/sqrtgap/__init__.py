@@ -28,17 +28,17 @@ from .lattice import (
     DependentRowsError,
     GramSchmidtProfile,
     LatticeBasis,
-    ShortestVector,
     build_basis,
     determinant,
-    enumerate_shortest,
     gram_schmidt,
     scaled_nearest_sqrt,
 )
 from .reduction import (
     ReducedBasis,
     ReductionError,
+    ShortestVector,
     bkz,
+    enumerate_shortest,
     lll,
     reduced_profile,
 )

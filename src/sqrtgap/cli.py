@@ -290,11 +290,9 @@ def _run_upper_bound(args) -> dict:
     }
 
 
-def _log10_of(enc: Enclosure) -> float | None:
-    hi = enc.hi
-    if hi <= 0:
-        return None
-    return (math.log(hi.numerator) - math.log(hi.denominator)) / math.log(10)
+def _log10_of(enc: Enclosure) -> float:
+    """log10 of enc.hi, which is positive: a witness's |value| is irrational."""
+    return (math.log(enc.hi.numerator) - math.log(enc.hi.denominator)) / math.log(10)
 
 
 def _run_ratio_scan(args) -> tuple[dict, int]:

@@ -267,11 +267,9 @@ def abs_at_most(value: RadicalSum, bound_sq: Fraction) -> tuple[bool, Enclosure]
     With (lo, hi) the absolute bracket over 2^p and bound_sq = num/den, a
     rung decides True once hi^2 * den <= num * 4^p and False once
     lo^2 * den > num * 4^p.  For a non-negative bound b this is the decision
-    |value| <= b on bound_sq = b^2.  A zero value is decided exactly.
+    |value| <= b on bound_sq = b^2.  A zero value is decided exactly, on
+    the first rung: its bracket is (0, 0).
     """
-    if value.is_zero():
-        zero = Fraction(0)
-        return 0 <= bound_sq, Enclosure(zero, zero, DEFAULT_START_BITS)
     num, den = bound_sq.numerator, bound_sq.denominator
 
     def decide(bits: int) -> tuple[bool, Enclosure] | None:

@@ -16,8 +16,9 @@ LatticeBasis.vector lifts integer coordinates to a vector at any scale, and
 LatticeBasis.coordinates inverts it.  Every Gram-Schmidt profile, with the
 Gram determinant d[n], comes from integral_gso's all-integer data;
 fraction_gso and the Bareiss determinant are only the tests' references.
-The shortest-vector search is a complete Schnorr-Euchner enumeration,
-all-integer on the integral Gram-Schmidt data, with no Fraction and no float.
+The one shortest-vector search, enumerate_block, is a complete
+Schnorr-Euchner enumeration of a window of projected rows (reduction runs
+it), all-integer on the Gram-Schmidt data, with no Fraction and no float.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .squarefree import is_squarefree
 
 Row = tuple[int, ...]
 
-ENUMERATION_MAX_DIM = 6
 # Largest basis build_basis will allocate: it admits the k = 100 target
 # (dimension 101) with room, and is checked before any row exists.
 BASIS_MAX_DIM = 256
@@ -285,13 +285,6 @@ def determinant(basis: "LatticeBasis | Iterable[Sequence[int]]") -> int:
     return abs(m[n - 1][n - 1])
 
 
-@dataclass(frozen=True)
-class ShortestVector:
-    vector: Row
-    norm_sq: Fraction
-    coefficients: tuple[int, ...]
-
-
 def canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
     """Whichever of v and -v has its first nonzero entry positive."""
     for c in v:
@@ -384,23 +377,3 @@ def enumerate_block(
             x[t] += 1
     return best, best_q
 
-
-def enumerate_shortest(basis: "LatticeBasis | Iterable[Sequence[int]]") -> ShortestVector:
-    """Exact shortest nonzero lattice vector by complete enumeration.
-
-    Oracle-scale only: dimensions up to 6.  The search radius is the first
-    row's squared norm.  Of several shortest vectors the one returned is the
-    smallest after canonical_sign, and it is returned signed so: a function
-    of the lattice alone, not of its basis.
-    """
-    rows = as_rows(basis)
-    n = len(rows)
-    if n > ENUMERATION_MAX_DIM:
-        raise ValueError(f"enumeration supports dimension <= {ENUMERATION_MAX_DIM}, got {n}")
-    d, lam = integral_gso(rows)
-    # d[0] = 1, so q is the squared norm itself
-    coeffs, norm = enumerate_block(rows, d, lam, 0, n)
-    vec = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0])))
-    if canonical_sign(vec) != vec:
-        vec, coeffs = canonical_sign(vec), tuple(-c for c in coeffs)
-    return ShortestVector(vec, Fraction(norm), coeffs)

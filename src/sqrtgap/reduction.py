@@ -60,7 +60,10 @@ returned are then a function of the lattice alone, so where the LLL
 started, and with which delta, changes only the swaps it takes.  With a
 narrower window, above HKZ_MAX_DIM rows, the converged basis depends on the
 start, so there the schedule is the plain one: a 3/4 pre-pass before
-BKZ-10 weakened the k = 15, N ~ 10^80 witness.
+BKZ-10 moved 10 witnesses weaker and 10 stronger of 70 at k = 16..22.
+
+enumerate_shortest is the DEFAULT_DELTA LLL and one enumerate_block over
+the whole basis, so HKZ_MAX_DIM bounds every complete enumeration.
 
 Both reducers return a ReducedBasis, which re-verifies size reduction and
 the Lovasz condition on a fresh integer GSO of the output rows
@@ -371,6 +374,30 @@ def bkz(
                 state.normalize()
             return result(tour)
     raise ReductionError(f"BKZ windows still improving after {tours} tours")
+
+
+@dataclass(frozen=True)
+class ShortestVector:
+    vector: Row
+    norm_sq: Fraction
+
+
+def enumerate_shortest(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ShortestVector:
+    """Exact shortest nonzero vector of at most HKZ_MAX_DIM rows: the LLL,
+    so the search does not grow with how unreduced the input is, then one
+    complete enumeration within the first reduced row.  Of several shortest
+    vectors the one returned is the smallest after canonical_sign, and it
+    is returned signed so: a function of the lattice alone."""
+    rows = as_rows(basis)
+    n = len(rows)
+    if n > HKZ_MAX_DIM:
+        raise ValueError(f"{n} rows exceed HKZ_MAX_DIM = {HKZ_MAX_DIM}")
+    state = _IntegralLLL(rows)
+    state.reduce()
+    # d[0] = 1, so q is the squared norm itself
+    coeffs, norm = enumerate_block(state.rows, state.d, state.lam, 0, n)
+    vec = tuple(sum(c * row[j] for c, row in zip(coeffs, state.rows)) for j in range(len(rows[0])))
+    return ShortestVector(canonical_sign(vec), Fraction(norm))
 
 
 def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:

@@ -37,9 +37,9 @@ from sqrtgap.bounds import (
     upper_bound_from_reduction,
 )
 from sqrtgap.exactnum import RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
-from sqrtgap.lattice import build_basis, enumerate_shortest, gram_schmidt
+from sqrtgap.lattice import build_basis, gram_schmidt
 from sqrtgap.oracle import brute_force
-from sqrtgap.reduction import bkz, reduced_profile
+from sqrtgap.reduction import bkz, enumerate_shortest, reduced_profile
 from sqrtgap.squarefree import nth_squarefree, squarefree_upto
 
 

@@ -49,6 +49,31 @@ def test_threshold_rounds_t_up_by_at_most_k_times_2_pow_minus_64():
         assert y <= 0 or y.numerator**2 <= s * y.denominator**2, k
 
 
+def test_threshold_bounds_every_k_term_sum():
+    # Independently of the derivation: every sum of k terms from
+    # {0} ∪ {±√r : 1 <= r <= σ(k)}, each folded into square-free form (a
+    # square term joins the integer part), has merged coefficients a with
+    # F = (1 + Σ|a|/2)^2 + Σa^2 at most the threshold.  The largest F is
+    # T_v = (1 + k*m/2)^2 + (k*m)^2 with m = isqrt(σ(k) // 2): k terms m√2.
+    for k in range(1, 7):
+        s = nth_squarefree(k)
+        radicands = [r for r in range(2, s + 1) if squarefree.is_squarefree(r)]
+        zero = (0,) * len(radicands)
+        terms = {zero}
+        for r in range(1, s + 1):
+            a, free = squarefree.squarefree_decompose(r)
+            if free > 1:
+                i = radicands.index(free)
+                terms |= {zero[:i] + (c,) + zero[i + 1 :] for c in (a, -a)}
+        sums = {zero}  # the merged coefficients of every multiset of k terms
+        for _ in range(k):
+            sums = {tuple(x + y for x, y in zip(u, t)) for u in sums for t in terms}
+        worst = max((1 + Fraction(sum(map(abs, a)), 2)) ** 2 + sum(x * x for x in a) for a in sums)
+        m = math.isqrt(s // 2)
+        assert worst == (1 + Fraction(k * m, 2)) ** 2 + (k * m) ** 2, k
+        assert worst <= certification_threshold(k).value, k
+
+
 def test_one_exact_gso_per_certificate(monkeypatch):
     calls = []
     original = lattice.integral_gso

@@ -464,3 +464,11 @@ def test_documented_commands_run(capsys):
         report = json.loads(out)  # exactly one JSON report
         assert report["command"] == argv[1]
         assert set(report) == {"command", "defaults", "result"}
+
+
+def test_readme_python_quickstart_runs():
+    # CI's console-script step runs the same block against the installed package
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

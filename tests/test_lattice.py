@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,6 @@ from sqrtgap.lattice import (
     build_basis,
     determinant,
     enumerate_block,
-    enumerate_shortest,
     fraction_gso,
     gram_schmidt,
     integral_gso,
@@ -22,7 +25,7 @@ from sqrtgap.lattice import (
     scaled_nearest_sqrt,
 )
 from sqrtgap.exactnum import Enclosure, RadicalSum
-from sqrtgap.reduction import bkz, lll
+from sqrtgap.reduction import HKZ_MAX_DIM, bkz, enumerate_shortest, lll
 from sqrtgap.squarefree import prime_count, squarefree_upto
 
 
@@ -217,20 +220,40 @@ def test_enumerate_shortest_minkowski_bound():
 
 
 def test_enumerate_shortest_dimension_cap():
-    rows = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
-    with pytest.raises(ValueError):
+    rows = [[1 if i == j else 0 for j in range(HKZ_MAX_DIM + 1)] for i in range(HKZ_MAX_DIM + 1)]
+    assert enumerate_shortest(rows[1:]).norm_sq == 1
+    with pytest.raises(ValueError, match="HKZ_MAX_DIM"):
         enumerate_shortest(rows)
 
 
 def test_enumerate_shortest_vector_consistent_with_coefficients():
     basis = build_basis([2, 3], 7)
     sv = enumerate_shortest(basis)
-    rebuilt = [0] * 3
-    for c, row in zip(sv.coefficients, basis.rows):
-        for i, e in enumerate(row):
-            rebuilt[i] += c * e
-    assert tuple(rebuilt) == sv.vector
+    assert basis.vector(basis.coordinates(sv.vector)) == sv.vector
     assert sum(x * x for x in sv.vector) == sv.norm_sq
+
+
+def test_enumerate_shortest_is_bkz_first_row_at_16_rows():
+    # Both find the lattice's shortest vector, ties and sign settled by one
+    # rule, so the spanning-window bkz puts the same vector first.
+    basis = build_basis(squarefree_upto(15), 10**80)
+    assert basis.dim == HKZ_MAX_DIM
+    assert enumerate_shortest(basis).vector == bkz(basis).rows[0]
+
+
+def test_enumerate_shortest_of_an_unreduced_basis_finishes():
+    # The raw square-root basis at 10^8: searched without the LLL first,
+    # within its first row (squared length 10^16), it runs for over a minute.
+    code = (
+        "from sqrtgap import build_basis, enumerate_shortest, squarefree_upto\n"
+        "print(enumerate_shortest(build_basis(squarefree_upto(5), 10**8)).norm_sq)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "206"
 
 
 def test_fraction_gso_shapes():

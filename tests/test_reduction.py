@@ -9,7 +9,6 @@ from sqrtgap.lattice import (
     DependentRowsError,
     build_basis,
     determinant,
-    enumerate_shortest,
     fraction_gso,
     gram_schmidt,
     integral_gso,
@@ -22,6 +21,7 @@ from sqrtgap.reduction import (
     _IntegralLLL,
     bkz,
     complete_to_unimodular,
+    enumerate_shortest,
     lll,
     reduced_profile,
     verify_reduced,
