@@ -43,10 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Optional, Sequence
 
 from . import squarefree
-from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
+from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, decimal_str, enclose_radical_sum
 from .lattice import LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
@@ -246,7 +247,7 @@ def find_lower_bound(
     at the same scale, so its min_gs_norm_sq may differ; both are sound.
     """
     if step < 2:
-        raise ValueError(f"step must be >= 2, got {step}")
+        raise ValueError(f"step must be >= 2, got {decimal_str(step)}")
     # Before the sieve and the 10^(2k) default start.  build_basis checks a grown
     # scale; one the floor decides lies inside BASIS_MAX_BITS for every k.
     check_basis_size(k, 1 if start_scale is None else start_scale)
@@ -260,7 +261,8 @@ def find_lower_bound(
             return cert
         scale *= step
     raise NoCertificateError(
-        f"no certificate for k={k} in DEFAULT_MAX_ITERS = {DEFAULT_MAX_ITERS} scales (last N = {scale // step})"
+        f"no certificate for k={k} in DEFAULT_MAX_ITERS = {DEFAULT_MAX_ITERS} scales"
+        f" (last N = {decimal_str(scale // step)})"
     )
 
 
@@ -338,19 +340,12 @@ def upper_bound_from_reduction(k: int, scale: int) -> UpperBoundWitness:
     precision on enclosure overlap); any row satisfies the row inequality,
     but the shortest row is not always the best witness.
     """
-    if scale < 2:
-        raise ValueError(f"scale must be >= 2, got {scale}")
     check_basis_size(k, scale)  # before the sieve, which k alone can make huge
     basis, reduced, _ = _reduce_checked(k, scale)
-    best: Optional[UpperBoundWitness] = None
-    for row in reduced.rows:
-        witness = row_witness(basis, row)
-        if witness is None:
-            continue
-        if best is None or compare_abs(witness.value, best.value) < 0:
-            best = witness
-    if best is None:
-        raise ArithmeticError("no row with nonzero coefficients (impossible for scale >= 2)")
+    # A zero-tail vector is a multiple of (scale, 0, ..., 0), so at most one of
+    # the k + 1 >= 2 rows gives no witness; min keeps the first of equals.
+    witnesses = (row_witness(basis, row) for row in reduced.rows)
+    best = min((w for w in witnesses if w is not None), key=cmp_to_key(lambda a, b: compare_abs(a.value, b.value)))
     return replace(best, swaps=reduced.swaps, tours=reduced.tours)
 
 
@@ -405,7 +400,7 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     if not 2 <= k <= QIAN_WANG_MAX_K:
         raise ValueError(f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {k}")
     if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+        raise ValueError(f"t must be >= 1, got {decimal_str(t)}")
     if t + k >= squarefree.DECOMPOSE_LIMIT:  # the radicands t .. t + k are decomposed
         raise ValueError(f"t + k must be below 2**64 (DECOMPOSE_LIMIT), got {(t + k).bit_length()} bits")
     odd_product = math.prod(range(1, 2 * k - 2, 2))
@@ -424,11 +419,10 @@ class RatioCell:
 
     k: int
     log10_scale: int
-    shortest_row_norm_sq: int | None = None
-    min_gs_norm_sq: Fraction | None = None
-    ratio: float | None = None
-    conjecture_violation: bool | None = None
-    error: str | None = None
+    shortest_row_norm_sq: int
+    min_gs_norm_sq: Fraction
+    ratio: float
+    conjecture_violation: bool
 
 
 def _ln_fraction(x: Fraction) -> float:
@@ -437,10 +431,7 @@ def _ln_fraction(x: Fraction) -> float:
 
 def _scan_cell(k: int, log10_scale: int) -> RatioCell:
     scale = 10**log10_scale
-    try:
-        _, reduced, _ = _reduce_checked(k, scale)
-    except ReductionError as exc:  # the failure that exits 2
-        return RatioCell(k=k, log10_scale=log10_scale, error=f"{type(exc).__name__}: {exc}")
+    _, reduced, _ = _reduce_checked(k, scale)
     min_norm = reduced_profile(reduced).min_norm_sq
     l_sq = min(sum(c * c for c in row) for row in reduced.rows)
     ratio = math.exp(0.5 * _ln_fraction(min_norm) - log10_scale * math.log(10) / (k + 1))
@@ -458,8 +449,9 @@ def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[R
     order.  A cell whose ratio falls at or below 1/k is flagged: that would
     contradict the expected shortest-vector growth on the certificate side
     (the reduced lambda* lower bound, not the true shortest length).
-    Every cell's size is checked before the first reduction, which runs no
-    precision ladder, so a cell can record only a ReductionError.
+    Every cell's size is checked before the first reduction, and a
+    ReductionError in any cell fails the whole scan, as it fails
+    upper_bound_from_reduction.
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")

@@ -295,25 +295,20 @@ def _log10_of(enc: Enclosure) -> float:
     return (math.log(enc.hi.numerator) - math.log(enc.hi.denominator)) / math.log(10)
 
 
-def _run_ratio_scan(args) -> tuple[dict, int]:
+def _run_ratio_scan(args) -> dict:
     cells = bounds.ratio_scan(args.k_list, args.log10_list)
-    rows = []
-    for c in cells:
-        if c.error is not None:
-            rows.append({"k": c.k, "log10N": c.log10_scale, "error": c.error})
-            continue
-        rows.append(
-            {
-                "k": c.k,
-                "log10N": c.log10_scale,
-                "l_sq": decimal_str(c.shortest_row_norm_sq),
-                "lambda_star_sq": _approx(c.min_gs_norm_sq),
-                "ratio": round(c.ratio, 4),
-                "conjecture_violation": c.conjecture_violation,
-            }
-        )
-    failed = any(c.error is not None for c in cells)
-    return {"cells": rows}, EXIT_COMPUTE if failed else EXIT_OK
+    rows = [
+        {
+            "k": c.k,
+            "log10N": c.log10_scale,
+            "l_sq": decimal_str(c.shortest_row_norm_sq),
+            "lambda_star_sq": _approx(c.min_gs_norm_sq),
+            "ratio": round(c.ratio, 4),
+            "conjecture_violation": c.conjecture_violation,
+        }
+        for c in cells
+    ]
+    return {"cells": rows}
 
 
 _DISPATCH = {
@@ -324,7 +319,7 @@ _DISPATCH = {
     "certify": _run_certify,
     "lower-bound": lambda args: (_run_lower_bound(args), EXIT_OK),
     "upper-bound": lambda args: (_run_upper_bound(args), EXIT_OK),
-    "ratio-scan": _run_ratio_scan,
+    "ratio-scan": lambda args: (_run_ratio_scan(args), EXIT_OK),
 }
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -111,8 +112,8 @@ def check_basis_size(k: int, scale: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= BASIS_MAX_DIM:
         raise ValueError(f"{k + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
+    if scale < 1:  # through Decimal: str(int) is bound by the int-to-str digit limit
+        raise ValueError(f"scale must be >= 1, got {Decimal(scale)}")
     size = (k + 1) * scale.bit_length()
     if size > BASIS_MAX_BITS:
         raise ValueError(f"dim * scale bits = {size} exceeds BASIS_MAX_BITS = {BASIS_MAX_BITS}")

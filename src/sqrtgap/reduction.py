@@ -404,7 +404,10 @@ def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
     """Whether each window [i, i + block_size) of the rows' fresh integer
     GSO starts with a shortest projected vector of the window: bkz's
     postcondition without until.  A block_size of len(rows) or more asks
-    whether the rows are HKZ-reduced."""
+    whether the rows are HKZ-reduced.  It takes reduced rows, as bkz and lll
+    return them, and raises verify_reduced's ReductionError on any others:
+    a search within an unreduced row's length need not finish."""
+    verify_reduced(rows)
     d, lam = lattice.integral_gso(rows)
     n = len(rows)
     return all(

@@ -333,7 +333,8 @@ def test_rows_that_do_not_generate_the_lattice_are_rejected(monkeypatch, capsys,
         certify_lower_bound(4, 10**10)
     with pytest.raises(ReductionError, match="lattice"):
         upper_bound_from_reduction(4, 10**10)
-    assert ratio_scan([4], [10])[0].error.startswith("ReductionError")
+    with pytest.raises(ReductionError, match="lattice"):
+        ratio_scan([4], [10])
     assert cli.main(["certify", "--k", "4", "--N", "10^10"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "lattice" in out.err
@@ -393,10 +394,18 @@ def test_witness_where_shortest_vectors_tie_keeps_its_strength():
 
 
 def test_upper_bound_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         upper_bound_from_reduction(0, 100)
-    with pytest.raises(ValueError):
-        upper_bound_from_reduction(3, 1)
+    with pytest.raises(ValueError, match="scale must be >= 1, got 0"):
+        upper_bound_from_reduction(3, 0)
+
+
+def test_upper_bound_admits_what_the_basis_admits():
+    # N = 1, which check_basis_size admits: the lattice is Z^4 and bkz returns
+    # its unit vectors, of which (0, 0, 0, 1) gives the smallest witness
+    witness = upper_bound_from_reduction(3, 1)
+    assert (witness.coefficients, witness.offset) == ((0, 0, 1), 2)  # sqrt(5) - 2
+    assert witness.bound.hi <= witness.row_inequality_rhs() == Fraction(1, 2)
 
 
 def test_root_separation_values():
@@ -518,26 +527,25 @@ def test_ratio_scan_shape_and_determinism():
     cells = ratio_scan([3, 4], [8, 12])
     assert [(c.k, c.log10_scale) for c in cells] == [(3, 8), (3, 12), (4, 8), (4, 12)]
     for c in cells:
-        assert c.error is None
         assert c.ratio > 0
         assert c.shortest_row_norm_sq >= c.min_gs_norm_sq
 
 
-def test_ratio_scan_records_cell_errors(monkeypatch, capsys):
+def test_ratio_scan_fails_whole_on_a_failed_cell(monkeypatch, capsys):
     def bkz_failing_at_k2(basis, *, until=None):
         if basis.k == 2:
             raise ReductionError("swap budget exhausted")
         return bkz(basis, until=until)
 
     monkeypatch.setattr(bounds, "bkz", bkz_failing_at_k2)
-    cells = ratio_scan([2, 3], [6])
-    assert cells[0].error == "ReductionError: swap budget exhausted"
-    assert cells[1].error is None
-    # the CLI prints the whole grid, and a failed cell is a computation failure
-    assert cli.main(["ratio-scan", "--k", "2,3", "--log10n", "6"]) == 2
-    printed = json.loads(capsys.readouterr().out)["result"]["cells"]
-    assert [c["k"] for c in printed] == [2, 3]
-    assert "error" in printed[0] and "error" not in printed[1]
+    with pytest.raises(ReductionError, match="swap budget exhausted"):
+        ratio_scan([2, 3], [6])
+    # the CLI reports a failed cell as upper-bound reports the same failure:
+    # exit 2, no report, one line on stderr
+    for argv in (["ratio-scan", "--k", "2,3", "--log10n", "6"], ["upper-bound", "--k", "2", "--N", "10^6"]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "sqrtgap: swap budget exhausted\n"
     monkeypatch.undo()
     assert cli.main(["ratio-scan", "--k", "2,3", "--log10n", "6"]) == 0
 
@@ -567,7 +575,7 @@ def test_no_library_path_reaches_the_fraction_gso(monkeypatch):
     assert certify_lower_bound(10, 10**20).threshold_passed
     assert find_lower_bound(5).threshold_passed
     upper_bound_from_reduction(5, 10**20)
-    assert all(cell.error is None for cell in ratio_scan([5], [20]))
+    assert ratio_scan([5], [20])[0].ratio > 0
     assert lattice.gram_schmidt([(3, 0), (1, 1)]).norms_sq == (9, 1)
 
 

@@ -143,6 +143,33 @@ def test_stdout_closed_in_a_process_exits_quietly():
     assert proc.stderr == ""
 
 
+_PAST_640 = "-1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("lower-bound", "--k", "255", "--step", "10^4", "--n-start", "1"), 2,
+         f"no certificate for k=255 in DEFAULT_MAX_ITERS = 200 scales (last N = 1{'0' * 796})"),
+        (("certify", "--k", "2", "--N", _PAST_640), 1, f"scale must be >= 1, got {_PAST_640}"),
+        (("lower-bound", "--k", "2", "--step", _PAST_640), 1, f"step must be >= 2, got {_PAST_640}"),
+        (("qian-wang", "--k", "2", "--t", _PAST_640), 1, f"t must be >= 1, got {_PAST_640}"),
+    ],
+    ids=["last-N", "scale", "step", "t"],
+)
+def test_messages_quote_values_past_the_digit_limit(argv, code, message):
+    # at the lowest int-to-str limit Python allows, a message that formed
+    # str(int) of one of these values would fail in place of its own
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sqrtgap.cli", *argv],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.splitlines()[-1] == f"sqrtgap: {message}"
+
+
 def test_lower_bound_progress_on_stderr(capsys):
     code, out, err = _run(capsys, "lower-bound", "--k", "3", "--step", "10", "--n-start", "1")
     assert code == 0
@@ -175,6 +202,12 @@ def test_upper_bound_json(capsys):
     witness = bounds.upper_bound_from_reduction(4, 10**20)
     assert result["reduction"] == {"swaps": witness.swaps, "tours": witness.tours}
     assert witness.swaps > 0 and witness.tours >= 1
+
+
+def test_upper_bound_at_scale_one(capsys):
+    code, out, _ = _run(capsys, "upper-bound", "--k", "3", "--N", "1")
+    assert code == 0
+    assert json.loads(out)["result"]["value"]["display"] == "√5 - 2"
 
 
 def test_qian_wang_json(capsys):

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,22 @@ def test_windows_are_shortest_finds_a_shorter_projection(monkeypatch):
     assert windows_are_shortest(bkz10, 10) and not windows_are_shortest(bkz10, 16)
 
 
+def test_windows_are_shortest_of_unreduced_rows_fails_fast():
+    # The raw square-root basis at 10^8: searched within its first row
+    # (squared length 10^16), the windows run for minutes.
+    code = (
+        "from sqrtgap import build_basis, squarefree_upto\n"
+        "from sqrtgap.reduction import windows_are_shortest\n"
+        "windows_are_shortest(build_basis(squarefree_upto(5), 10**8).rows, 6)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1].startswith("sqrtgap.reduction.ReductionError: size reduction violated at (1, 0)")
+
+
 def _pool_scale(e):
     # one of k = 15's inputs at which BKZ-10 from a cold LLL is not HKZ: e = 85
     return 10**e * (10**9 + 31 * e) // 10**9
@@ -302,10 +322,14 @@ def test_default_bkz_is_hkz_up_to_16_rows():
     # The default window spans a basis of at most HKZ_MAX_DIM rows, so every
     # window [i, n) of the converged output starts with its shortest vector;
     # each row's Gram-Schmidt vector starts positive and every mu is in [-1/2, 1/2).
+    # Tour 1 puts a shortest vector of the projected lattice at each row i, and
+    # the LLL after it never swaps at or before i, so a second tour only confirms.
     inputs = [(k, 10 ** (2 * k)) for k in range(3, 16)] + [(15, _pool_scale(85)), (14, 10**10)]
     for k, scale in inputs:
-        rows = bkz(build_basis(squarefree_upto(k), scale)).rows
+        reduced = bkz(build_basis(squarefree_upto(k), scale))
+        rows = reduced.rows
         assert len(rows) <= reduction.HKZ_MAX_DIM
+        assert reduced.tours <= 2, (k, scale)
         assert windows_are_shortest(rows, len(rows)), (k, scale)
         mu, _ = fraction_gso(rows)
         assert all(-1 <= 2 * mu[i][j] < 1 for i in range(len(rows)) for j in range(i)), (k, scale)
