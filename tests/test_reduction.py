@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sqrtgap import cli, reduction
+from sqrtgap.bounds import certification_threshold
 from sqrtgap.lattice import (
     DependentRowsError,
     build_basis,
@@ -458,6 +459,24 @@ def test_reduction_outputs_are_pinned(monkeypatch):
         for rb in [lll(rows)] + [_bkz_with_window(monkeypatch, rows, b) for b in (2, 3, 5, 10)]:
             h.update(repr((rb.rows, rb.profile.norms_sq)).encode())
     assert h.hexdigest() == PINNED_REDUCTION_DIGEST
+
+
+# SHA-256 of what lll and bkz return above 16 rows, where the window is
+# narrower than the basis: rows, exact Gram-Schmidt norms, swaps and tours
+# of three targeted certificates and of plain bkz and lll at k = 20.
+PINNED_LARGE_REDUCTION_DIGEST = "42062d9ec0ef676050c3e33a747ae13c91bda8dd553c7fedbfaab3d7fae2f3f5"
+
+
+def test_reductions_above_16_rows_are_pinned():
+    h = hashlib.sha256()
+    results = [
+        bkz(build_basis(squarefree_upto(k), 10**e), until=certification_threshold(k).exceeded_by)
+        for k, e in ((20, 50), (25, 65), (30, 80))
+    ]
+    basis = build_basis(squarefree_upto(20), 10**50)
+    for rb in results + [bkz(basis), lll(basis)]:
+        h.update(repr((rb.rows, rb.profile.norms_sq, rb.swaps, rb.tours)).encode())
+    assert h.hexdigest() == PINNED_LARGE_REDUCTION_DIGEST
 
 
 def test_incremental_gso_matches_fresh_gso_after_each_insertion(monkeypatch):
