@@ -15,7 +15,9 @@ Theory, Algorithm 2.6.7), d and lam are kept only for the rows LLL has
 reached so far, up to kmax: a row's data is built the first time LLL gets
 to it, and a swap at k updates rows k+1 .. kmax only.  d[i] and lam[i]
 depend on rows 0..i alone, so a row built late gets exactly the values an
-eager update would have given it, and every decision is the same.
+eager update would have given it, and every decision is the same.  A swap
+exchanges the two lam rows as list objects and updates both columns of each
+later row over the one divisor d[k]; size reduction is inline in reduce.
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
 Gram-Schmidt-projected basis, on the same integer d and lam.  The window
@@ -165,10 +167,6 @@ class _IntegralLLL:
         # the BKZ insertion's, which tests wrap to check each insertion.
         lattice.update_integral_gso(self.rows[: k + 1], self.d, self.lam, k, k + 1)
 
-    def _red(self, k: int, j: int) -> None:
-        if 2 * abs(self.lam[k][j]) > self.d[j + 1]:
-            self._subtract(k, j, round_half_up(self.lam[k][j], self.d[j + 1]))
-
     def _subtract(self, k: int, j: int, q: int) -> None:
         """rows[k] -= q * rows[j], for j < k, with lam[k] kept current."""
         lam = self.lam
@@ -178,36 +176,65 @@ class _IntegralLLL:
         lam[k][j] -= q * self.d[j + 1]
 
     def _swap(self, k: int) -> None:
-        lam, d = self.lam, self.d
-        self.rows[k], self.rows[k - 1] = self.rows[k - 1], self.rows[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        """Exchange rows k-1 and k, as Cohen's Algorithm 2.6.7 does, with
+        both column updates of a later row i over the one divisor d[k]:
+        Cohen's (B*t + lam*lam[i][k]) / d[k+1], with B = (d[k-1]*d[k+1] +
+        lam^2) / d[k] and lam[i][k] already updated, is the same rational
+        as (d[k-1]*t + lam*l) / d[k], so both divisions are exact."""
+        lam, d, rows = self.lam, self.d, self.rows
+        rows[k], rows[k - 1] = rows[k - 1], rows[k]
+        # Columns before k-1 swap with the rows; lam[k][k-1] stays, and row
+        # k-1's diagonal slot (always 0) goes back to it.
+        lam[k], lam[k - 1] = lam[k - 1], lam[k]
+        lam[k][k - 1], lam[k - 1][k - 1] = lam[k - 1][k - 1], lam[k][k - 1]
         lam_mid = lam[k][k - 1]
-        d_new = (d[k - 1] * d[k + 1] + lam_mid * lam_mid) // d[k]
-        for i in range(k + 1, self.kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_mid * t) // d[k]
-            lam[i][k - 1] = (d_new * t + lam_mid * lam[i][k]) // d[k + 1]
-        d[k] = d_new
+        d_prev, d_k, d_next = d[k - 1], d[k], d[k + 1]
+        for lam_i in lam[k + 1 : self.kmax + 1]:
+            l, t = lam_i[k - 1], lam_i[k]
+            lam_i[k] = (d_next * l - lam_mid * t) // d_k
+            lam_i[k - 1] = (d_prev * t + lam_mid * l) // d_k
+        d[k] = (d_prev * d_next + lam_mid * lam_mid) // d_k
 
     def reduce(self, k: int = 1, delta: Fraction = DEFAULT_DELTA) -> None:
-        """LLL with this delta from row k on; the rows before k must be reduced."""
+        """LLL with this delta from row k on; the rows before k must be reduced.
+
+        Size reduction is inline: |mu| = |x|/d > 1/2 is tested as x > h or
+        x < -h with h = d >> 1, the same predicate on integers, and row k is
+        written once after its full size reduction."""
         num, den = delta.numerator, delta.denominator
-        lam, d = self.lam, self.d
+        lam, d, rows = self.lam, self.d, self.rows
         while k < self.n:
             if k > self.kmax:
                 self._extend(k)
                 self.kmax = k
-            self._red(k, k - 1)
-            if den * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
+            lam_k, d_k = lam[k], d[k]
+            x = lam_k[k - 1]
+            if x > d_k >> 1 or x < -(d_k >> 1):
+                q = round_half_up(x, d_k)
+                lam_j = lam[k - 1]
+                for t in range(k - 1):
+                    lam_k[t] -= q * lam_j[t]
+                x = lam_k[k - 1] = x - q * d_k
+                rows[k] = [a - q * b for a, b in zip(rows[k], rows[k - 1])]
+            if den * (d[k - 1] * d[k + 1] + x * x) < num * d_k * d_k:
                 self._swap(k)
                 self.swaps += 1
                 if self.swaps > self.max_swaps:
                     raise ReductionError(f"swap budget exhausted after {self.swaps} swaps")
                 k = max(k - 1, 1)
             else:
+                row = rows[k]
                 for j in range(k - 2, -1, -1):
-                    self._red(k, j)
+                    x, d_j = lam_k[j], d[j + 1]
+                    h = d_j >> 1
+                    if x > h or x < -h:
+                        q = round_half_up(x, d_j)
+                        lam_j = lam[j]
+                        for t in range(j):
+                            lam_k[t] -= q * lam_j[t]
+                        lam_k[j] = x - q * d_j
+                        row = [a - q * b for a, b in zip(row, rows[j])]
+                rows[k] = row
                 k += 1
 
     def normalize(self) -> None:
