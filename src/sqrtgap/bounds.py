@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 from . import squarefree
 from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, decimal_str, enclose_radical_sum
-from .lattice import LatticeBasis, Row, build_basis, check_basis_size
+from .lattice import LatticeBasis, Row, build_basis, check_basis_size, quoted_int
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
@@ -247,7 +247,7 @@ def find_lower_bound(
     at the same scale, so its min_gs_norm_sq may differ; both are sound.
     """
     if step < 2:
-        raise ValueError(f"step must be >= 2, got {decimal_str(step)}")
+        raise ValueError(f"step must be >= 2, got {quoted_int(step)}")
     # Before the sieve and the 10^(2k) default start.  build_basis checks a grown
     # scale; one the floor decides lies inside BASIS_MAX_BITS for every k.
     check_basis_size(k, 1 if start_scale is None else start_scale)
@@ -400,7 +400,7 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     if not 2 <= k <= QIAN_WANG_MAX_K:
         raise ValueError(f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {k}")
     if t < 1:
-        raise ValueError(f"t must be >= 1, got {decimal_str(t)}")
+        raise ValueError(f"t must be >= 1, got {quoted_int(t)}")
     if t + k >= squarefree.DECOMPOSE_LIMIT:  # the radicands t .. t + k are decomposed
         raise ValueError(f"t + k must be below 2**64 (DECOMPOSE_LIMIT), got {(t + k).bit_length()} bits")
     odd_product = math.prod(range(1, 2 * k - 2, 2))

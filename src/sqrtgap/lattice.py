@@ -106,14 +106,24 @@ def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
     return (t + 1) // 2
 
 
+def quoted_int(n: int) -> str:
+    """n as an error message quotes it: in full up to 2^16 bits, through
+    Decimal, which unlike str(int) is not bound by the int-to-str digit limit
+    (about 8 ms at 2^16 bits), and past that by its sign and bit length,
+    since its digits would take seconds to form."""
+    if n.bit_length() <= 1 << 16:
+        return str(Decimal(n))
+    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
 def check_basis_size(k: int, scale: int) -> None:
     """Raise ValueError unless build_basis admits k radicands at this scale."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= BASIS_MAX_DIM:
         raise ValueError(f"{k + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
-    if scale < 1:  # through Decimal: str(int) is bound by the int-to-str digit limit
-        raise ValueError(f"scale must be >= 1, got {Decimal(scale)}")
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {quoted_int(scale)}")
     size = (k + 1) * scale.bit_length()
     if size > BASIS_MAX_BITS:
         raise ValueError(f"dim * scale bits = {size} exceeds BASIS_MAX_BITS = {BASIS_MAX_BITS}")

@@ -170,6 +170,32 @@ def test_messages_quote_values_past_the_digit_limit(argv, code, message):
     assert proc.stderr.splitlines()[-1] == f"sqrtgap: {message}"
 
 
+_HUGE = "-10^262143"  # admitted by MAX_POWER_BITS: 870 821 bits, 262 144 digits
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("certify", "--k", "2", f"--N={_HUGE}"), "scale must be >= 1"),
+        (("upper-bound", "--k", "2", f"--N={_HUGE}"), "scale must be >= 1"),
+        (("lower-bound", "--k", "2", f"--n-start={_HUGE}"), "scale must be >= 1"),
+        (("lower-bound", "--k", "2", f"--step={_HUGE}"), "step must be >= 2"),
+        (("qian-wang", "--k", "2", f"--t={_HUGE}"), "t must be >= 1"),
+    ],
+    ids=["certify", "upper-bound", "n-start", "step", "t"],
+)
+def test_messages_quote_huge_values_by_their_size(argv, message):
+    # quoting the value in full would spend about 1.5 s forming a 262 179-byte line
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sqrtgap.cli", *argv],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    line = f"sqrtgap: {message}, got a negative 870821-bit integer\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
+    assert len(line.encode()) < 200
+
+
 def test_lower_bound_progress_on_stderr(capsys):
     code, out, err = _run(capsys, "lower-bound", "--k", "3", "--step", "10", "--n-start", "1")
     assert code == 0

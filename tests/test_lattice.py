@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from sqrtgap.lattice import (
     gram_schmidt,
     integral_gso,
     projected_rows,
+    quoted_int,
     scaled_nearest_sqrt,
 )
 from sqrtgap.exactnum import Enclosure, RadicalSum
@@ -461,3 +463,11 @@ def test_rarely_reached_checks_pin_their_results(call, expected):
             call()
     else:
         assert call() == expected
+
+
+def test_quoted_int_is_full_up_to_2_to_the_16_bits():
+    full = -(1 << 65535)  # 65536 bits, 19 729 digits
+    assert Decimal(quoted_int(full)) == Decimal(full)
+    assert quoted_int(full << 1) == "a negative 65537-bit integer"
+    assert quoted_int(1 << 65536) == "a 65537-bit integer"
+    assert quoted_int(-7) == "-7"
