@@ -47,7 +47,7 @@ from functools import cmp_to_key
 from typing import Callable, Optional, Sequence
 
 from . import squarefree
-from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, decimal_str, enclose_radical_sum
+from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from .lattice import LatticeBasis, Row, build_basis, check_basis_size, quoted_int
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
@@ -262,7 +262,7 @@ def find_lower_bound(
         scale *= step
     raise NoCertificateError(
         f"no certificate for k={k} in DEFAULT_MAX_ITERS = {DEFAULT_MAX_ITERS} scales"
-        f" (last N = {decimal_str(scale // step)})"
+        f" (last N = {quoted_int(scale // step)})"
     )
 
 
@@ -457,5 +457,7 @@ def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[R
         raise ValueError("k_list and log10_scale_list must be non-empty")
     for k in k_list:
         for e in log10_scale_list:
+            if e < 0:  # 10**e would be a float
+                raise ValueError(f"log10 scale must be >= 0, got {e}")
             check_basis_size(k, 10**e)
     return [_scan_cell(k, e) for k in k_list for e in log10_scale_list]

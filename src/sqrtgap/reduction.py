@@ -176,11 +176,12 @@ class _IntegralLLL:
         lam[k][j] -= q * self.d[j + 1]
 
     def _swap(self, k: int) -> None:
-        """Exchange rows k-1 and k, as Cohen's Algorithm 2.6.7 does, with
-        both column updates of a later row i over the one divisor d[k]:
-        Cohen's (B*t + lam*lam[i][k]) / d[k+1], with B = (d[k-1]*d[k+1] +
-        lam^2) / d[k] and lam[i][k] already updated, is the same rational
-        as (d[k-1]*t + lam*l) / d[k], so both divisions are exact."""
+        """Exchange rows k-1 and k (Cohen, Algorithm 2.6.7).  Both columns of
+        a later row i, l = lam[i][k-1] and t = lam[i][k], are updated over
+        the one divisor d[k]: Cohen's second division, (B*t + lam_mid *
+        lam[i][k]) / d[k+1] with B the new d[k] and lam[i][k] already
+        updated, is the same rational as (d[k-1]*t + lam_mid*l) / d[k], so
+        both divisions are exact and give the same integers."""
         lam, d, rows = self.lam, self.d, self.rows
         rows[k], rows[k - 1] = rows[k - 1], rows[k]
         # Columns before k-1 swap with the rows; lam[k][k-1] stays, and row
