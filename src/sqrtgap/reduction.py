@@ -209,8 +209,8 @@ class _IntegralLLL:
                 self._extend(k)
                 self.kmax = k
             lam_k, d_k = lam[k], d[k]
-            x = lam_k[k - 1]
-            if x > d_k >> 1 or x < -(d_k >> 1):
+            x, h = lam_k[k - 1], d_k >> 1
+            if x > h or x < -h:
                 q = round_half_up(x, d_k)
                 lam_j = lam[k - 1]
                 for t in range(k - 1):
