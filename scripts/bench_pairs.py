@@ -13,6 +13,9 @@ The claim (WORKLOAD:METRIC) is scored from the pairs of its workload: how
 many the after tree won (the metric's `better` direction is read from the
 before tree's BENCHMARK.json), both medians, and the spread between the
 quartiles of the before runs (statistics.quantiles, exclusive method).
+Pairs are keyed by seed, so a seed given twice is refused before any run,
+and a run that is not `correct` stops the script, naming it, before
+anything is written.
 
 Stdlib only; it imports nothing from the library and writes only --out.
 Give each side its own copy of the tree, for example made by `git archive`:
@@ -36,14 +39,20 @@ from pathlib import Path
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one benchmark run in tree."""
+    """The JSON result of one benchmark run in tree.  A run whose outputs
+    failed their check stops the script: perfbench/run.py exits 0 for it,
+    and its timings would score a claim on wrong results."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if result["correct"] is not True:
+        raise SystemExit(f"{tree}: {workload} seed {seed} is not correct: {result['failed']} of"
+                         f" {result['attempted']} attempts failed their output check")
+    return result
 
 
 def run_pairs(before: Path, after: Path, workloads, seeds, seconds: float) -> list[dict]:
@@ -115,6 +124,9 @@ def main(argv=None) -> int:
     parser.add_argument("--what", default="", help="the change measured")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    repeated = sorted({seed for seed in args.seeds if args.seeds.count(seed) > 1})
+    if repeated:  # score_claim pairs runs by seed, so a repeat would overwrite a pair
+        parser.error(f"--seeds repeats {', '.join(map(str, repeated))}; give each seed once")
     workload, _, metric = args.claim.partition(":")
     if workload not in args.workloads or not metric:
         parser.error(f"--claim {args.claim!r} needs WORKLOAD:METRIC with WORKLOAD in --workloads")

@@ -39,18 +39,22 @@ Given a target (until, a predicate on the exact minimum Gram-Schmidt
 norm), bkz stops at the first reduced state whose minimum passes it.  A
 certificate needs only some basis whose minimum clears the threshold,
 since any basis's minimum bounds lambda_1 from below, so converging further
-would only cost time.  That path first runs one LLL pass at
-PRECONDITION_DELTA = 3/4, which needs fewer swaps, and then the
+would only cost time.  That path first runs one LLL pass at 3/4, the
+last of PRECONDITION_DELTAS, which needs fewer swaps, and then the
 DEFAULT_DELTA pass on the same state; the target is checked, on
 GramSchmidtProfile.from_d of the reducer's own d (the minimum the verified
 profile reads), after that pass and after each insertion's re-reduction, so
 every state it sees is DEFAULT_DELTA-reduced.
 
-Without a target the pre-pass runs only where the window spans the basis.
-BKZ with such a window converges to an HKZ-reduced basis (Kannan, STOC
-1983; Schnorr-Euchner, Math. Programming 1994): each row's projection is a
-shortest vector of the lattice projected orthogonally to the rows before
-it, and the row is size-reduced.  That leaves three things to the start:
+Without a target the pre-pass runs only where the window spans the basis,
+and there it is the whole ladder PRECONDITION_DELTAS = 3/10, 1/2, 3/4: at
+3/10 a swap must shrink d[k] by a factor 10/3, not 4/3, so the cheap early
+passes leave the later ones little to do (k = 15 at N = 10^80: 1317 swaps,
+against 2286 after the 3/4 pass alone).  BKZ with such a window converges
+to an HKZ-reduced basis (Kannan, STOC 1983; Schnorr-Euchner, Math.
+Programming 1994): each row's projection is a shortest vector of the
+lattice projected orthogonally to the rows before it, and the row is
+size-reduced.  That leaves three things to the start:
 which of several equally short projections a row takes, the row's sign,
 and a size-reduction coefficient of exactly +-1/2.  bkz settles all three.
 A spanning window also replaces a row that only ties the shortest
@@ -59,10 +63,12 @@ d[i] * pi_i(v), signed to start positive, is lexicographically smallest;
 and on convergence _IntegralLLL.normalize signs each row by its
 Gram-Schmidt vector and takes every mu into [-1/2, 1/2).  The rows
 returned are then a function of the lattice alone, so where the LLL
-started, and with which delta, changes only the swaps it takes.  With a
-narrower window, above HKZ_MAX_DIM rows, the converged basis depends on the
-start, so there the schedule is the plain one: a 3/4 pre-pass before
-BKZ-10 moved 10 witnesses weaker and 10 stronger of 70 at k = 16..22.
+started, and with which deltas, changes only the swaps and tours it takes.
+With a narrower window, above HKZ_MAX_DIM rows, the converged basis depends
+on the start, so there the schedule is the plain one: a 3/4 pre-pass before
+BKZ-10 moved 10 witnesses weaker and 10 stronger of 70 at k = 16..22.  A
+targeted bkz keeps the one 3/4 pass at every size: the ladder there moved
+two of the benchmark's 96 scale searches (k = 14) a power of ten weaker.
 
 enumerate_shortest is the DEFAULT_DELTA LLL and one enumerate_block over
 the whole basis, so HKZ_MAX_DIM bounds every complete enumeration.
@@ -94,9 +100,12 @@ from .lattice import (
 )
 
 DEFAULT_DELTA = Fraction(99, 100)
-# The first LLL pass of a targeted bkz: a weaker Lovasz condition, so fewer
-# swaps before the DEFAULT_DELTA pass, which then starts from shorter rows.
-PRECONDITION_DELTA = Fraction(3, 4)
+# LLL passes before the DEFAULT_DELTA pass, each a weaker Lovasz condition
+# than the next, so each needs fewer swaps and hands shorter rows on.  A
+# spanning bkz without a target runs them all, since its converged rows do
+# not depend on the start; a targeted bkz runs only the last, 3/4.  Every
+# delta is above 1/4, so every pass terminates.
+PRECONDITION_DELTAS = (Fraction(3, 10), Fraction(1, 2), Fraction(3, 4))
 DEFAULT_BLOCK_SIZE = 10
 # Up to this many rows, bkz's default window spans the whole basis, so its
 # converged output is HKZ-reduced and, with ties and signs settled, the same
@@ -105,7 +114,8 @@ DEFAULT_BLOCK_SIZE = 10
 # dimension, 10^10 to 10^100 and the pool's); at 17 to 20 rows it did.
 HKZ_MAX_DIM = 16
 # The settings as every CLI report prints them, under defaults.reduction.
-SETTINGS = {"delta": str(DEFAULT_DELTA), "precondition_delta": str(PRECONDITION_DELTA),
+SETTINGS = {"delta": str(DEFAULT_DELTA), "precondition_delta": str(PRECONDITION_DELTAS[-1]),
+            "hkz_precondition_deltas": [str(delta) for delta in PRECONDITION_DELTAS],
             "block_size": DEFAULT_BLOCK_SIZE, "hkz_max_dim": HKZ_MAX_DIM}
 
 
@@ -353,16 +363,18 @@ def bkz(
     projected lattices, so the converged rows are HKZ-reduced.  There a
     window whose row only ties the shortest also takes enumerate_block's
     pick, and the converged rows are normalized (_IntegralLLL.normalize), so
-    they are the same from any start: the LLL first runs at
-    PRECONDITION_DELTA, which only saves swaps.  A narrower window inserts
-    only a strictly shorter vector, since its result depends on where the
-    LLL left the rows anyway: on 2244 stress reductions (random bases at
-    every window, k = 2..30 at N = 10^3..10^24), inserting ties there too
-    changed 153 outputs of the coefficient tie rule, and the projection tie
-    rule alone 16.  Without until it runs at DEFAULT_DELTA alone.
+    they are the same from any start: the LLL first runs at each of
+    PRECONDITION_DELTAS in turn, which only saves swaps.  A narrower window
+    inserts only a strictly shorter vector, since its result depends on
+    where the LLL left the rows anyway: on 2244 stress reductions (random
+    bases at every window, k = 2..30 at N = 10^3..10^24), inserting ties
+    there too changed 153 outputs of the coefficient tie rule, and the
+    projection tie rule alone 16.  Without until its LLL runs at
+    DEFAULT_DELTA alone.
 
     With until, a predicate on the exact minimum squared Gram-Schmidt norm,
-    the LLL first runs at PRECONDITION_DELTA and then at DEFAULT_DELTA, and
+    the LLL first runs at the last of PRECONDITION_DELTAS (3/4) alone and
+    then at DEFAULT_DELTA, at any number of rows, and
     bkz returns the first state whose minimum passes until: checked after
     the LLL (tours = 0 if it passes there) and after each insertion's
     re-reduction.  That state is DEFAULT_DELTA-reduced but its windows need
@@ -372,8 +384,12 @@ def bkz(
     n = state.n
     block_size = n if n <= HKZ_MAX_DIM else DEFAULT_BLOCK_SIZE
     spanning = block_size >= n
-    if until is not None or spanning:
-        state.reduce(delta=PRECONDITION_DELTA)
+    if until is not None:
+        ladder = PRECONDITION_DELTAS[-1:]
+    else:
+        ladder = PRECONDITION_DELTAS if spanning else ()
+    for delta in ladder:
+        state.reduce(delta=delta)
     state.reduce()
 
     def result(tours: int) -> ReducedBasis:

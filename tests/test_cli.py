@@ -40,7 +40,8 @@ def test_sigma_json_roundtrip(capsys):
     assert report["command"] == "sigma"
     assert report["result"]["value"] == "165"
     assert report["defaults"]["reduction"] == {  # defaults recorded in the header
-        "delta": "99/100", "precondition_delta": "3/4", "block_size": 10, "hkz_max_dim": 16}
+        "delta": "99/100", "precondition_delta": "3/4",
+        "hkz_precondition_deltas": ["3/10", "1/2", "3/4"], "block_size": 10, "hkz_max_dim": 16}
 
 
 def test_sigma_past_sieve_cap_is_input_error(capsys):

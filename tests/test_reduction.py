@@ -432,8 +432,9 @@ def test_empty_input_is_rejected(reduce):
 
 def test_swap_counts_are_pinned():
     # the lazy GSO follows the eager reducer's exact path; at 16 rows the
-    # window spans the basis, so the 3/4 pre-pass runs (3704 swaps without it)
-    for (k, scale), counts in {(20, 10**50): (3776, 3715), (15, 10**80): (2286, 3682)}.items():
+    # window spans the basis, so the pre-pass ladder 3/10, 1/2, 3/4 runs
+    # (2286 swaps with the 3/4 pass alone, 3713 with no pre-pass)
+    for (k, scale), counts in {(20, 10**50): (3776, 3715), (15, 10**80): (1317, 3682)}.items():
         basis = build_basis(squarefree_upto(k), scale)
         assert (bkz(basis).swaps, lll(basis).swaps) == counts
 
@@ -459,6 +460,44 @@ def test_reduction_outputs_are_pinned(monkeypatch):
         for rb in [lll(rows)] + [_bkz_with_window(monkeypatch, rows, b) for b in (2, 3, 5, 10)]:
             h.update(repr((rb.rows, rb.profile.norms_sq)).encode())
     assert h.hexdigest() == PINNED_REDUCTION_DIGEST
+
+
+def test_spanning_rows_do_not_depend_on_the_pre_pass(monkeypatch):
+    # A spanning bkz without a target converges to rows that are a function
+    # of the lattice, so the pre-pass ladder changes only swaps and tours: the 3/4
+    # pass alone, or none, gives the same rows and norms on the pinned inputs
+    # (k = 3..15 at 10^(2k) among them) and where short vectors tie.
+    inputs = _pinned_inputs() + [build_basis(squarefree_upto(k), 10**10).rows for k in (12, 13, 14)]
+    inputs.append(build_basis(squarefree_upto(15), _pool_scale(85)).rows)
+    ladder = [bkz(rows) for rows in inputs]
+    for deltas in ((Fraction(3, 4),), ()):
+        monkeypatch.setattr(reduction, "PRECONDITION_DELTAS", deltas)
+        for rows, expected in zip(inputs, ladder):
+            rb = bkz(rows)
+            assert (rb.rows, rb.profile.norms_sq) == (expected.rows, expected.profile.norms_sq)
+    monkeypatch.undo()
+    # The ladder runs only there: a targeted bkz runs the 3/4 pass alone, and
+    # an untargeted bkz above 16 rows runs none.
+    passes = []
+    reduce = _IntegralLLL.reduce
+
+    def recording_reduce(self, k=1, delta=reduction.DEFAULT_DELTA):
+        passes.append(delta)
+        reduce(self, k, delta)
+
+    monkeypatch.setattr(_IntegralLLL, "reduce", recording_reduce)
+
+    def pre_passes(basis, **kwargs):
+        passes.clear()
+        bkz(basis, **kwargs)
+        return [delta for delta in passes if delta != reduction.DEFAULT_DELTA]
+
+    spanning = build_basis(squarefree_upto(12), 10**20)
+    assert pre_passes(spanning) == [Fraction(3, 10), Fraction(1, 2), Fraction(3, 4)]
+    assert pre_passes(spanning, until=lambda x: False) == [Fraction(3, 4)]
+    narrow = build_basis(squarefree_upto(20), 10**50)
+    assert pre_passes(narrow, until=certification_threshold(20).exceeded_by) == [Fraction(3, 4)]
+    assert pre_passes(narrow) == []
 
 
 # SHA-256 of what lll and bkz return above 16 rows, where the window is
