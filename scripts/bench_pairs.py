@@ -9,13 +9,16 @@ JSON result).  Within each workload the pairs alternate which side runs
 first: odd pairs run the before tree first, even pairs the after tree, so a
 drift of the machine during the session falls on both sides alike.
 
-The claim (WORKLOAD:METRIC) is scored from the pairs of its workload: how
-many the after tree won (the metric's `better` direction is read from the
-before tree's BENCHMARK.json), both medians, and the spread between the
-quartiles of the before runs (statistics.quantiles, exclusive method).
-Pairs are keyed by seed, so a seed given twice is refused before any run,
-and a run that is not `correct` stops the script, naming it, before
-anything is written.
+The claim (WORKLOAD:METRIC, optional) is scored from the pairs of its
+workload: how many the after tree won (the metric's `better` direction is
+read from the before tree's BENCHMARK.json), both medians, and the spread
+between the quartiles of the before runs (statistics.quantiles, exclusive
+method); without --claim the report's claim is null.  Either way the report
+lists as regressions each (workload, end-to-end metric) whose after median
+is worse than the before median by more than the metric's relative bound
+in that BENCHMARK.json.  Pairs are keyed by seed, so a seed given twice is
+refused before any run, and a run that is not `correct` stops the script,
+naming it, before anything is written.
 
 Stdlib only; it imports nothing from the library and writes only --out.
 Give each side its own copy of the tree, for example made by `git archive`:
@@ -105,12 +108,28 @@ def score_claim(runs: list[dict], workload: str, metric: str, lower_is_better: b
             "before_quartile_spread": round(q3 - q1, 4)}
 
 
-def _lower_is_better(tree: Path, metric: str) -> bool:
-    declared = json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]
-    for entry in declared:
-        if entry["name"] == metric:
-            return entry["better"] == "lower"
-    raise SystemExit(f"{metric} is not an end-to-end metric of {tree / 'BENCHMARK.json'}")
+def regressions(runs: list[dict], declared: list[dict]) -> list[dict]:
+    """Each (workload, end-to-end metric) whose after median is worse than
+    the before median by more than the metric's relative bound."""
+    found = []
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        for entry in declared:
+            metric, lower = entry["name"], entry["better"] == "lower"
+            group = [r for r in runs if r["workload"] == workload and metric in r["result"]["metrics"]]
+            if not group:
+                continue
+            before, after = (statistics.median(_value(r, metric) for r in group if r["side"] == side)
+                             for side in ("before", "after"))
+            limit = before * (1 + entry["bound"] if lower else 1 - entry["bound"])
+            worse = after > limit if lower else after < limit
+            if worse:
+                found.append({"workload": workload, "metric": metric, "bound": entry["bound"],
+                              "median_before": round(before, 4), "median_after": round(after, 4)})
+    return found
+
+
+def _end_to_end(tree: Path) -> list[dict]:
+    return json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def main(argv=None) -> int:
@@ -120,17 +139,21 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC, scored if given")
     parser.add_argument("--what", default="", help="the change measured")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     repeated = sorted({seed for seed in args.seeds if args.seeds.count(seed) > 1})
     if repeated:  # score_claim pairs runs by seed, so a repeat would overwrite a pair
         parser.error(f"--seeds repeats {', '.join(map(str, repeated))}; give each seed once")
-    workload, _, metric = args.claim.partition(":")
-    if workload not in args.workloads or not metric:
-        parser.error(f"--claim {args.claim!r} needs WORKLOAD:METRIC with WORKLOAD in --workloads")
-    lower = _lower_is_better(args.before, metric)
+    declared = _end_to_end(args.before)
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in args.workloads or not metric:
+            parser.error(f"--claim {args.claim!r} needs WORKLOAD:METRIC with WORKLOAD in --workloads")
+        better = {entry["name"]: entry["better"] for entry in declared}
+        if metric not in better:
+            raise SystemExit(f"{metric} is not an end-to-end metric of {args.before / 'BENCHMARK.json'}")
     runs = run_pairs(args.before.resolve(), args.after.resolve(), args.workloads, args.seeds,
                      args.seconds)
     seconds = f"{args.seconds:g}"
@@ -141,12 +164,14 @@ def main(argv=None) -> int:
         "machine": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()};"
                    " before and after alternate within each pair (odd pairs before first, even"
                    " pairs after first), each side in its own tree",
-        "claim": score_claim(runs, workload, metric, lower),
+        "claim": None if args.claim is None else score_claim(runs, workload, metric,
+                                                             better[metric] == "lower"),
+        "regressions": regressions(runs, declared),
         "median_by_workload": medians(runs),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(json.dumps(report["claim"]))
+    print(json.dumps({key: report[key] for key in ("claim", "regressions")}))
     return 0
 
 

@@ -30,9 +30,10 @@ witness and scan paths reduce without a target to convergence, since their
 rows are the product: a stopped basis gives other rows.  Up to k = 15
 (reduction.HKZ_MAX_DIM rows) bkz's window spans the basis, so those rows
 are HKZ-reduced, with ties and signs settled by rule, the same from any
-start, and the 3/4 LLL pre-pass saves swaps without changing them.  Above
-it BKZ-10 runs from the plain 99/100 LLL, because there a pre-pass changes
-the rows (after it BKZ-10 moved 20 of 70 witnesses at k = 16..22, 10 weaker).
+start, and the LLL ladder PRECONDITION_DELTAS saves swaps without changing
+them (a certificate runs its last pass, 3/4, alone).  Above it BKZ-10 runs
+from the plain 99/100 LLL, because there a pre-pass changes the rows (after
+a 3/4 pass BKZ-10 moved 20 of 70 witnesses at k = 16..22, 10 weaker).
 In the other direction, any short reduced row yields a concrete integer
 combination with |sum(a_i*sqrt(sf_i)) - b| at most (|s| + sum|a_i|/2) / N,
 a constructive upper bound.
@@ -48,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 from . import squarefree
 from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
-from .lattice import LatticeBasis, Row, build_basis, check_basis_size, quoted_int
+from .lattice import BASIS_MAX_BITS, LatticeBasis, Row, build_basis, check_basis_size, quoted_int
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
 
 DEFAULT_STEP = 10**5
@@ -242,9 +243,10 @@ def find_lower_bound(
     nothing and leaves no rows, so the first probe above it starts cold.
     Every probe, warm or not, checks that its rows are a
     basis of its lattice and verifies the reduction on a fresh integer GSO
-    of the output rows, so soundness does not depend on the start.  The
-    certificate comes from another reduced basis than certify_lower_bound
-    at the same scale, so its min_gs_norm_sq may differ; both are sound.
+    of the output rows, so soundness does not depend on the start.  A
+    probe reduces another basis than certify_lower_bound at the same scale,
+    so its min_gs_norm_sq may differ and, above 16 rows, its verdict too
+    (k = 40 at 10^115 fails warm and passes cold); both are sound.
     """
     if step < 2:
         raise ValueError(f"step must be >= 2, got {quoted_int(step)}")
@@ -449,15 +451,19 @@ def ratio_scan(k_list: Sequence[int], log10_scale_list: Sequence[int]) -> list[R
     order.  A cell whose ratio falls at or below 1/k is flagged: that would
     contradict the expected shortest-vector growth on the certificate side
     (the reduced lambda* lower bound, not the true shortest length).
-    Every cell's size is checked before the first reduction, and a
+    Every cell's size is checked before the first reduction, and an
+    exponent past BASIS_MAX_BITS before its power is formed; a
     ReductionError in any cell fails the whole scan, as it fails
     upper_bound_from_reduction.
     """
     if not k_list or not log10_scale_list:
         raise ValueError("k_list and log10_scale_list must be non-empty")
+    for e in log10_scale_list:
+        if e < 0:  # 10**e would be a float
+            raise ValueError(f"log10 scale must be >= 0, got {quoted_int(e)}")
+        if 3 * e >= BASIS_MAX_BITS:  # 10**e > 2**(3e): refused before it is formed
+            raise ValueError(f"log10 scale {quoted_int(e)} puts 10^e past BASIS_MAX_BITS = {BASIS_MAX_BITS}")
     for k in k_list:
         for e in log10_scale_list:
-            if e < 0:  # 10**e would be a float
-                raise ValueError(f"log10 scale must be >= 0, got {e}")
             check_basis_size(k, 10**e)
     return [_scan_cell(k, e) for k in k_list for e in log10_scale_list]

@@ -17,7 +17,8 @@ to it, and a swap at k updates rows k+1 .. kmax only.  d[i] and lam[i]
 depend on rows 0..i alone, so a row built late gets exactly the values an
 eager update would have given it, and every decision is the same.  A swap
 exchanges the two lam rows as list objects and updates both columns of each
-later row over the one divisor d[k]; size reduction is inline in reduce.
+later row over the one divisor d[k]; size reduction is inline in reduce,
+and every lll and bkz output has every mu in [-1/2, 1/2).
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
 Gram-Schmidt-projected basis, on the same integer d and lam.  The window
@@ -54,23 +55,22 @@ against 2286 after the 3/4 pass alone).  BKZ with such a window converges
 to an HKZ-reduced basis (Kannan, STOC 1983; Schnorr-Euchner, Math.
 Programming 1994): each row's projection is a shortest vector of the
 lattice projected orthogonally to the rows before it, and the row is
-size-reduced.  That leaves three things to the start:
-which of several equally short projections a row takes, the row's sign,
-and a size-reduction coefficient of exactly +-1/2.  bkz settles all three.
-A spanning window also replaces a row that only ties the shortest
-projection, by enumerate_block's pick, the tie whose projection
+size-reduced, by the kernel's rule.  That leaves two things to the start:
+which of several equally short projections a row takes, and its sign.  bkz
+settles both.  A spanning window also replaces a row that only ties the
+shortest projection, by enumerate_block's pick, the tie whose projection
 d[i] * pi_i(v), signed to start positive, is lexicographically smallest;
 and on convergence _IntegralLLL.normalize signs each row by its
-Gram-Schmidt vector and takes every mu into [-1/2, 1/2).  The rows
-returned are then a function of the lattice alone, so where the LLL
-started, and with which deltas, changes only the swaps and tours it takes.
+Gram-Schmidt vector.  The rows returned are then a function of the lattice
+alone, so where the LLL started, and with which deltas, changes only the
+swaps and tours it takes.
 With a narrower window, above HKZ_MAX_DIM rows, the converged basis depends
 on the start, so there the schedule is the plain one: a 3/4 pre-pass before
 BKZ-10 moved 10 witnesses weaker and 10 stronger of 70 at k = 16..22.  A
 targeted bkz keeps the one 3/4 pass at every size: the ladder there moved
 two of the benchmark's 96 scale searches (k = 14) a power of ten weaker.
 
-enumerate_shortest is the DEFAULT_DELTA LLL and one enumerate_block over
+enumerate_shortest is the same LLL ladder and one enumerate_block over
 the whole basis, so HKZ_MAX_DIM bounds every complete enumeration.
 
 Both reducers return a ReducedBasis, which re-verifies size reduction and
@@ -102,9 +102,9 @@ from .lattice import (
 DEFAULT_DELTA = Fraction(99, 100)
 # LLL passes before the DEFAULT_DELTA pass, each a weaker Lovasz condition
 # than the next, so each needs fewer swaps and hands shorter rows on.  A
-# spanning bkz without a target runs them all, since its converged rows do
-# not depend on the start; a targeted bkz runs only the last, 3/4.  Every
-# delta is above 1/4, so every pass terminates.
+# spanning bkz without a target and enumerate_shortest run them all, since
+# their output does not depend on the start; a targeted bkz runs only the
+# last, 3/4.  Every delta is above 1/4, so every pass terminates.
 PRECONDITION_DELTAS = (Fraction(3, 10), Fraction(1, 2), Fraction(3, 4))
 DEFAULT_BLOCK_SIZE = 10
 # Up to this many rows, bkz's default window spans the whole basis, so its
@@ -177,14 +177,6 @@ class _IntegralLLL:
         # the BKZ insertion's, which tests wrap to check each insertion.
         lattice.update_integral_gso(self.rows[: k + 1], self.d, self.lam, k, k + 1)
 
-    def _subtract(self, k: int, j: int, q: int) -> None:
-        """rows[k] -= q * rows[j], for j < k, with lam[k] kept current."""
-        lam = self.lam
-        self.rows[k] = [a - q * b for a, b in zip(self.rows[k], self.rows[j])]
-        for t in range(j):
-            lam[k][t] -= q * lam[j][t]
-        lam[k][j] -= q * self.d[j + 1]
-
     def _swap(self, k: int) -> None:
         """Exchange rows k-1 and k (Cohen, Algorithm 2.6.7).  Both columns of
         a later row i, l = lam[i][k-1] and t = lam[i][k], are updated over
@@ -209,9 +201,9 @@ class _IntegralLLL:
     def reduce(self, k: int = 1, delta: Fraction = DEFAULT_DELTA) -> None:
         """LLL with this delta from row k on; the rows before k must be reduced.
 
-        Size reduction is inline: |mu| = |x|/d > 1/2 is tested as x > h or
-        x < -h with h = d >> 1, the same predicate on integers, and row k is
-        written once after its full size reduction."""
+        Size reduction is inline: round_half_up(x, d) rows go exactly when
+        that is nonzero, x < -h or x >= d - h with h = d >> 1, so every mu
+        lands in [-1/2, 1/2), and row k is written once after it."""
         num, den = delta.numerator, delta.denominator
         lam, d, rows = self.lam, self.d, self.rows
         while k < self.n:
@@ -220,7 +212,7 @@ class _IntegralLLL:
                 self.kmax = k
             lam_k, d_k = lam[k], d[k]
             x, h = lam_k[k - 1], d_k >> 1
-            if x > h or x < -h:
+            if x < -h or x >= d_k - h:
                 q = round_half_up(x, d_k)
                 lam_j = lam[k - 1]
                 for t in range(k - 1):
@@ -238,7 +230,7 @@ class _IntegralLLL:
                 for j in range(k - 2, -1, -1):
                     x, d_j = lam_k[j], d[j + 1]
                     h = d_j >> 1
-                    if x > h or x < -h:
+                    if x < -h or x >= d_j - h:
                         q = round_half_up(x, d_j)
                         lam_j = lam[j]
                         for t in range(j):
@@ -249,13 +241,12 @@ class _IntegralLLL:
                 k += 1
 
     def normalize(self) -> None:
-        """Fix what HKZ reduction leaves free, so the rows depend on the
-        lattice alone: each row's sign, so that its Gram-Schmidt vector's first
-        nonzero entry is positive, and its size reduction, with every
-        mu[i][j] in [-1/2, 1/2) rather than [-1/2, 1/2].  Neither changes a
-        Gram-Schmidt norm, so the rows stay DEFAULT_DELTA-reduced."""
-        lam, d, n = self.lam, self.d, self.n
-        gs = lattice.projected_rows(self.rows, d, lam, n)
+        """Sign each row so that its Gram-Schmidt vector's first nonzero entry
+        is positive, the one thing HKZ reduction leaves free, then let reduce
+        move each mu that a flip left at +1/2 to -1/2: neither step changes a
+        d[i] or a mu^2, so that pass swaps nothing and the rows stay reduced."""
+        lam, n = self.lam, self.n
+        gs = lattice.projected_rows(self.rows, self.d, lam, n)
         for i in range(n):
             if canonical_sign(tuple(gs[i])) != tuple(gs[i]):
                 self.rows[i] = [-a for a in self.rows[i]]
@@ -263,10 +254,7 @@ class _IntegralLLL:
                     lam[i][j] = -lam[i][j]
                 for t in range(i + 1, n):
                     lam[t][i] = -lam[t][i]
-            for j in range(i - 1, -1, -1):
-                q = round_half_up(lam[i][j], d[j + 1])
-                if q:
-                    self._subtract(i, j, q)
+        self.reduce()
 
     def min_norm_sq(self) -> Fraction:
         """min d[i+1]/d[i] as the verified profile computes it; needs kmax = n - 1."""
@@ -427,16 +415,19 @@ class ShortestVector:
 
 
 def enumerate_shortest(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ShortestVector:
-    """Exact shortest nonzero vector of at most HKZ_MAX_DIM rows: the LLL,
-    so the search does not grow with how unreduced the input is, then one
-    complete enumeration within the first reduced row.  Of several shortest
-    vectors the one returned is the smallest after canonical_sign, and it
-    is returned signed so: a function of the lattice alone."""
+    """Exact shortest nonzero vector of at most HKZ_MAX_DIM rows: the LLL
+    (at each of PRECONDITION_DELTAS, then DEFAULT_DELTA), so the search does
+    not grow with how unreduced the input is, then one complete enumeration
+    within the first reduced row.  Of several shortest vectors the one
+    returned is the smallest after canonical_sign, and it is returned signed
+    so: a function of the lattice alone."""
     rows = as_rows(basis)
     n = len(rows)
     if n > HKZ_MAX_DIM:
         raise ValueError(f"{n} rows exceed HKZ_MAX_DIM = {HKZ_MAX_DIM}")
     state = _IntegralLLL(rows)
+    for delta in PRECONDITION_DELTAS:
+        state.reduce(delta=delta)
     state.reduce()
     # d[0] = 1, so q is the squared norm itself
     coeffs, norm = enumerate_block(state.rows, state.d, state.lam, 0, n)

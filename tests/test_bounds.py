@@ -4,8 +4,12 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -582,6 +586,22 @@ def test_no_library_path_reaches_the_fraction_gso(monkeypatch):
 def test_ratio_scan_validates():
     with pytest.raises(ValueError):
         ratio_scan([], [10])
+
+
+def test_ratio_scan_refuses_a_huge_exponent_before_forming_its_power():
+    # 10**(10**9) alone would take minutes and hundreds of MB to form
+    code = (
+        "from sqrtgap import ratio_scan\n"
+        "ratio_scan([2], [10**9])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "ValueError: log10 scale 1000000000 puts 10^e past BASIS_MAX_BITS = 1048576"
+    )
 
 
 def test_certificate_scales_match_table_order():

@@ -129,6 +129,34 @@ def test_lll_size_reduction_explicit():
             assert 2 * abs(mu[i][j]) <= 1
 
 
+def _mu_half_open(rows):
+    """Whether every mu of the rows' fresh integer GSO is in [-1/2, 1/2)."""
+    d, lam = integral_gso(rows)
+    return all(-d[j + 1] <= 2 * lam[i][j] < d[j + 1] for i in range(len(rows)) for j in range(i))
+
+
+def test_every_output_has_mu_in_the_half_open_interval(monkeypatch):
+    # The kernel subtracts round_half_up(mu) rows, so mu = +1/2 becomes -1/2
+    # wherever a reduction ends: lll, narrow and spanning windows, a target
+    # met at once or never.  Small entries make exact halves common: a kernel
+    # that kept mu = +1/2 left it in 3 lll, 3 stopped-at-once and 6
+    # narrow-window outputs of the 60 small bases below.
+    rb = lll([[-4, -4], [-2, -1]])
+    assert rb.rows == ((0, -2), (-2, 1)) and _mu_half_open(rb.rows)
+    rng = random.Random(34)
+    inputs = _pinned_inputs() + [_random_invertible(rng, rng.randint(2, 6), span=6) for _ in range(60)]
+    outputs = []
+    for rows in inputs:
+        outputs += [lll(rows), bkz(rows), bkz(rows, until=lambda x: True), bkz(rows, until=lambda x: False)]
+    outputs += [bkz(build_basis(squarefree_upto(k), 10**e), until=certification_threshold(k).exceeded_by)
+                for k, e in ((12, 20), (20, 50))]
+    for rb in outputs:
+        assert _mu_half_open(rb.rows), rb.rows
+    for b in (2, 3, 5, 10):
+        for rows in inputs:
+            assert _mu_half_open(_bkz_with_window(monkeypatch, rows, b).rows), (b, rows)
+
+
 def test_lll_gs_floor_under_shortest_row():
     basis = build_basis(squarefree_upto(10), 10**50)
     rb = lll(basis)
@@ -341,8 +369,8 @@ def test_default_bkz_is_hkz_up_to_16_rows():
 
 def test_default_bkz_does_not_depend_on_the_start():
     # A spanning window leaves nothing to the start: ties between equally
-    # short projections go to the tie rule's pick, and normalize fixes signs
-    # and size reduction, so a unimodular transform of the input changes no
+    # short projections go to the tie rule's pick, normalize fixes signs and
+    # the kernel size reduction, so a unimodular transform of the input changes no
     # row.  At N = 10^10, k = 12..14, equally short vectors tie.
     rng = random.Random(31)
     inputs = [(15, _pool_scale(85)), (12, _pool_scale(60)), (8, 10**30), (12, 10**10), (13, 10**10), (14, 10**10)]
