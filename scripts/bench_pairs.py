@@ -16,7 +16,10 @@ between the quartiles of the before runs (statistics.quantiles, exclusive
 method); without --claim the report's claim is null.  Either way the report
 lists as regressions each (workload, end-to-end metric) whose after median
 is worse than the before median by more than the metric's relative bound
-in that BENCHMARK.json.  Pairs are keyed by seed, so a seed given twice is
+in that BENCHMARK.json, and as unresolved each one whose before runs
+spread between their quartiles by more than that bound relative to their
+median: such a metric cannot show a change of that size, so it reads
+unresolved, not unchanged.  Pairs are keyed by seed, so a seed given twice is
 refused before any run, and a run that is not `correct` stops the script,
 naming it, before anything is written.
 
@@ -101,30 +104,55 @@ def score_claim(runs: list[dict], workload: str, metric: str, lower_is_better: b
     before = [p["before"] for p in pairs.values()]
     after = [p["after"] for p in pairs.values()]
     won = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
-    q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
     return {"workload": workload, "metric": metric, "pairs": len(pairs), "pairs_won": won,
             "median_before": round(statistics.median(before), 4),
             "median_after": round(statistics.median(after), 4),
-            "before_quartile_spread": round(q3 - q1, 4)}
+            "before_quartile_spread": round(_quartile_spread(before), 4)}
+
+
+def _quartile_spread(values: list[float]) -> float:
+    """Third quartile less the first (exclusive method); 0 for one value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def _sides(runs: list[dict], declared: list[dict]):
+    """(workload, declared entry, before values, after values) for each
+    end-to-end metric some run of the workload reports."""
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        for entry in declared:
+            group = [r for r in runs if r["workload"] == workload and entry["name"] in r["result"]["metrics"]]
+            if group:
+                yield workload, entry, *([_value(r, entry["name"]) for r in group if r["side"] == side]
+                                         for side in ("before", "after"))
 
 
 def regressions(runs: list[dict], declared: list[dict]) -> list[dict]:
     """Each (workload, end-to-end metric) whose after median is worse than
     the before median by more than the metric's relative bound."""
     found = []
-    for workload in dict.fromkeys(run["workload"] for run in runs):
-        for entry in declared:
-            metric, lower = entry["name"], entry["better"] == "lower"
-            group = [r for r in runs if r["workload"] == workload and metric in r["result"]["metrics"]]
-            if not group:
-                continue
-            before, after = (statistics.median(_value(r, metric) for r in group if r["side"] == side)
-                             for side in ("before", "after"))
-            limit = before * (1 + entry["bound"] if lower else 1 - entry["bound"])
-            worse = after > limit if lower else after < limit
-            if worse:
-                found.append({"workload": workload, "metric": metric, "bound": entry["bound"],
-                              "median_before": round(before, 4), "median_after": round(after, 4)})
+    for workload, entry, before_runs, after_runs in _sides(runs, declared):
+        before, after = statistics.median(before_runs), statistics.median(after_runs)
+        lower = entry["better"] == "lower"
+        limit = before * (1 + entry["bound"] if lower else 1 - entry["bound"])
+        if after > limit if lower else after < limit:
+            found.append({"workload": workload, "metric": entry["name"], "bound": entry["bound"],
+                          "median_before": round(before, 4), "median_after": round(after, 4)})
+    return found
+
+
+def unresolved(runs: list[dict], declared: list[dict]) -> list[dict]:
+    """Each (workload, end-to-end metric) whose before runs' quartile spread,
+    relative to their median, exceeds the metric's bound: a change within
+    that bound cannot be told from the spread."""
+    found = []
+    for workload, entry, before_runs, _ in _sides(runs, declared):
+        median, spread = statistics.median(before_runs), _quartile_spread(before_runs)
+        if spread > entry["bound"] * abs(median):
+            found.append({"workload": workload, "metric": entry["name"], "bound": entry["bound"],
+                          "median_before": round(median, 4), "before_quartile_spread": round(spread, 4)})
     return found
 
 
@@ -167,6 +195,7 @@ def main(argv=None) -> int:
         "claim": None if args.claim is None else score_claim(runs, workload, metric,
                                                              better[metric] == "lower"),
         "regressions": regressions(runs, declared),
+        "unresolved": unresolved(runs, declared),
         "median_by_workload": medians(runs),
         "runs": runs,
     }

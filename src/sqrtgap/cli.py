@@ -246,9 +246,8 @@ def _ser_certificate(cert: bounds.LowerBoundCertificate) -> dict:
     }
 
 
-def _run_certify(args) -> tuple[dict, int]:
-    cert = bounds.certify_lower_bound(args.k, args.scale)
-    return _ser_certificate(cert), EXIT_OK if cert.threshold_passed else EXIT_COMPUTE
+def _run_certify(args) -> dict:
+    return _ser_certificate(bounds.certify_lower_bound(args.k, args.scale))
 
 
 def _scale_label(scale: int) -> str:
@@ -312,21 +311,21 @@ def _run_ratio_scan(args) -> dict:
 
 
 _DISPATCH = {
-    "sigma": lambda args: (_run_sigma(args), EXIT_OK),
-    "brute-force": lambda args: (_run_brute_force(args), EXIT_OK),
-    "root-separation": lambda args: (_run_root_separation(args), EXIT_OK),
-    "qian-wang": lambda args: (_run_qian_wang(args), EXIT_OK),
+    "sigma": _run_sigma,
+    "brute-force": _run_brute_force,
+    "root-separation": _run_root_separation,
+    "qian-wang": _run_qian_wang,
     "certify": _run_certify,
-    "lower-bound": lambda args: (_run_lower_bound(args), EXIT_OK),
-    "upper-bound": lambda args: (_run_upper_bound(args), EXIT_OK),
-    "ratio-scan": lambda args: (_run_ratio_scan(args), EXIT_OK),
+    "lower-bound": _run_lower_bound,
+    "upper-bound": _run_upper_bound,
+    "ratio-scan": _run_ratio_scan,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        result, code = _DISPATCH[args.command](args)
+        result = _DISPATCH[args.command](args)
     except (bounds.NoCertificateError, PrecisionExhausted, reduction.ReductionError) as exc:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -334,6 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sqrtgap: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    code = EXIT_OK if result.get("threshold_passed", True) else EXIT_COMPUTE  # a failed certificate
     defaults = {"precision_cap_bits": DEFAULT_PRECISION_CAP, "reduction": reduction.SETTINGS}
     report = {"command": args.command, "defaults": defaults, "result": result}
     if sys.stdout is None:  # file descriptor 1 was closed: there is no one to tell

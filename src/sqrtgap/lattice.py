@@ -183,8 +183,6 @@ def fraction_gso(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[Fracti
                 acc -= mu[j][t] * r[i][t]
             r[i][j] = acc
             if j < i:
-                if norms[j] == 0:
-                    raise DependentRowsError(f"row {j} is dependent on earlier rows")
                 mu[i][j] = acc / norms[j]
             else:
                 norms[i] = acc

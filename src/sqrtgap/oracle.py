@@ -51,16 +51,16 @@ negation alone, and sign normalisation picks one of them.  The witness,
 its enclosure and instance_count are therefore the same as a walk over
 every multiset would give.
 
-Two caps are checked, on counts alone, before any radicand is decomposed.
-Each variant counts the instances it will offer (sums, times the
-OFFSETS_PER_SUM candidates where t is free) as one binomial (r1: one per
-sign group); a count above DEFAULT_CAP = 10^8 raises ValueError, whose
-message says "more than" for a count of 2^64 or more and where a
-binomial's smaller index alone passes it.  What the search holds is
-counted in slots: one per decomposed radicand, one per half-list entry and
-one per term an entry holds, one binomial per size of each half list.  A
-count above HOLD_CAP = 2^20 slots raises ValueError; a slot takes at most
-about 160 bytes (entries of one term) and about 32 at k >= 6.
+One limit is checked, on counts alone, before any radicand is decomposed:
+what the search holds, counted in slots, one per decomposed radicand, one
+per half-list entry and one per term an entry holds, one binomial per size
+of each half list.  A count above HOLD_CAP = 2^20 slots raises ValueError;
+a slot takes at most about 160 bytes (entries of one term) and about 32 at
+k >= 6.  The count stops at the first partial sum past HOLD_CAP and never
+forms a binomial whose smaller index alone passes it, so a huge input is
+refused in milliseconds.  instance_count, the instances offered (sums,
+times the OFFSETS_PER_SUM candidates where t is free; one binomial per
+variant, r1: one per sign group), is formed only for an admitted input.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .exactnum import (
 from .squarefree import squarefree_decompose
 
 VARIANTS = ("r1", "r2", "R")
-DEFAULT_CAP = 10**8
 SCREEN_BITS = 64
 HOLD_CAP = 1 << 20
 # Where t is free, instance_count counts each sum as five instances: the
@@ -109,16 +108,20 @@ def _within(lo: int, hi: int, radius: int) -> tuple[int, int]:
     return -((radius - lo) >> SCREEN_BITS), (hi + radius) >> SCREEN_BITS
 
 
-def _too_many(what: str, count: int | None, cap: str) -> ValueError:
-    """The error for a count past its cap; a count not formed (None) or of 2^64 or more is not printed."""
-    needs = "more than" if count is None or count >> 64 else f"{count} >"
-    return ValueError(f"{what} needs {needs} {cap}")
-
-
-def _slots(letters: int, sizes: Iterable[int], repeat: bool) -> int:
-    """Slots a half list holds: one per half-multiset over `letters` letters of a
-    size in `sizes`, with repeats or without, and one per term it holds."""
-    return sum((1 + j) * math.comb(letters + j - 1 if repeat else letters, j) for j in sizes)
+def _slots(n: int, halves: Iterable[tuple[int, Iterable[int]]], repeat: bool) -> int:
+    """Slots the search holds: one per radicand 1..n and, for each half list
+    (letters, sizes), one per half-multiset of that many letters and a size in
+    sizes, with repeats or without, and one per term it holds.  The count stops
+    at its first partial sum past HOLD_CAP, a lower bound, and forms no binomial
+    C(a, j) >= 2^min(j, a - j) whose smaller index alone passes HOLD_CAP."""
+    held = n
+    for letters, sizes in halves:
+        for j in sizes:
+            a = letters + j - 1 if repeat else letters
+            if held > HOLD_CAP or min(j, a - j) >= HOLD_CAP.bit_length():
+                return HOLD_CAP + 1
+            held += (1 + j) * math.comb(a, j)
+    return held
 
 
 def _half_lists(letters, sizes, choose, circle):
@@ -163,11 +166,11 @@ def _window(entries, first: int, last: int, circle: bool):
 def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     """Exact minimum positive value over all instances of the given variant.
 
-    Raises ValueError when the multiset-reduced enumeration would offer
-    more than DEFAULT_CAP instances, the unit of instance_count, when its
-    half lists would hold more than HOLD_CAP slots, and for r1 at n = 1 with
-    even k, whose every sum is 0.  The returned enclosure is certified
-    positive and the witness re-certifies to the same value.
+    Raises ValueError when the search would hold more than HOLD_CAP slots,
+    and for r1 at n = 1 with even k, whose every sum is 0.  instance_count
+    counts the instances of the multiset-reduced enumeration.  The returned
+    enclosure is certified positive and the witness re-certifies to the same
+    value.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -195,16 +198,11 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
         factors = ((2 * n + k, k), (OFFSETS_PER_SUM, 1))
         # the positive terms against the negative terms, k in all at most
         counts, left_sizes = (n, n), range(k + 1)
-    # C(a, b) >= 2^min(b, a - b): a binomial that alone passes the cap is never formed
-    past = any(min(b, a - b) >= DEFAULT_CAP.bit_length() for a, b in factors)
-    total = None if past else math.prod(math.comb(a, b) for a, b in factors)
-    if past or total > DEFAULT_CAP:
-        raise _too_many(f"{variant} enumeration", None if past else total, f"DEFAULT_CAP = {DEFAULT_CAP} instances")
-    right_sizes = left_sizes if variant == "R" else [k - j for j in left_sizes]
+    # the right lists' sizes k - j, as a range: none is listed before the count
+    right_sizes = left_sizes if variant == "R" else range(k - left_sizes[-1], k - left_sizes[0] + 1)
     repeat = variant != "r2"
-    held = n + _slots(counts[0], left_sizes, repeat) + _slots(counts[1], right_sizes, repeat)
-    if held > HOLD_CAP:
-        raise _too_many(f"{variant} search", held, f"HOLD_CAP = {HOLD_CAP} slots")
+    if _slots(n, zip(counts, (left_sizes, right_sizes)), repeat) > HOLD_CAP:
+        raise ValueError(f"{variant} search needs more than HOLD_CAP = {HOLD_CAP} slots")
 
     # each radicand r = a*a*s (s square-free) as its term (a, s), decomposed once
     positive = [squarefree_decompose(r) for r in range(1, n + 1)]
@@ -261,4 +259,4 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     sign, enclosure = certify_sign(best)
     if sign == NEGATIVE:
         best, enclosure = best.negate(), -enclosure
-    return BruteForceResult(value=enclosure, witness=best, instance_count=total)
+    return BruteForceResult(enclosure, best, math.prod(math.comb(a, b) for a, b in factors))

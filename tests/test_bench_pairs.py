@@ -10,13 +10,20 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _tree(root: Path, correct: bool = True, wall_s: float = 0.5, ok_frac: float = 1.0) -> Path:
-    """A tree whose perfbench/run.py prints one result line and exits 0."""
+def _tree(root: Path, correct: bool = True, wall_s: float = 0.5, ok_frac: float = 1.0,
+          wall_s_by_seed: dict | None = None) -> Path:
+    """A tree whose perfbench/run.py prints one result line and exits 0; its
+    wall_s is wall_s_by_seed[seed] where that is given."""
     result = {"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
               "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
                           "ok_frac": {"value": ok_frac, "unit": "ratio"}}}
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        f"result = json.loads({json.dumps(json.dumps(result))})\n"
+        "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
+        f"result['metrics']['wall_s']['value'] = {wall_s_by_seed or {}!r}.get(seed, {wall_s!r})\n"
+        "print(json.dumps(result))\n")
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "wall_s", "better": "lower", "bound": 0.25},
         {"name": "ok_frac", "better": "higher", "bound": 0.01},
@@ -74,3 +81,28 @@ def test_without_a_claim_the_report_lists_regressions_beyond_each_bound(tmp_path
                                       "median_before": 0.5, "median_after": 0.7}
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
         "claim": None, "regressions": past["regressions"]}
+
+
+def test_a_metric_whose_before_runs_spread_past_its_bound_reads_unresolved(tmp_path):
+    out = tmp_path / "pairs.json"
+
+    def report(before, after):
+        argv = ["--before", str(before), "--after", str(after), "--workloads", "scale-search",
+                "--seeds", "1", "2", "3", "4", "--seconds", "1", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        return json.loads(out.read_text())
+
+    # quartiles 0.425 and 0.9 (exclusive method) about a median of 0.55: a
+    # spread of 86%, past wall_s's 25% bound; ok_frac does not spread
+    noisy = _tree(tmp_path / "noisy", wall_s_by_seed={"1": 0.4, "2": 0.5, "3": 0.6, "4": 1.0})
+    same = report(noisy, noisy)
+    assert same["regressions"] == []
+    assert same["unresolved"] == [{"workload": "scale-search", "metric": "wall_s", "bound": 0.25,
+                                   "median_before": 0.55, "before_quartile_spread": 0.475}]
+    # a regression stays a regression where the metric is also unresolved
+    slower = report(noisy, _tree(tmp_path / "slower", wall_s=1.0))
+    assert [(r["metric"], r["median_after"]) for r in slower["regressions"]] == [("wall_s", 1.0)]
+    assert slower["unresolved"] == same["unresolved"]
+    # a spread within the bound resolves the metric: 0.015 about 0.5
+    steady = _tree(tmp_path / "steady", wall_s_by_seed={"1": 0.49, "2": 0.5, "3": 0.51, "4": 0.5})
+    assert report(steady, steady)["unresolved"] == []

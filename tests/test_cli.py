@@ -293,7 +293,7 @@ def test_computation_failure_exit_code(capsys, monkeypatch):
 def test_enumeration_cap_exit_code(capsys):
     code, out, err = _run(capsys, "brute-force", "--n", "50", "--k", "10", "--variant", "R")
     assert code == 1  # a size limit on the input, like every other one
-    assert out == "" and "R enumeration needs 234488183119905 > DEFAULT_CAP" in err
+    assert out == "" and "R search needs more than HOLD_CAP = 1048576 slots" in err
 
 
 def test_deterministic_output(capsys):
@@ -341,7 +341,7 @@ _REJECTED = [
     (("qian-wang", "--k", str(QIAN_WANG_MAX_K + 1), "--t", "1"), "QIAN_WANG_MAX_K"),
     (("qian-wang", "--k", str(QIAN_WANG_MAX_K), "--t", str(2**64 - QIAN_WANG_MAX_K)), "t + k must be below 2**64"),
     (("brute-force", "--n", "1", "--k", "2", "--variant", "r1"), "only zero sums"),
-    (("brute-force", "--n", "73", "--k", "4", "--variant", "R"), "DEFAULT_CAP"),
+    (("brute-force", "--n", "73", "--k", "4", "--variant", "R"), "HOLD_CAP"),
     (("certify", "--k", "3", "--N", "10^-5"), "negative exponent in 10^-5"),
     (("qian-wang", "--k", "4", "--t", "2^64"), "t + k must be below 2**64"),
     # the same (k, N) as certify --k 200 --N 10^2000, rejected before any cell
@@ -359,10 +359,10 @@ _REJECTED = [
     (("upper-bound", "--k", "2000000", "--N", "10"), "BASIS_MAX_DIM"),
     (("lower-bound", "--k", "3000000"), "BASIS_MAX_DIM"),
     # counted before any radicand is decomposed
-    (("brute-force", "--n", "1000000", "--k", "2", "--variant", "r2"), "DEFAULT_CAP"),
-    # a count of thousands of digits, rejected without forming it
-    (("brute-force", "--n", "6000", "--k", "6000", "--variant", "R"), "DEFAULT_CAP"),
-    # 10^8 instances, under DEFAULT_CAP, but half lists that would hold every radicand
+    (("brute-force", "--n", "1000000", "--k", "2", "--variant", "r2"), "HOLD_CAP"),
+    # binomials of thousands of digits, rejected without forming them
+    (("brute-force", "--n", "6000", "--k", "6000", "--variant", "R"), "HOLD_CAP"),
+    # only 10^8 instances, but half lists that would hold every radicand
     (("brute-force", "--n", "20000000", "--k", "1", "--variant", "r2"), "HOLD_CAP"),
     # predicted to decide at about 42 500 and 223 000 bits: rejected before any
     # coefficient or radicand (they ran for 55 s and over 10 minutes)

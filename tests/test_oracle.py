@@ -9,6 +9,7 @@ import pytest
 from sqrtgap import oracle
 from sqrtgap.exactnum import certify_sign
 from sqrtgap.oracle import brute_force
+from sqrtgap.squarefree import nth_squarefree
 
 
 def _naive_minimum(n, k, variant, t_range=8):
@@ -139,48 +140,63 @@ def test_instance_count_reported():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError, match=r"R enumeration needs 234488183119905 > DEFAULT_CAP = 100000000"):
+    with pytest.raises(ValueError, match=r"^R search needs more than HOLD_CAP = 1048576 slots$"):
         brute_force(50, 10, "R")
 
 
-def test_cap_counts_offered_instances(monkeypatch):
-    # the cap counts what instance_count counts: five offered candidates per
-    # sum where the integer t is free
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 9100)
+def test_cap_counts_offered_instances():
+    # instance_count counts five offered candidates per sum where the
+    # integer t is free
     assert brute_force(6, 4, "R").instance_count == 9100
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 9099)
-    with pytest.raises(ValueError, match=r"R enumeration needs 9100 > DEFAULT_CAP = 9099 instances"):
-        brute_force(6, 4, "R")
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 5 * math.comb(6, 3) - 1)
-    with pytest.raises(ValueError, match=r"needs 100 > DEFAULT_CAP = 99"):
-        brute_force(6, 3, "r2")
+    assert brute_force(6, 3, "r2").instance_count == 5 * math.comb(6, 3)
 
 
 def test_cap_is_decided_without_forming_a_huge_binomial(monkeypatch):
-    # C(a, b) >= 2^min(b, a - b) passes DEFAULT_CAP once the smaller index
-    # reaches the cap's bit length, 27, so no such binomial is formed
+    # C(a, b) >= 2^min(b, a - b) passes HOLD_CAP once the smaller index
+    # reaches the cap's bit length, 21, so no such binomial is formed
     comb = math.comb
 
     def small_only(a, b):
-        assert min(b, a - b) < 27, (a, b)
+        assert min(b, a - b) < 21, (a, b)
         return comb(a, b)
 
     monkeypatch.setattr(oracle.math, "comb", small_only)
-    with pytest.raises(ValueError, match=r"^R enumeration needs more than DEFAULT_CAP = 100000000 instances$"):
+    with pytest.raises(ValueError, match=r"^R search needs more than HOLD_CAP = 1048576 slots$"):
         brute_force(10**6, 10**6, "R")
-    # a count formed but of 2^64 or more is not printed either: this one has
-    # about 1400 digits
-    with pytest.raises(ValueError, match=r"^r2 enumeration needs more than DEFAULT_CAP"):
+    # a first size of 5 * 10^5 terms for r1, and of 10^5 for r2, under 10^6 radicands
+    with pytest.raises(ValueError, match=r"^r1 search needs more than HOLD_CAP"):
+        brute_force(10**6, 10**6, "r1")
+    with pytest.raises(ValueError, match=r"^r2 search needs more than HOLD_CAP"):
+        brute_force(10**6, 6 * 10**5, "r2")
+    # 10^700 radicands alone pass the cap: no binomial is formed
+    with pytest.raises(ValueError, match=r"^r2 search needs more than HOLD_CAP"):
         brute_force(10**700, 2, "r2")
 
 
+def test_every_refusal_is_fast_and_small():
+    # the count stops at its first partial sum past HOLD_CAP: k = 10^9 sizes
+    # at n = 1, a binomial of smaller index 10^6, n itself past the cap, and
+    # one list of 10^30 terms per entry
+    for n, k, variant in [(1, 10**9, "R"), (10**6, 10**6, "R"), (10**700, 2, "r2"), (1, 10**30 + 1, "r1")]:
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^{variant} search needs more than HOLD_CAP = 1048576 slots$"):
+                brute_force(n, k, variant)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.25 and peak < 1 << 20, (k, variant, elapsed, peak)
+
+
 def test_held_slots_are_capped_before_any_radicand_is_decomposed():
-    # r2 at k = 1 offers 5n instances, under DEFAULT_CAP up to n = 2 * 10^7,
-    # but its half lists would hold every radicand: refused on the count alone
+    # r2 at k = 1 offers only 5n instances, but its half lists would hold
+    # every radicand: refused on the count alone
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match=r"^r2 search needs 60000002 > HOLD_CAP = 1048576 slots$"):
+        with pytest.raises(ValueError, match=r"^r2 search needs more than HOLD_CAP = 1048576 slots$"):
             brute_force(2 * 10**7, 1, "r2")
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
@@ -188,13 +204,37 @@ def test_held_slots_are_capped_before_any_radicand_is_decomposed():
         tracemalloc.stop()
     assert elapsed < 0.25 and peak < 1 << 20
     # few entries, but long ones: r1 at n = 2, k = 19997 offers 9999 * 10000
-    # instances, under DEFAULT_CAP, from lists of about 10^4 entries of
-    # about 10^4 terms each
-    with pytest.raises(ValueError, match=r"^r1 search needs 199980003 > HOLD_CAP"):
+    # instances from lists of about 10^4 entries of about 10^4 terms each
+    with pytest.raises(ValueError, match=r"^r1 search needs more than HOLD_CAP"):
         brute_force(2, 19997, "r1")
-    # a count of 2^64 or more is not printed
-    with pytest.raises(ValueError, match=r"^r1 search needs more than HOLD_CAP = 1048576 slots$"):
-        brute_force(1, 10**30 + 1, "r1")
+
+
+def _distinct_radicand_counts(witness, n):
+    """The sizes of the sets of distinct radicands <= n whose positive square
+    roots, less an integer, sum to the witness or to its negation."""
+    sign = 1 if witness.terms[0][0] > 0 else -1
+    counts = set(range(math.isqrt(n) + 1))  # any of the perfect squares, absorbed by the integer
+    for c, s in witness.terms:
+        assert sign * c > 0  # all positive roots: every coefficient has one sign
+        sizes_by_sum = {0: {0}}  # the subsets of multipliers a, a*a*s <= n, by their sum
+        for a in range(1, math.isqrt(n // s) + 1):
+            for total, sizes in [(total, set(sizes)) for total, sizes in sizes_by_sum.items()]:
+                sizes_by_sum.setdefault(total + a, set()).update(size + 1 for size in sizes)
+        counts = {x + y for x in counts for y in sizes_by_sum.get(sign * c, ())}
+    return counts
+
+
+def test_r2_ground_truth_reaches_k_19():
+    # r2 at (sigma(k), k) offers C(sigma(k), k) sums, 1.4 * 10^8 at k = 19, and
+    # holds under HOLD_CAP slots up to k = 19
+    for k in (17, 18, 19):
+        n = nth_squarefree(k)
+        res = brute_force(n, k, "r2")
+        assert res.instance_count == 5 * math.comb(n, k)
+        assert res.value.lo > 0 and certify_sign(res.witness)[0] == 1
+        assert k in _distinct_radicand_counts(res.witness, n), (k, res.witness)
+    with pytest.raises(ValueError, match=r"^r2 search needs more than HOLD_CAP"):
+        brute_force(nth_squarefree(20), 20, "r2")
 
 
 def test_hold_cap_counts_what_the_half_lists_hold(monkeypatch):
@@ -204,12 +244,12 @@ def test_hold_cap_counts_what_the_half_lists_hold(monkeypatch):
     monkeypatch.setattr(oracle, "HOLD_CAP", 1866)
     assert brute_force(6, 4, "R").instance_count == 9100
     monkeypatch.setattr(oracle, "HOLD_CAP", 1865)
-    with pytest.raises(ValueError, match=r"R search needs 1866 > HOLD_CAP = 1865 slots"):
+    with pytest.raises(ValueError, match=r"R search needs more than HOLD_CAP = 1865 slots"):
         brute_force(6, 4, "R")
     # (6, 3, "r2"): radicands 1..3 against 4..6, sizes j and 3 - j:
     # 6 + 2 * (1*1 + 2*3 + 3*3 + 4*1) = 46
     monkeypatch.setattr(oracle, "HOLD_CAP", 45)
-    with pytest.raises(ValueError, match=r"r2 search needs 46 > HOLD_CAP = 45 slots"):
+    with pytest.raises(ValueError, match=r"r2 search needs more than HOLD_CAP = 45 slots"):
         brute_force(6, 3, "r2")
 
 
