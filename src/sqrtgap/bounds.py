@@ -42,10 +42,9 @@ a constructive upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import squarefree
 from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
@@ -67,8 +66,7 @@ class NoCertificateError(RuntimeError):
     certifying a bound."""
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """The certification bar: a basis certifies when its minimum squared
     Gram-Schmidt norm exceeds value, one exact Fraction comparison."""
 
@@ -111,8 +109,7 @@ def certification_threshold(k: int) -> Threshold:
     return Threshold(1 + Fraction(5, 4) * k * k * s + k * root_hi)
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(NamedTuple):
     """A certificate's numbers; its verdict is derived from them, never stored."""
 
     k: int
@@ -273,8 +270,7 @@ def _row_inequality_rhs(first: int, coeffs: Sequence[int], scale: int) -> Fracti
     return Fraction(2 * abs(first) + sum(abs(a) for a in coeffs), 2 * scale)
 
 
-@dataclass(frozen=True)
-class UpperBoundWitness:
+class UpperBoundWitness(NamedTuple):
     """A lattice row certifying a small positive value of the radical sum.
 
     (first_coord, coefficients) is a vector of the lattice at this scale;
@@ -348,7 +344,7 @@ def upper_bound_from_reduction(k: int, scale: int) -> UpperBoundWitness:
     # the k + 1 >= 2 rows gives no witness; min keeps the first of equals.
     witnesses = (row_witness(basis, row) for row in reduced.rows)
     best = min((w for w in witnesses if w is not None), key=cmp_to_key(lambda a, b: compare_abs(a.value, b.value)))
-    return replace(best, swaps=reduced.swaps, tours=reduced.tours)
+    return best._replace(swaps=reduced.swaps, tours=reduced.tours)
 
 
 def root_separation_log10(n: int, k: int, variant: str = "R") -> float:
@@ -376,8 +372,7 @@ def root_separation_log10(n: int, k: int, variant: str = "R") -> float:
         raise ValueError(f"2**{e} * {base_log10:.6g} exceeds double range") from None
 
 
-@dataclass(frozen=True)
-class QianWangInstance:
+class QianWangInstance(NamedTuple):
     """The alternating binomial sum sum((-1)^i * C(k,i) * sqrt(t+i)) and its bound.
 
     The sum telescopes to something below (1*3*5*...*(2k-3)) / (2^k * t^(k-1/2)).
@@ -415,8 +410,7 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     return QianWangInstance(k=k, t=t, value=value, rhs_sq=rhs_sq, rhs_log10=rhs_log10)
 
 
-@dataclass(frozen=True)
-class RatioCell:
+class RatioCell(NamedTuple):
     """One cell of the reduction-quality scan: lambda* against scale^(1/(k+1))."""
 
     k: int

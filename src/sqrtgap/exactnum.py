@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from . import squarefree
 
@@ -45,19 +44,27 @@ def abs_bracket(lo, hi):
     return 0, max(-lo, hi)
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Interval [lo, hi] of dyadic rationals containing a real value."""
-
+class _EnclosureFields(NamedTuple):
     lo: Fraction
     hi: Fraction
     precision_bits: int
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-        if self.precision_bits < 1:
-            raise ValueError(f"precision_bits must be >= 1, got {self.precision_bits}")
+
+class Enclosure(_EnclosureFields):
+    """Interval [lo, hi] of dyadic rationals containing a real value."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction, precision_bits: int) -> "Enclosure":
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        if precision_bits < 1:
+            raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
+        return super().__new__(cls, lo, hi, precision_bits)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Enclosure":  # _replace builds through _make
+        return cls(*fields)
 
     def abs(self) -> "Enclosure":
         lo, hi = abs_bracket(self.lo, self.hi)
@@ -82,8 +89,7 @@ def _sqrt_bracket(radicand: int, bits: int) -> tuple[int, int]:
     return m, m + 1
 
 
-@dataclass(frozen=True)
-class RadicalSum:
+class RadicalSum(NamedTuple):
     """Exact value sum(a_i * sqrt(s_i)) - offset in canonical form.
 
     Canonical means: radicands are pairwise distinct square-free integers

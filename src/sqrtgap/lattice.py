@@ -24,10 +24,9 @@ it), all-integer on the Gram-Schmidt data, with no Fraction and no float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .squarefree import is_squarefree
 
@@ -47,8 +46,7 @@ class DependentRowsError(ValueError):
     """The supplied rows are linearly dependent."""
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     rows: tuple[Row, ...]
     radicands: tuple[int, ...]
     scale: int
@@ -252,8 +250,7 @@ def projected_rows(
     return w
 
 
-@dataclass(frozen=True)
-class GramSchmidtProfile:
+class GramSchmidtProfile(NamedTuple):
     norms_sq: tuple[Fraction, ...]
     min_norm_sq: Fraction
     gram_det: int  # d[n], the Gram determinant: det(rows)^2 for a square basis

@@ -67,10 +67,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exactnum import (
     Enclosure,
@@ -96,8 +95,7 @@ _LO = itemgetter(0)
 _TURN = 1 << SCREEN_BITS  # an integer step of a sum, on the screen's scale
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     value: Enclosure  # encloses the minimum; strictly positive
     witness: RadicalSum  # achieves the minimum, certified positive
     instance_count: int

@@ -82,9 +82,8 @@ the only exact GSO a certificate needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import lattice
 from .lattice import (
@@ -123,18 +122,31 @@ class ReductionError(RuntimeError):
     """Reduction ran out of its swap or tour budget, or failed verification."""
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
+class _ReducedBasisFields(NamedTuple):
+    rows: tuple[Row, ...]
+    swaps: int  # LLL swaps over the whole reduction
+    tours: int  # BKZ tours begun; 0 for LLL alone
+    profile: GramSchmidtProfile
+
+
+class ReducedBasis(_ReducedBasisFields):
     """Rows that verify_reduced accepts, with the profile it computed from
     them, so no other basis's profile can be attached."""
 
-    rows: tuple[Row, ...]
-    swaps: int  # LLL swaps over the whole reduction
-    tours: int = field(default=0, kw_only=True)  # BKZ tours begun; 0 for LLL alone
-    profile: GramSchmidtProfile = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):  # verify_reduced looked up now: perfbench wraps it
-        object.__setattr__(self, "profile", verify_reduced(self.rows))
+    def __new__(cls, rows: tuple[Row, ...], swaps: int, *, tours: int = 0) -> "ReducedBasis":
+        # verify_reduced looked up now: perfbench wraps it
+        return super().__new__(cls, rows, swaps, tours, verify_reduced(rows))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "ReducedBasis":
+        """As _replace builds: the rows verified again, any profile given dropped."""
+        rows, swaps, tours, _ = fields
+        return cls(rows, swaps, tours=tours)
+
+    def __getnewargs_ex__(self):  # copy and pickle build through __new__ too
+        return (self.rows, self.swaps), {"tours": self.tours}
 
 
 def _swap_budget(rows: Sequence[Sequence[int]]) -> int:
@@ -408,8 +420,7 @@ def bkz(
     raise ReductionError(f"BKZ windows still improving after {tours} tours")
 
 
-@dataclass(frozen=True)
-class ShortestVector:
+class ShortestVector(NamedTuple):
     vector: Row
     norm_sq: Fraction
 
