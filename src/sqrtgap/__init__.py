@@ -29,7 +29,6 @@ from .lattice import (
     GramSchmidtProfile,
     LatticeBasis,
     build_basis,
-    determinant,
     gram_schmidt,
     scaled_nearest_sqrt,
 )
@@ -39,7 +38,6 @@ from .reduction import (
     ShortestVector,
     bkz,
     enumerate_shortest,
-    lll,
     reduced_profile,
 )
 from .bounds import (

@@ -48,8 +48,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import squarefree
 from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
-from .lattice import BASIS_MAX_BITS, LatticeBasis, Row, build_basis, check_basis_size, quoted_int
+from .lattice import BASIS_MAX_BITS, LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
+from .squarefree import quoted_int
 
 DEFAULT_STEP = 10**5
 DEFAULT_MAX_ITERS = 200
@@ -356,9 +357,9 @@ def root_separation_log10(n: int, k: int, variant: str = "R") -> float:
     picks the smaller of the two exponents.
     """
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {quoted_int(n)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {quoted_int(k)}")
     if variant not in ("r1", "R"):
         raise ValueError(f"variant must be 'r1' or 'R', got {variant!r}")
     factor = k if variant == "r1" else 2 * k
@@ -395,7 +396,7 @@ def qian_wang_instance(k: int, t: int) -> QianWangInstance:
     shared square-free parts merge.
     """
     if not 2 <= k <= QIAN_WANG_MAX_K:
-        raise ValueError(f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {k}")
+        raise ValueError(f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {quoted_int(k)}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {quoted_int(t)}")
     if t + k >= squarefree.DECOMPOSE_LIMIT:  # the radicands t .. t + k are decomposed

@@ -16,13 +16,13 @@ rationals, and any nonzero value separates from zero at finite precision.
 
 from __future__ import annotations
 
-import decimal
 import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from . import squarefree
+from .squarefree import decimal_str, quoted_int
 
 DEFAULT_PRECISION_CAP = 1 << 20
 DEFAULT_START_BITS = 64
@@ -59,7 +59,7 @@ class Enclosure(_EnclosureFields):
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
         if precision_bits < 1:
-            raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
+            raise ValueError(f"precision_bits must be >= 1, got {quoted_int(precision_bits)}")
         return super().__new__(cls, lo, hi, precision_bits)
 
     @classmethod
@@ -106,7 +106,7 @@ class RadicalSum(NamedTuple):
         folded: list[tuple[int, int]] = []
         for coeff, radicand in terms:
             if radicand < 1:
-                raise ValueError(f"radicand must be >= 1, got {radicand}")
+                raise ValueError(f"radicand must be >= 1, got {quoted_int(radicand)}")
             if coeff:
                 a, s = squarefree.squarefree_decompose(radicand)
                 folded.append((coeff * a, s))
@@ -288,12 +288,6 @@ def abs_at_most(value: RadicalSum, bound_sq: Fraction) -> tuple[bool, Enclosure]
         return None
 
     return refine(decide, lambda: f"|{value}|^2 <= {bound_sq}")
-
-
-def decimal_str(n: int) -> str:
-    """str(n), through Decimal(n): exact, and unlike str(int) not bound by
-    the interpreter's int-to-str digit limit."""
-    return str(decimal.Decimal(n))
 
 
 def dyadic_decimal(value: Fraction) -> str:

@@ -15,7 +15,7 @@ rational approximations b to sum a_i sqrt(s_i).  Everything here is exact.
 LatticeBasis.vector lifts integer coordinates to a vector at any scale, and
 LatticeBasis.coordinates inverts it.  Every Gram-Schmidt profile, with the
 Gram determinant d[n], comes from integral_gso's all-integer data;
-fraction_gso and the Bareiss determinant are only the tests' references.
+fraction_gso is only the tests' reference.
 The one shortest-vector search, enumerate_block, is a complete
 Schnorr-Euchner enumeration of a window of projected rows (reduction runs
 it), all-integer on the Gram-Schmidt data, with no Fraction and no float.
@@ -24,11 +24,10 @@ it), all-integer on the Gram-Schmidt data, with no Fraction and no float.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .squarefree import is_squarefree
+from .squarefree import is_squarefree, quoted_int
 
 Row = tuple[int, ...]
 
@@ -97,29 +96,19 @@ def scaled_nearest_sqrt(radicand: int, scale: int) -> int:
     and the parity of t settles which integer is nearest.
     """
     if radicand < 1:
-        raise ValueError(f"radicand must be >= 1, got {radicand}")
+        raise ValueError(f"radicand must be >= 1, got {quoted_int(radicand)}")
     if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
+        raise ValueError(f"scale must be >= 1, got {quoted_int(scale)}")
     t = math.isqrt(4 * scale * scale * radicand)
     return (t + 1) // 2
-
-
-def quoted_int(n: int) -> str:
-    """n as an error message quotes it: in full up to 2^16 bits, through
-    Decimal, which unlike str(int) is not bound by the int-to-str digit limit
-    (about 8 ms at 2^16 bits), and past that by its sign and bit length,
-    since its digits would take seconds to form."""
-    if n.bit_length() <= 1 << 16:
-        return str(Decimal(n))
-    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
 
 
 def check_basis_size(k: int, scale: int) -> None:
     """Raise ValueError unless build_basis admits k radicands at this scale."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {quoted_int(k)}")
     if k >= BASIS_MAX_DIM:
-        raise ValueError(f"{k + 1} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
+        raise ValueError(f"{quoted_int(k + 1)} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}")
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {quoted_int(scale)}")
     size = (k + 1) * scale.bit_length()
@@ -133,7 +122,7 @@ def build_basis(radicands: Sequence[int], scale: int) -> LatticeBasis:
     seen = set()
     for s in radicands:
         if s < 2:
-            raise ValueError(f"radicands must be >= 2, got {s}")
+            raise ValueError(f"radicands must be >= 2, got {quoted_int(s)}")
         if not is_squarefree(s):
             raise ValueError(f"radicand {s} is not square-free")
         if s in seen:
@@ -265,30 +254,6 @@ class GramSchmidtProfile(NamedTuple):
 def gram_schmidt(basis: "LatticeBasis | Iterable[Sequence[int]]") -> GramSchmidtProfile:
     """Exact Gram-Schmidt profile (all squared norms and their minimum)."""
     return GramSchmidtProfile.from_d(integral_gso(as_rows(basis))[0])
-
-
-def determinant(basis: "LatticeBasis | Iterable[Sequence[int]]") -> int:
-    """Absolute determinant of a square integer row matrix, by Bareiss."""
-    rows = as_rows(basis)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    m = [list(r) for r in rows]
-    prev = 1
-    for p in range(n - 1):
-        if m[p][p] == 0:
-            for q in range(p + 1, n):
-                if m[q][p] != 0:
-                    m[p], m[q] = m[q], m[p]
-                    break
-            else:
-                return 0
-        for i in range(p + 1, n):
-            for j in range(p + 1, n):
-                m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // prev
-            m[i][p] = 0
-        prev = m[p][p]
-    return abs(m[n - 1][n - 1])
 
 
 def canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:

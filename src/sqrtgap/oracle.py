@@ -82,7 +82,7 @@ from .exactnum import (
     merge_terms,
     terms_bracket,
 )
-from .squarefree import squarefree_decompose
+from .squarefree import quoted_int, squarefree_decompose
 
 VARIANTS = ("r1", "r2", "R")
 SCREEN_BITS = 64
@@ -171,23 +171,23 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     value.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {quoted_int(n)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {quoted_int(k)}")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
     half = k // 2
     if variant == "r1":
         if n == 1 and k == 2 * half:
-            raise ValueError(f"r1 at n=1 with even k={k} has only zero sums: "
-                             f"+sqrt(1) taken {half} times cancels -sqrt(1) taken {half} times")
+            raise ValueError(f"r1 at n=1 with even k={quoted_int(k)} has only zero sums: "
+                             f"+sqrt(1) taken {quoted_int(half)} times cancels -sqrt(1) taken {quoted_int(half)} times")
         factors = ((n + half - 1, half), (n + k - half - 1, k - half))
         # the positive group, of h = floor(k/2) terms, against the negative group
         counts, left_sizes = (n, n), (half,)
     elif variant == "r2":
         if k > n:
-            raise ValueError(f"r2 needs k distinct radicands <= n, got k={k} > n={n}")
+            raise ValueError(f"r2 needs k distinct radicands <= n, got k={quoted_int(k)} > n={quoted_int(n)}")
         factors = ((n, k), (OFFSETS_PER_SUM, 1))  # times one of the offsets t, as in R
         # radicands 1..floor(n/2) against the rest, k distinct in all
         counts = (n // 2, n - n // 2)

@@ -18,7 +18,7 @@ depend on rows 0..i alone, so a row built late gets exactly the values an
 eager update would have given it, and every decision is the same.  A swap
 exchanges the two lam rows as list objects and updates both columns of each
 later row over the one divisor d[k]; size reduction is inline in reduce,
-and every lll and bkz output has every mu in [-1/2, 1/2).
+and every bkz output has every mu in [-1/2, 1/2).
 
 BKZ runs complete (unpruned) enumeration inside sliding windows of the
 Gram-Schmidt-projected basis, on the same integer d and lam.  The window
@@ -73,8 +73,8 @@ two of the benchmark's 96 scale searches (k = 14) a power of ten weaker.
 enumerate_shortest is the same LLL ladder and one enumerate_block over
 the whole basis, so HKZ_MAX_DIM bounds every complete enumeration.
 
-Both reducers return a ReducedBasis, which re-verifies size reduction and
-the Lovasz condition on a fresh integer GSO of the output rows
+bkz returns a ReducedBasis, which re-verifies size reduction and the
+Lovasz condition on a fresh integer GSO of the output rows
 (lattice.integral_gso, from the rows alone, not the reducer's d and lam)
 and keeps that pass's exact profile d[i+1]/d[i] and Gram determinant d[n]:
 the only exact GSO a certificate needs.
@@ -297,16 +297,6 @@ def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
     return GramSchmidtProfile.from_d(d)
 
 
-def lll(basis: "LatticeBasis | Sequence[Sequence[int]]") -> ReducedBasis:
-    """LLL-reduce integer rows; the result is exactly size-reduced and
-    satisfies the Lovasz condition with delta = DEFAULT_DELTA, both
-    re-verified on a fresh integer GSO of the output rows.  Raises
-    ReductionError if the swap budget runs out."""
-    state = _IntegralLLL(as_rows(basis))
-    state.reduce()
-    return ReducedBasis(tuple(map(tuple, state.rows)), state.swaps)
-
-
 def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """W @ rows, for a unimodular integer W whose first row is the given
     primitive coefficient vector, without forming W.
@@ -450,8 +440,8 @@ def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
     """Whether each window [i, i + block_size) of the rows' fresh integer
     GSO starts with a shortest projected vector of the window: bkz's
     postcondition without until.  A block_size of len(rows) or more asks
-    whether the rows are HKZ-reduced.  It takes reduced rows, as bkz and lll
-    return them, and raises verify_reduced's ReductionError on any others:
+    whether the rows are HKZ-reduced.  It takes reduced rows, as bkz returns
+    them, and raises verify_reduced's ReductionError on any others:
     a search within an unreduced row's length need not finish."""
     verify_reduced(rows)
     d, lam = lattice.integral_gso(rows)

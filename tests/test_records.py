@@ -1,6 +1,7 @@
 """The records the library returns: immutable NamedTuples whose two
 checked records, Enclosure and ReducedBasis, check on every path that
-builds one, and a package import that needs no dataclasses."""
+builds one, and a package import that needs no dataclasses and exports
+a pinned set of names."""
 
 import copy
 import pickle
@@ -8,9 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import sqrtgap
 from sqrtgap import reduction
 from sqrtgap.bounds import (
     certification_threshold,
@@ -22,8 +25,10 @@ from sqrtgap.bounds import (
 from sqrtgap.exactnum import Enclosure, RadicalSum
 from sqrtgap.lattice import build_basis, gram_schmidt
 from sqrtgap.oracle import brute_force
-from sqrtgap.reduction import ReducedBasis, ReductionError, enumerate_shortest, lll, verify_reduced
+from sqrtgap.reduction import ReducedBasis, ReductionError, enumerate_shortest, verify_reduced
 from sqrtgap.squarefree import squarefree_upto
+
+from reference import lll
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -135,6 +140,30 @@ def test_reduced_basis_replace_verifies_its_rows_again(monkeypatch):
     assert calls == [rb.rows]
     assert got.profile == verify_reduced(rb.rows) and got.profile != other
     assert (got.rows, got.swaps, got.tours) == (rb.rows, 0, rb.tours)
+
+
+# sqrtgap's public names: adding one or dropping one is a deliberate change
+PUBLIC_NAMES = {
+    "BruteForceResult", "DependentRowsError", "Enclosure", "GramSchmidtProfile", "LatticeBasis",
+    "LowerBoundCertificate", "NoCertificateError", "PrecisionExhausted", "QianWangInstance", "RadicalSum",
+    "RatioCell", "ReducedBasis", "ReductionError", "ShortestVector", "Threshold", "UpperBoundWitness",
+    "abs_at_most", "bkz", "brute_force", "build_basis", "certification_threshold", "certify_lower_bound",
+    "certify_sign", "compare_abs", "dyadic_decimal", "enclose_radical_sum", "enumerate_shortest",
+    "find_lower_bound", "gram_schmidt", "is_squarefree", "nth_squarefree", "prime_count", "qian_wang_instance",
+    "ratio_scan", "reduced_profile", "root_separation_log10", "row_witness", "scaled_nearest_sqrt",
+    "squarefree_decompose", "squarefree_upto", "upper_bound_from_reduction",
+}
+
+
+def test_public_names_are_pinned():
+    # the submodules are attributes too, cli once a test has imported it
+    names = {
+        name for name, value in vars(sqrtgap).items() if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert names == PUBLIC_NAMES
+    for name in ("determinant", "lll"):  # the tests' references, in tests/reference.py
+        with pytest.raises(AttributeError):
+            getattr(sqrtgap, name)
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():

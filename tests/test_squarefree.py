@@ -5,6 +5,10 @@ import tracemalloc
 import pytest
 
 from sqrtgap import squarefree
+from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_instance, root_separation_log10
+from sqrtgap.exactnum import Enclosure, RadicalSum
+from sqrtgap.lattice import BASIS_MAX_DIM, build_basis, scaled_nearest_sqrt
+from sqrtgap.oracle import brute_force
 from sqrtgap.squarefree import (
     MAX_SIEVE_LIMIT,
     is_squarefree,
@@ -191,3 +195,43 @@ def test_concurrent_sieve_reads():
         results = list(pool.map(nth_squarefree, indexes))
     for i, value in zip(indexes, results):
         assert value == nth_squarefree(i)
+
+
+HUGE = 10**5000
+DIGITS = "1" + "0" * 5000  # HUGE in decimal, past the default int-to-str limit of 4300 digits
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: nth_squarefree(HUGE), f"sieve limit 2{'0' * 4998}16 exceeds MAX_SIEVE_LIMIT = {MAX_SIEVE_LIMIT}",
+                 id="sieve-limit"),
+    pytest.param(lambda: nth_squarefree(-HUGE), f"index must be >= 1, got -{DIGITS}", id="nth_squarefree"),
+    pytest.param(lambda: squarefree_upto(-HUGE), f"count must be >= 1, got -{DIGITS}", id="squarefree_upto"),
+    pytest.param(lambda: is_squarefree(-HUGE), f"expected a positive integer, got -{DIGITS}", id="is_squarefree"),
+    pytest.param(lambda: prime_count(-HUGE), f"expected a nonnegative integer, got -{DIGITS}", id="prime_count"),
+    pytest.param(lambda: scaled_nearest_sqrt(-HUGE, 3), f"radicand must be >= 1, got -{DIGITS}", id="sqrt-radicand"),
+    pytest.param(lambda: scaled_nearest_sqrt(3, -HUGE), f"scale must be >= 1, got -{DIGITS}", id="sqrt-scale"),
+    pytest.param(lambda: certify_lower_bound(-HUGE, 10), f"k must be >= 1, got -{DIGITS}", id="basis-k"),
+    pytest.param(lambda: certify_lower_bound(HUGE, 10), f"1{'0' * 4999}1 rows exceed BASIS_MAX_DIM = {BASIS_MAX_DIM}",
+                 id="basis-rows"),
+    pytest.param(lambda: build_basis([-HUGE], 10), f"radicands must be >= 2, got -{DIGITS}", id="build_basis"),
+    pytest.param(lambda: brute_force(-HUGE, 2, "R"), f"n must be >= 1, got -{DIGITS}", id="oracle-n"),
+    pytest.param(lambda: brute_force(2, -HUGE, "R"), f"k must be >= 1, got -{DIGITS}", id="oracle-k"),
+    pytest.param(lambda: brute_force(1, HUGE, "r1"),
+                 f"r1 at n=1 with even k={DIGITS} has only zero sums: "
+                 f"+sqrt(1) taken 5{'0' * 4999} times cancels -sqrt(1) taken 5{'0' * 4999} times", id="oracle-r1"),
+    pytest.param(lambda: brute_force(2, HUGE, "r2"), f"r2 needs k distinct radicands <= n, got k={DIGITS} > n=2",
+                 id="oracle-r2"),
+    pytest.param(lambda: root_separation_log10(-HUGE, 2), f"n must be >= 2, got -{DIGITS}", id="separation-n"),
+    pytest.param(lambda: root_separation_log10(2, -HUGE), f"k must be >= 1, got -{DIGITS}", id="separation-k"),
+    pytest.param(lambda: qian_wang_instance(HUGE, 1),
+                 f"k must lie in [2, {QIAN_WANG_MAX_K}] (QIAN_WANG_MAX_K), got {DIGITS}", id="qian-wang-k"),
+    pytest.param(lambda: Enclosure(0, 1, -HUGE), f"precision_bits must be >= 1, got -{DIGITS}", id="enclosure"),
+    pytest.param(lambda: RadicalSum.from_terms([(1, -HUGE)]), f"radicand must be >= 1, got -{DIGITS}",
+                 id="radical-sum"),
+])
+def test_a_huge_integer_is_quoted_in_the_library_message(call, message):
+    # every module quotes a caller's integer through squarefree.quoted_int, so
+    # the interpreter's digit-limit error never replaces the message
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
