@@ -50,7 +50,7 @@ from . import squarefree
 from .exactnum import Enclosure, RadicalSum, abs_at_most, compare_abs, enclose_radical_sum
 from .lattice import BASIS_MAX_BITS, LatticeBasis, Row, build_basis, check_basis_size
 from .reduction import ReducedBasis, ReductionError, bkz, reduced_profile
-from .squarefree import quoted_int
+from .squarefree import quoted_fraction, quoted_int
 
 DEFAULT_STEP = 10**5
 DEFAULT_MAX_ITERS = 200
@@ -315,7 +315,7 @@ def row_witness(basis: LatticeBasis, row: Sequence[int]) -> Optional[UpperBoundW
     rhs = _row_inequality_rhs(first, coeffs, basis.scale)
     holds, decided = abs_at_most(value, rhs * rhs)
     if not holds:  # mathematically impossible for a lattice row
-        raise ArithmeticError(f"row inequality violated: |{value}| > {rhs}")
+        raise ArithmeticError(f"row inequality violated: |{value}| > {quoted_fraction(rhs)}")
     certified = enclose_radical_sum(value, 2 * decided.precision_bits).abs()
     if certified.hi > rhs:
         raise ArithmeticError("refined enclosure lost the row inequality")

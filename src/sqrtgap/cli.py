@@ -3,12 +3,13 @@
 Reports go to stdout as JSON; progress goes to stderr.
 Exit codes: 0 success, 1 input error, 2 computation failure (no
 certificate within the iteration budget, reduction swap or tour budget
-exhausted, precision cap exhausted).  Integers
-that can exceed native JSON number range are serialized as decimal
-strings, enclosures as exact decimal dyadic endpoints, so every report
-re-parses losslessly.  A reader that closes stdout early (as `| head`
-does), or a stdout closed outright (`>&-`), leaves the exit code that of
-the computation.
+exhausted, precision cap exhausted).  Every integer argument, each list
+element too, is a plain decimal or base^exponent, read by _parse_bigint.
+Integers that can exceed native JSON number range, root-separation's n
+and k among them, are serialized as decimal strings, enclosures as exact
+decimal dyadic endpoints, so every report re-parses losslessly.  A reader
+that closes stdout early (as `| head` does), or a stdout closed outright
+(`>&-`), leaves the exit code that of the computation.
 """
 
 from __future__ import annotations
@@ -67,14 +68,6 @@ def _shown(text: str) -> str:
     return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
 
 
-def _check_power(base: int, exp: int, text: str) -> None:
-    """Reject base^exp (typed as text) with exp < 0 or past MAX_POWER_BITS."""
-    if exp < 0:
-        raise _BadValue(f"negative exponent in {_shown(text)}")
-    if exp * base.bit_length() > MAX_POWER_BITS:
-        raise _BadValue(f"{_shown(text)} exceeds {MAX_POWER_BITS} bits")
-
-
 def _int_of_digits(digits: str) -> int:
     """int(digits) from pieces of at most 640 digits, the lowest int-to-str
     limit Python allows: 0.2 s at the 315 652 digits MAX_POWER_BITS admits."""
@@ -98,28 +91,22 @@ def _parse_decimal(text: str) -> int:
 
 
 def _parse_bigint(text: str) -> int:
-    """A plain decimal or base^exponent of plain decimals (e.g. 10^50)."""
+    """A plain decimal or base^exponent of plain decimals (e.g. 10^50), the
+    power rejected unformed where exp < 0 or exp * bits(base) > MAX_POWER_BITS."""
     base_text, caret, exp_text = text.partition("^")
     if not caret:
         return _parse_decimal(text)
     base, exp = _parse_decimal(base_text), _parse_decimal(exp_text)
-    _check_power(base, exp, text.strip())
+    if exp < 0:
+        raise _BadValue(f"negative exponent in {_shown(text.strip())}")
+    if exp * base.bit_length() > MAX_POWER_BITS:
+        raise _BadValue(f"{_shown(text.strip())} exceeds {MAX_POWER_BITS} bits")
     return base**exp
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise _BadValue(f"expected comma-separated integers, got {_shown(text)!r}") from None
-
-
-def _parse_log10_list(text: str) -> list[int]:
-    """Comma-separated exponents e, each bounded like --N 10^e."""
-    exps = _parse_int_list(text)
-    for e in exps:
-        _check_power(10, e, f"10^{e}")
-    return exps
+def _parse_bigints(text: str) -> list[int]:
+    """Comma-separated integers, each read as _parse_bigint reads one."""
+    return [_parse_bigint(part) for part in text.split(",") if part.strip()]
 
 
 def _build_parser() -> _Parser:
@@ -127,39 +114,39 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sigma", help="i-th square-free integer (from 2)")
-    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--i", type=_parse_bigint, required=True)
 
     p = sub.add_parser("brute-force", help="exhaustive minimum for tiny instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", choices=oracle.VARIANTS, required=True)
+    p.add_argument("--n", type=_parse_bigint, required=True)
+    p.add_argument("--k", type=_parse_bigint, required=True)
+    p.add_argument("--variant", required=True)
 
     p = sub.add_parser("root-separation", help="root-separation baseline, log10")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", choices=("r1", "R"), default="R")
+    p.add_argument("--n", type=_parse_bigint, required=True)
+    p.add_argument("--k", type=_parse_bigint, required=True)
+    p.add_argument("--variant", default="R")
 
     p = sub.add_parser("qian-wang", help="alternating binomial upper-bound instance")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_parse_bigint, required=True)
     p.add_argument("--t", type=_parse_bigint, required=True)
 
     p = sub.add_parser("certify", help="attempt a lower-bound certificate at one scale")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_parse_bigint, required=True)
     p.add_argument("--N", type=_parse_bigint, required=True, dest="scale")
 
     p = sub.add_parser("lower-bound", help="grow the scale until a bound certifies")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_parse_bigint, required=True)
     p.add_argument("--step", type=_parse_bigint, default=bounds.DEFAULT_STEP)
     p.add_argument("--n-start", type=_parse_bigint, default=None, dest="start_scale")
 
     p = sub.add_parser("upper-bound", help="constructive upper-bound witness")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_parse_bigint, required=True)
     p.add_argument("--N", type=_parse_bigint, required=True, dest="scale")
 
     p = sub.add_parser("ratio-scan", help="lambda*/N^(1/(k+1)) over a (k, N) grid")
-    p.add_argument("--k", type=_parse_int_list, required=True, dest="k_list",
+    p.add_argument("--k", type=_parse_bigints, required=True, dest="k_list",
                    help="comma-separated k values")
-    p.add_argument("--log10n", type=_parse_log10_list, required=True, dest="log10_list",
+    p.add_argument("--log10n", type=_parse_bigints, required=True, dest="log10_list",
                    help="comma-separated log10(N) values")
 
     return parser
@@ -212,7 +199,7 @@ def _run_brute_force(args) -> dict:
 
 def _run_root_separation(args) -> dict:
     bound = bounds.root_separation_log10(args.n, args.k, args.variant)
-    return {"n": args.n, "k": args.k, "variant": args.variant, "log10_bound": bound}
+    return {"n": decimal_str(args.n), "k": decimal_str(args.k), "variant": args.variant, "log10_bound": bound}
 
 
 def _run_qian_wang(args) -> dict:

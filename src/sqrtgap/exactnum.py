@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from . import squarefree
-from .squarefree import decimal_str, quoted_int
+from .squarefree import decimal_str, quoted_fraction, quoted_int
 
 DEFAULT_PRECISION_CAP = 1 << 20
 DEFAULT_START_BITS = 64
@@ -57,7 +57,7 @@ class Enclosure(_EnclosureFields):
 
     def __new__(cls, lo: Fraction, hi: Fraction, precision_bits: int) -> "Enclosure":
         if lo > hi:
-            raise ValueError(f"inverted interval [{lo}, {hi}]")
+            raise ValueError(f"inverted interval [{quoted_fraction(lo)}, {quoted_fraction(hi)}]")
         if precision_bits < 1:
             raise ValueError(f"precision_bits must be >= 1, got {quoted_int(precision_bits)}")
         return super().__new__(cls, lo, hi, precision_bits)
@@ -287,7 +287,7 @@ def abs_at_most(value: RadicalSum, bound_sq: Fraction) -> tuple[bool, Enclosure]
             return False, _dyadic_enclosure(lo, hi, bits)
         return None
 
-    return refine(decide, lambda: f"|{value}|^2 <= {bound_sq}")
+    return refine(decide, lambda: f"|{value}|^2 <= {quoted_fraction(bound_sq)}")
 
 
 def dyadic_decimal(value: Fraction) -> str:
@@ -295,7 +295,7 @@ def dyadic_decimal(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     e = den.bit_length() - 1
     if den != 1 << e:
-        raise ValueError(f"{value} is not dyadic")
+        raise ValueError(f"{quoted_fraction(value)} is not dyadic")
     if e == 0:
         return decimal_str(num)
     scaled = num * 5**e  # value = scaled / 10^e

@@ -97,6 +97,7 @@ from .lattice import (
     round_half_up,
     update_integral_gso,
 )
+from .squarefree import quoted_fraction
 
 DEFAULT_DELTA = Fraction(99, 100)
 # LLL passes before the DEFAULT_DELTA pass, each a weaker Lovasz condition
@@ -288,7 +289,7 @@ def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
     for i in range(n):
         for j in range(i):
             if 2 * abs(lam[i][j]) > d[j + 1]:
-                mu = Fraction(lam[i][j], d[j + 1])
+                mu = quoted_fraction(Fraction(lam[i][j], d[j + 1]))
                 raise ReductionError(f"size reduction violated at ({i}, {j}): mu = {mu}")
     p, q = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
     for k in range(1, n):

@@ -11,9 +11,9 @@ integers as flags (as a list they would take about 90 MB at the cap), grows
 by doubling, and never sieves past MAX_SIEVE_LIMIT: a request that would is
 rejected with ValueError before anything is allocated.
 
-decimal_str and quoted_int turn integers into text for reports and error
-messages: they live here, in the module that imports nothing from the
-package, so that every module can quote through them.
+decimal_str, quoted_int and quoted_fraction turn integers into text for
+reports and error messages: they live here, in the module that imports
+nothing from the package, so that every module can quote through them.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ def quoted_int(n: int) -> str:
     if n.bit_length() <= 1 << 16:
         return decimal_str(n)
     return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
+def quoted_fraction(x) -> str:
+    """A Fraction (or an int) as str(x) writes it, its numerator and
+    denominator each quoted through quoted_int."""
+    num = quoted_int(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{quoted_int(x.denominator)}"
 
 
 def _sieve(limit: int) -> tuple[list[int], bytearray]:

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 from sqrtgap import bounds
-from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, _parse_log10_list, main
+from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, main
 from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_instance
 from sqrtgap.exactnum import DEFAULT_START_BITS, RadicalSum, enclose_radical_sum
-from sqrtgap.lattice import BASIS_MAX_DIM
+from sqrtgap.lattice import BASIS_MAX_BITS, BASIS_MAX_DIM, check_basis_size
 from sqrtgap.squarefree import MAX_SIEVE_LIMIT
 
 
@@ -51,9 +51,9 @@ def test_sigma_past_sieve_cap_is_input_error(capsys):
 
 
 def test_huge_integer_in_a_library_message_exits_1_with_that_message(capsys):
-    # as many nines as the int-to-str digit limit lets argparse read (4300 by
-    # default, 640 at the lowest): each message quotes one digit more
-    digits = sys.get_int_max_str_digits() or 4300
+    # 4300 nines, past the default int-to-str digit limit and the lowest (640),
+    # are read as every integer argument is: each message quotes one digit more
+    digits = 4300
     code, out, err = _run(capsys, "sigma", "--i", "9" * digits)
     assert (code, out) == (1, "")
     assert err == f"sqrtgap: sieve limit 2{'0' * (digits - 2)}14 exceeds MAX_SIEVE_LIMIT = {MAX_SIEVE_LIMIT}\n"
@@ -86,11 +86,18 @@ def test_brute_force_r2_reads_offsets_against_the_radical_part(capsys):
     assert result["instance_count"] == 25
 
 
-def test_root_separation_json(capsys):
+def test_root_separation_json(capsys, lowest_digit_limit):
     code, out, _ = _run(capsys, "root-separation", "--n", "165", "--k", "100", "--variant", "R")
     assert code == 0
     result = json.loads(out)["result"]
     assert abs(result["log10_bound"] - (-468635490828)) <= 1
+    # no library limit bounds n or k, so the report prints both as strings
+    for n, k, bound in (("10^5000", "1", -2500.30), ("2", "10^5000", -5000.45)):
+        code, out, err = _run(capsys, "root-separation", "--n", n, "--k", k)
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (_int_back(result["n"]), _int_back(result["k"])) == (_parse_bigint(n), _parse_bigint(k))
+        assert round(result["log10_bound"], 2) == bound
 
 
 def test_certify_exit_codes(capsys):
@@ -167,8 +174,12 @@ _PAST_640 = "-1" + "0" * 5000
         (("certify", "--k", "2", "--N", _PAST_640), 1, f"scale must be >= 1, got {_PAST_640}"),
         (("lower-bound", "--k", "2", "--step", _PAST_640), 1, f"step must be >= 2, got {_PAST_640}"),
         (("qian-wang", "--k", "2", "--t", _PAST_640), 1, f"t must be >= 1, got {_PAST_640}"),
+        (("sigma", "--i", _PAST_640), 1, f"index must be >= 1, got {_PAST_640}"),
+        (("brute-force", "--n", _PAST_640, "--k", "1", "--variant", "R"), 1, f"n must be >= 1, got {_PAST_640}"),
+        (("certify", "--k", _PAST_640, "--N", "10"), 1, f"k must be >= 1, got {_PAST_640}"),
+        (("ratio-scan", "--k", f"2,{_PAST_640}", "--log10n", "3"), 1, f"k must be >= 1, got {_PAST_640}"),
     ],
-    ids=["last-N", "scale", "step", "t"],
+    ids=["last-N", "scale", "step", "t", "i", "n", "k", "k-list"],
 )
 def test_messages_quote_values_past_the_digit_limit(argv, code, message):
     # at the lowest int-to-str limit Python allows, a message that formed
@@ -194,8 +205,10 @@ _HUGE = "-10^262143"  # admitted by MAX_POWER_BITS: 870 821 bits, 262 144 digits
         (("lower-bound", "--k", "2", f"--n-start={_HUGE}"), "scale must be >= 1"),
         (("lower-bound", "--k", "2", f"--step={_HUGE}"), "step must be >= 2"),
         (("qian-wang", "--k", "2", f"--t={_HUGE}"), "t must be >= 1"),
+        (("certify", f"--k={_HUGE}", "--N", "10"), "k must be >= 1"),
+        (("sigma", f"--i={_HUGE}"), "index must be >= 1"),
     ],
-    ids=["certify", "upper-bound", "n-start", "step", "t"],
+    ids=["certify", "upper-bound", "n-start", "step", "t", "k", "i"],
 )
 def test_messages_quote_huge_values_by_their_size(argv, message):
     # quoting the value in full would spend about 1.5 s forming a 262 179-byte line
@@ -343,8 +356,8 @@ def test_root_separation_overflow_is_input_error(capsys):
 # Each case fails fast: exit 1 and no report, within 1 MB traced and 1 s,
 # with a message that names the limit or the expected form.
 _REJECTED = [
-    (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)), f"exceeds {MAX_POWER_BITS} bits"),
-    (("ratio-scan", "--k", "3", "--log10n", "8,-1"), "negative exponent in 10^-1"),
+    (("ratio-scan", "--k", "3", "--log10n", str(MAX_POWER_BITS // 4 + 1)), "exceeds BASIS_MAX_BITS"),
+    (("ratio-scan", "--k", "3", "--log10n", "8,-1"), "log10 scale must be >= 0, got -1"),
     (("ratio-scan", "--k", "0", "--log10n", "10"), "k must be >= 1, got 0"),
     (("ratio-scan", "--k", str(BASIS_MAX_DIM), "--log10n", "10"), "BASIS_MAX_DIM"),
     (("certify", "--k", str(BASIS_MAX_DIM), "--N", "10^50"), "BASIS_MAX_DIM"),
@@ -361,7 +374,7 @@ _REJECTED = [
     (("certify", "--k", "0", "--N", "10"), "k must be >= 1, got 0"),
     (("certify", "--k", "3", "--N", "0"), "scale must be >= 1, got 0"),
     (("certify", "--k", "3", "--N", "abc"), "argument --N: expected an integer or base^exponent, got 'abc'"),
-    (("ratio-scan", "--k", "a", "--log10n", "3"), "argument --k: expected comma-separated integers, got 'a'"),
+    (("ratio-scan", "--k", "a", "--log10n", "3"), "argument --k: expected an integer or base^exponent, got 'a'"),
     # a plain decimal has the size bound of base^exponent: d digits, d * log2(10) bits
     (("certify", "--k", "1", "--N", "9" * 315653), "argument --N: 315653-digit value exceeds 1048576 bits"),
     (("certify", "--k", "3", "--N", "10^" + "9" * 5000), "10^99999999999999999...9999999999 exceeds"),
@@ -380,6 +393,8 @@ _REJECTED = [
     # coefficient or radicand (they ran for 55 s and over 10 minutes)
     (("qian-wang", "--k", "4096", "--t", "10^6"), "QIAN_WANG_MAX_BITS"),
     (("qian-wang", "--k", "4096", "--t", "18446744073709547519"), "QIAN_WANG_MAX_BITS"),
+    # the base-power bound, the command line's one limit of its own
+    (("certify", "--k", "3", "--N", f"10^{MAX_POWER_BITS // 4 + 1}"), f"exceeds {MAX_POWER_BITS} bits"),
 ]
 
 
@@ -404,7 +419,7 @@ def test_first_value_past_each_limit_fails_fast(capsys, argv, reason):
 
 # The message checks of seven cases of the table, under their long-standing ids
 # (argv0 to argv6, each with its reason).
-@pytest.mark.parametrize("argv, reason", [_REJECTED[i] for i in (0, 11, 4, 7, 12, 9, 10)])
+@pytest.mark.parametrize("argv, reason", [_REJECTED[i] for i in (29, 11, 4, 7, 12, 9, 10)])
 def test_rejected_argument_names_the_bound(capsys, argv, reason):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
@@ -430,18 +445,6 @@ def test_precision_past_int_str_digit_limit_prints(capsys):
     assert len(printed["hi"]) > 4300
     assert _decimal_to_fraction(printed["lo"]) == enc.lo
     assert _decimal_to_fraction(printed["hi"]) == enc.hi
-
-
-@pytest.fixture
-def lowest_digit_limit():
-    # Python's smallest int-to-str digit limit: a 701-digit N then stands in
-    # for one past the default 4300 digits, at a small part of the reduction work
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def _int_back(text: str) -> int:
@@ -485,12 +488,19 @@ def test_values_past_double_range_approximate_to_null(capsys, argv, field):
     assert "error" not in result
 
 
-def test_log10n_limit_matches_base_power_limit():
-    e = MAX_POWER_BITS // 4  # 10 has bit length 4
-    assert _parse_log10_list(f"0,{e}") == [0, e]
-    assert _parse_bigint(f"10^{e}").bit_length() <= MAX_POWER_BITS
-    with pytest.raises(ValueError):
-        _parse_bigint(f"10^{e + 1}")
+def test_log10n_limit_matches_base_power_limit(capsys):
+    # --log10n has no bound of its own: its largest exponent is the largest
+    # that check_basis_size admits at k = 1, and --N takes that power too
+    e = 157826
+    check_basis_size(1, 10**e)
+    assert _parse_bigint(f"10^{e}") == 10**e
+    code, out, err = _run(capsys, "ratio-scan", "--k", "1", "--log10n", f"0,{e + 1}")
+    assert (code, out) == (1, "")
+    assert err == f"sqrtgap: dim * scale bits = {2 * (10 ** (e + 1)).bit_length()} exceeds BASIS_MAX_BITS = {BASIS_MAX_BITS}\n"
+    # an exponent whose power would pass BASIS_MAX_BITS is refused before 10^e is formed
+    code, out, err = _run(capsys, "ratio-scan", "--k", "1", "--log10n", "10^6")
+    assert (code, out) == (1, "")
+    assert err == f"sqrtgap: log10 scale 1000000 puts 10^e past BASIS_MAX_BITS = {BASIS_MAX_BITS}\n"
 
 
 def _fenced_command_lines(text: str):

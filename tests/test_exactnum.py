@@ -349,9 +349,11 @@ def test_enclosure_algebra():
         Enclosure(Fraction(1), Fraction(0), 16)
 
 
-def test_dyadic_decimal():
+def test_dyadic_decimal(lowest_digit_limit):
     assert dyadic_decimal(Fraction(3, 4)) == "0.75"
     assert dyadic_decimal(Fraction(-5, 8)) == "-0.625"
     assert dyadic_decimal(Fraction(7)) == "7"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^1/3 is not dyadic$"):
         dyadic_decimal(Fraction(1, 3))
+    with pytest.raises(ValueError, match=f"^1/3{'0' * 700} is not dyadic$"):
+        dyadic_decimal(Fraction(1, 3 * 10**700))

@@ -109,11 +109,14 @@ def test_record_fields_and_repr(records):
             assert repr(record) == f"{name}({fields})"
 
 
-def test_enclosure_replace_keeps_its_checks():
+def test_enclosure_replace_keeps_its_checks(lowest_digit_limit):
     enc = Enclosure(Fraction(1, 3), Fraction(1, 2), 8)
     assert enc._replace(lo=Fraction(1, 4)) == Enclosure(Fraction(1, 4), Fraction(1, 2), 8)
-    with pytest.raises(ValueError, match="inverted interval"):
+    with pytest.raises(ValueError, match=r"inverted interval \[3/2, 1/2\]"):
         enc._replace(lo=enc.hi + 1)
+    # endpoints past the int-to-str digit limit are quoted, not str()-ed
+    with pytest.raises(ValueError, match=r"inverted interval \[10{5000}, 0\]"):
+        Enclosure(Fraction(10**5000), Fraction(0), 1)
     with pytest.raises(ValueError, match="precision_bits"):
         enc._replace(precision_bits=0)
 

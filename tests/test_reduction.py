@@ -575,9 +575,12 @@ def test_integer_verification_matches_the_fraction_reference(monkeypatch):
             assert verify_reduced(rb.rows).norms_sq == tuple(fraction_gso(list(rb.rows))[1])
 
 
-def test_verification_rejects_unreduced_pairs():
+def test_verification_rejects_unreduced_pairs(lowest_digit_limit):
     with pytest.raises(ReductionError, match="size reduction violated at \\(1, 0\\): mu = 1"):
         verify_reduced([(1, 0), (1, 1)])
+    # mu past the int-to-str digit limit still raises ReductionError, with mu quoted
+    with pytest.raises(ReductionError, match=f"mu = 1{'0' * 699}1/1{'0' * 700}$"):
+        ReducedBasis(((10**700, 0), (10**700 + 1, 1)), 0)
     with pytest.raises(ReductionError, match="Lovasz condition violated between rows 0 and 1"):
         verify_reduced([(3, 0), (0, 1)])
     # both bounds are inclusive: |mu| = 1/2, and ||v1*||^2 = delta * ||v0*||^2 = 99
