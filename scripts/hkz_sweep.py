@@ -11,17 +11,20 @@ window rules, by setting reduction.HKZ_MAX_DIM for the call:
   * "bkz10": HKZ_MAX_DIM = 10, so the window is DEFAULT_BLOCK_SIZE = 10 and
     the LLL starts cold at 99/100 (the reduction of every dimension above 10
     before HKZ_MAX_DIM existed);
-  * "hkz": HKZ_MAX_DIM = 20, so the window spans the basis, the 3/4 LLL
-    pre-pass runs first, ties go to the tie rule and the rows are normalized.
+  * "hkz": HKZ_MAX_DIM = 20, so the window spans the basis, the LLL runs
+    the PRECONDITION_DELTAS ladder first, ties go to the tie rule and the
+    rows are normalized.
 
 Per input it records both times (median of --repeats alternating calls in
 one process, sieve warm), the swaps, whether the bkz10 basis is already
-HKZ-reduced (reduction.windows_are_shortest over the whole basis), and
-whether the hkz witness |value| is equal to, stronger or weaker than the
-bkz10 one.  A dimension may take the spanning window when no witness there
-gets weaker and its median time over the pool scales does not grow.
+HKZ-reduced (windows_are_shortest over the whole basis, the tests' check,
+imported from tests/reference.py), and whether the hkz witness |value| is
+equal to, stronger or weaker than the bkz10 one.  A dimension may take the
+spanning window when no witness there gets weaker and its median time over
+the pool scales does not grow.
 
-Run from the repository root (perfbench/ supplies the pool offsets):
+Run from the repository root (perfbench/ supplies the pool offsets, tests/
+the check):
 
     PYTHONPATH=src:. python scripts/hkz_sweep.py [--repeats 3] [--out BENCH_hkz_sweep.json]
 """
@@ -41,6 +44,7 @@ from sqrtgap import bounds, reduction
 from sqrtgap.exactnum import compare_abs
 from sqrtgap.lattice import build_basis
 from sqrtgap.squarefree import squarefree_upto
+from tests.reference import windows_are_shortest
 
 DIMS = range(11, 21)
 GRID_LOG10_N = range(10, 101, 10)
@@ -94,7 +98,7 @@ def sweep(repeats: int) -> dict:
                 "bkz10_s": statistics.median(times["bkz10"]),
                 "hkz_s": statistics.median(times["hkz"]),
                 "bkz10_swaps": reduced["bkz10"].swaps, "hkz_swaps": reduced["hkz"].swaps,
-                "bkz10_basis_is_hkz": reduction.windows_are_shortest(reduced["bkz10"].rows, n),
+                "bkz10_basis_is_hkz": windows_are_shortest(reduced["bkz10"].rows, n),
                 "witness": "same" if order == 0 else "stronger" if order < 0 else "weaker",
                 "bkz10_log10_hi": log10_hi(old), "hkz_log10_hi": log10_hi(new),
             })
@@ -122,7 +126,7 @@ def main() -> None:
     report = {
         "what": "upper_bound_from_reduction(n - 1, N) for N = 10^(5n) * (10^9 + r) // 10^9 over the 32 pool "
                 "offsets r and N = 10^10..10^100, with BKZ-10 from a cold 99/100 LLL against a window "
-                "spanning the basis after a 3/4 LLL pre-pass, n = 11..20",
+                "spanning the basis after the LLL pre-pass ladder, n = 11..20",
         "command": f"PYTHONPATH=src:. python scripts/hkz_sweep.py --repeats {args.repeats}",
         "machine": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}",
         **result,

@@ -34,9 +34,10 @@ halves'.  Each right list is sorted by the low end.  For a left entry,
 bisection finds the window of right entries whose sum can lie within the
 best's bracket (plus both bracket widths) of an integer: on the line for
 r1, whose offset is fixed, and on the circle mod 1 for r2 and R, whose t is
-free.  A pair outside the window fails the screen below.  Each pair in the
-window is screened on its bracket, which drops every sum that no integer
-brings within the best's bracket.  A survivor is merged
+free.  A pair outside the window fails the screen below.  A pair with an
+exact bracket holds only sqrt(1) letters, so its integer sum leaves before
+the merge.  Each other pair is screened on its bracket, which drops every
+sum that no integer brings within the best's bracket.  A survivor is merged
 (exactnum.merge_terms) into its canonical terms and rational part, and its
 radical part is bracketed once more.  Its offsets u, for candidates
 (radical part) - u, are the integers that bring that bracket within the
@@ -58,9 +59,9 @@ of each half list.  A count above HOLD_CAP = 2^20 slots raises ValueError;
 a slot takes at most about 160 bytes (entries of one term) and about 32 at
 k >= 6.  The count stops at the first partial sum past HOLD_CAP and never
 forms a binomial whose smaller index alone passes it, so a huge input is
-refused in milliseconds.  instance_count, the instances offered (sums,
-times the OFFSETS_PER_SUM candidates where t is free; one binomial per
-variant, r1: one per sign group), is formed only for an admitted input.
+refused in milliseconds.  instance_count is the pairs the blocks of half
+lists form, one per sum, times the OFFSETS_PER_SUM candidates where t is
+free, so it is formed only for an admitted input.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
 
     Raises ValueError when the search would hold more than HOLD_CAP slots,
     and for r1 at n = 1 with even k, whose every sum is 0.  instance_count
-    counts the instances of the multiset-reduced enumeration.  The returned
+    counts the pairs of half-multisets formed, one per multiset, times
+    OFFSETS_PER_SUM where t is free.  The returned
     enclosure is certified positive and the witness re-certifies to the same
     value.
     """
@@ -182,18 +184,15 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
         if n == 1 and k == 2 * half:
             raise ValueError(f"r1 at n=1 with even k={quoted_int(k)} has only zero sums: "
                              f"+sqrt(1) taken {quoted_int(half)} times cancels -sqrt(1) taken {quoted_int(half)} times")
-        factors = ((n + half - 1, half), (n + k - half - 1, k - half))
         # the positive group, of h = floor(k/2) terms, against the negative group
         counts, left_sizes = (n, n), (half,)
     elif variant == "r2":
         if k > n:
             raise ValueError(f"r2 needs k distinct radicands <= n, got k={quoted_int(k)} > n={quoted_int(n)}")
-        factors = ((n, k), (OFFSETS_PER_SUM, 1))  # times one of the offsets t, as in R
         # radicands 1..floor(n/2) against the rest, k distinct in all
         counts = (n // 2, n - n // 2)
         left_sizes = range(max(0, k - counts[1]), min(k, counts[0]) + 1)
-    else:  # sizes m <= k over 2n signed terms: sum_m C(2n + m - 1, m) = C(2n + k, k)
-        factors = ((2 * n + k, k), (OFFSETS_PER_SUM, 1))
+    else:
         # the positive terms against the negative terms, k in all at most
         counts, left_sizes = (n, n), range(k + 1)
     # the right lists' sizes k - j, as a range: none is listed before the count
@@ -214,6 +213,7 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     # sum to k, or for R to at most k
     blocks = [(lefts[j][0], *rights[m])
               for j in left_sizes for m in (range(k - j + 1) if variant == "R" else (k - j,))]
+    pairs = sum(len(left) * len(right) for left, right, _ in blocks)
 
     # best is the running minimum; [best_lo, best_hi] / 2^SCREEN_BITS brackets
     # |best|.  It starts at 1, which every variant reaches or undercuts: where
@@ -229,6 +229,10 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
             # from 0), so no candidate of the pair can beat the best; best_hi
             # only shrinks, so the window formed here stays wide enough
             for r_lo, r_hi, r_terms in _window(right, -l_hi - width - best_hi, best_hi - l_lo, circle):
+                # only sqrt(1) letters have an exact bracket: an integer sum,
+                # whose candidates are 0 or at least 1, cannot beat the best
+                if l_lo + r_lo == l_hi + r_hi:
+                    continue
                 # the pair's bracket is the unmerged terms' bracket; a sum that
                 # no integer v brings within best_hi has no candidate that can
                 # beat the best
@@ -257,4 +261,4 @@ def brute_force(n: int, k: int, variant: str) -> BruteForceResult:
     sign, enclosure = certify_sign(best)
     if sign == NEGATIVE:
         best, enclosure = best.negate(), -enclosure
-    return BruteForceResult(enclosure, best, math.prod(math.comb(a, b) for a, b in factors))
+    return BruteForceResult(enclosure, best, pairs * OFFSETS_PER_SUM if circle else pairs)

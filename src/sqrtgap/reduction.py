@@ -71,7 +71,9 @@ targeted bkz keeps the one 3/4 pass at every size: the ladder there moved
 two of the benchmark's 96 scale searches (k = 14) a power of ten weaker.
 
 enumerate_shortest is the same LLL ladder and one enumerate_block over
-the whole basis, so HKZ_MAX_DIM bounds every complete enumeration.
+the whole basis, so HKZ_MAX_DIM bounds every complete enumeration.  Every
+LLL run is one schedule, _lll: on one _IntegralLLL state, a pass at each
+delta given (the ladder, its last step or none), then at DEFAULT_DELTA.
 
 bkz returns a ReducedBasis, which re-verifies size reduction and the
 Lovasz condition on a fresh integer GSO of the output rows
@@ -274,6 +276,15 @@ class _IntegralLLL:
         return GramSchmidtProfile.from_d(self.d).min_norm_sq
 
 
+def _lll(rows: Sequence[Sequence[int]], deltas: Sequence[Fraction] = ()) -> _IntegralLLL:
+    """The LLL state of the rows after a pass at each of deltas in turn and
+    then at DEFAULT_DELTA: the one schedule of every LLL run."""
+    state = _IntegralLLL(rows)
+    for delta in (*deltas, DEFAULT_DELTA):
+        state.reduce(delta=delta)
+    return state
+
+
 def verify_reduced(rows: Sequence[Row]) -> GramSchmidtProfile:
     """Check size reduction and the DEFAULT_DELTA Lovasz condition on a
     fresh integer GSO of the output rows.
@@ -371,17 +382,15 @@ def bkz(
     re-reduction.  That state is DEFAULT_DELTA-reduced but its windows need
     not be optimal.  If no state passes, the result is the converged one.
     """
-    state = _IntegralLLL(as_rows(basis))
-    n = state.n
+    rows = as_rows(basis)
+    n = len(rows)
     block_size = n if n <= HKZ_MAX_DIM else DEFAULT_BLOCK_SIZE
     spanning = block_size >= n
     if until is not None:
         ladder = PRECONDITION_DELTAS[-1:]
     else:
         ladder = PRECONDITION_DELTAS if spanning else ()
-    for delta in ladder:
-        state.reduce(delta=delta)
-    state.reduce()
+    state = _lll(rows, ladder)
 
     def result(tours: int) -> ReducedBasis:
         return ReducedBasis(tuple(map(tuple, state.rows)), state.swaps, tours=tours)
@@ -427,30 +436,11 @@ def enumerate_shortest(basis: "LatticeBasis | Sequence[Sequence[int]]") -> Short
     n = len(rows)
     if n > HKZ_MAX_DIM:
         raise ValueError(f"{n} rows exceed HKZ_MAX_DIM = {HKZ_MAX_DIM}")
-    state = _IntegralLLL(rows)
-    for delta in PRECONDITION_DELTAS:
-        state.reduce(delta=delta)
-    state.reduce()
+    state = _lll(rows, PRECONDITION_DELTAS)
     # d[0] = 1, so q is the squared norm itself
     coeffs, norm = enumerate_block(state.rows, state.d, state.lam, 0, n)
     vec = tuple(sum(c * row[j] for c, row in zip(coeffs, state.rows)) for j in range(len(rows[0])))
     return ShortestVector(canonical_sign(vec), Fraction(norm))
-
-
-def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
-    """Whether each window [i, i + block_size) of the rows' fresh integer
-    GSO starts with a shortest projected vector of the window: bkz's
-    postcondition without until.  A block_size of len(rows) or more asks
-    whether the rows are HKZ-reduced.  It takes reduced rows, as bkz returns
-    them, and raises verify_reduced's ReductionError on any others:
-    a search within an unreduced row's length need not finish."""
-    verify_reduced(rows)
-    d, lam = lattice.integral_gso(rows)
-    n = len(rows)
-    return all(
-        enumerate_block(rows, d, lam, i, min(i + block_size, n))[1] == d[i + 1]
-        for i in range(n - 1)
-    )
 
 
 def reduced_profile(reduced: ReducedBasis) -> GramSchmidtProfile:

@@ -139,6 +139,19 @@ def test_instance_count_reported():
             assert brute_force(n, k, variant).instance_count == want, (n, k, variant)
 
 
+def test_integer_sums_leave_before_the_merge(monkeypatch):
+    # at n = 1 every letter is +-sqrt(1): every pair's bracket is exact and its
+    # sum an integer, which no candidate beats the seed 1 with, so none is merged
+    merged = []
+    merge_terms = oracle.merge_terms
+    monkeypatch.setattr(oracle, "merge_terms", lambda terms: merged.append(terms) or merge_terms(terms))
+    res = brute_force(1, 40, "R")
+    assert merged == []
+    assert str(res.witness) == "1" and res.instance_count == 4305
+    # at n = 2 the sqrt(2) pairs are still merged, and the minimum found
+    assert str(brute_force(2, 3, "R").witness) == "-2√2 + 3" and merged
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError, match=r"^R search needs more than HOLD_CAP = 1048576 slots$"):
         brute_force(50, 10, "R")

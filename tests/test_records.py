@@ -167,6 +167,7 @@ def test_public_names_are_pinned():
     for name in ("determinant", "lll"):  # the tests' references, in tests/reference.py
         with pytest.raises(AttributeError):
             getattr(sqrtgap, name)
+    assert not hasattr(reduction, "windows_are_shortest")  # in tests/reference.py too
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():

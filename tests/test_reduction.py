@@ -28,11 +28,10 @@ from sqrtgap.reduction import (
     enumerate_shortest,
     reduced_profile,
     verify_reduced,
-    windows_are_shortest,
 )
 from sqrtgap.squarefree import squarefree_upto
 
-from reference import determinant, lll
+from reference import determinant, lll, windows_are_shortest
 
 
 def _random_invertible(rng, n, span=30):
@@ -331,10 +330,11 @@ def test_windows_are_shortest_of_unreduced_rows_fails_fast():
     # (squared length 10^16), the windows run for minutes.
     code = (
         "from sqrtgap import build_basis, squarefree_upto\n"
-        "from sqrtgap.reduction import windows_are_shortest\n"
+        "from reference import windows_are_shortest\n"
         "windows_are_shortest(build_basis(squarefree_upto(5), 10**8).rows, 6)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(here.parent / "src"), str(here))))
     done = subprocess.run(
         [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=30
     )
@@ -526,6 +526,13 @@ def test_spanning_rows_do_not_depend_on_the_pre_pass(monkeypatch):
     narrow = build_basis(squarefree_upto(20), 10**50)
     assert pre_passes(narrow, until=certification_threshold(20).exceeded_by) == [Fraction(3, 4)]
     assert pre_passes(narrow) == []
+    # enumerate_shortest runs the whole ladder and then DEFAULT_DELTA; the
+    # tests' plain lll runs DEFAULT_DELTA alone, every pass from the one schedule
+    schedule = [Fraction(3, 10), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)]
+    for run, want in ((enumerate_shortest, schedule), (lll, [Fraction(99, 100)])):
+        passes.clear()
+        run(spanning)
+        assert passes == want, run
 
 
 # SHA-256 of what lll and bkz return above 16 rows, where the window is
