@@ -17,6 +17,7 @@ rationals, and any nonzero value separates from zero at finite precision.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, TypeVar
@@ -76,8 +77,9 @@ class Enclosure(_EnclosureFields):
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def __repr__(self) -> str:
-        return f"Enclosure({float(self.lo):.6g}, {float(self.hi):.6g}, bits={self.precision_bits})"
+    def __repr__(self) -> str:  # through a Decimal: float() overflows past 1.8e308
+        lo, hi = (f"{Decimal(x.numerator) / x.denominator:.6g}" for x in (self.lo, self.hi))
+        return f"Enclosure({lo}, {hi}, bits={self.precision_bits})"
 
 
 @lru_cache(maxsize=4096)

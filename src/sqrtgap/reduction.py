@@ -99,7 +99,7 @@ from .lattice import (
     round_half_up,
     update_integral_gso,
 )
-from .squarefree import quoted_fraction
+from .squarefree import quoted_fraction, quoted_int
 
 DEFAULT_DELTA = Fraction(99, 100)
 # LLL passes before the DEFAULT_DELTA pass, each a weaker Lovasz condition
@@ -336,7 +336,7 @@ def complete_to_unimodular(coeffs: Sequence[int], rows: Sequence[Sequence[int]])
                 y[j] -= q * y[i]
                 w[i] = [a + q * b for a, b in zip(w[i], w[j])]
     if abs(y[p]) != 1:
-        raise ValueError(f"vector is not primitive (gcd {abs(y[p])})")
+        raise ValueError(f"vector is not primitive (gcd {quoted_int(abs(y[p]))})")
     if p != 0:
         y[0], y[p] = y[p], y[0]
         w[0], w[p] = w[p], w[0]

@@ -1,17 +1,20 @@
-"""The tests' references: a Bareiss determinant, a plain LLL and a check
-of bkz's window postcondition.
+"""The tests' references: a Bareiss determinant, a plain LLL, a check
+of bkz's window postcondition and the ladder rung that decides |sum| <= b.
 
 No library path calls any of them.  The determinant checks that a
 reduction keeps the lattice; lll is the kernel alone, with no BKZ on top,
 and pins what the kernel returns; windows_are_shortest checks what bkz
-returns, and scripts/hkz_sweep.py imports it from here.
+returns, and scripts/hkz_sweep.py imports it from here; first_deciding_rung
+names the rung whose enclosure a reported |sum| <= b verdict must carry.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from sqrtgap import lattice
+from sqrtgap.exactnum import DEFAULT_START_BITS, RadicalSum, enclose_radical_sum
 from sqrtgap.lattice import LatticeBasis, Row, as_rows, enumerate_block
 from sqrtgap.reduction import ReducedBasis, _lll, verify_reduced
 
@@ -63,3 +66,13 @@ def windows_are_shortest(rows: Sequence[Row], block_size: int) -> bool:
         enumerate_block(rows, d, lam, i, min(i + block_size, n))[1] == d[i + 1]
         for i in range(n - 1)
     )
+
+
+def first_deciding_rung(value: RadicalSum, bound_sq: Fraction) -> int:
+    """The first rung of the 64, 128, ... ladder whose Enclosure decides |value|^2 <= bound_sq."""
+    bits = DEFAULT_START_BITS
+    while True:
+        enc = enclose_radical_sum(value, bits).abs()
+        if enc.hi * enc.hi <= bound_sq or enc.lo * enc.lo > bound_sq:
+            return bits
+        bits *= 2

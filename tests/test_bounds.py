@@ -33,7 +33,7 @@ from sqrtgap.lattice import LatticeBasis, as_rows, build_basis
 from sqrtgap.reduction import ReductionError, bkz
 from sqrtgap.squarefree import nth_squarefree, prime_count, squarefree_upto
 
-from reference import lll
+from reference import first_deciding_rung, lll
 
 
 def test_threshold_values():
@@ -309,6 +309,14 @@ def test_every_reduced_row_satisfies_row_inequality():
     assert converted >= k  # at most one row can be coefficient-free
 
 
+@pytest.mark.parametrize("k, log10_n", [(3, 8), (6, 30), (17, 60)])  # k = 17: 18 rows
+def test_witness_reports_the_enclosure_that_decided_it(k, log10_n):
+    w = upper_bound_from_reduction(k, 10**log10_n)
+    rhs_sq = w.row_inequality_rhs() ** 2
+    assert w.bound == abs_at_most(w.value, rhs_sq)[1]
+    assert w.bound.precision_bits == first_deciding_rung(w.value, rhs_sq)
+
+
 def test_row_witness_skips_zero_coefficients():
     basis = build_basis([2, 3], 10)
     assert row_witness(basis, (10, 0, 0)) is None
@@ -395,7 +403,9 @@ def test_witness_where_shortest_vectors_tie_keeps_its_strength():
     # reducer before it kept, so the witness row is the same up to sign.
     witness = upper_bound_from_reduction(14, 10**10)
     assert witness.coefficients == (2, -2, 2, 0, 2, -1, -1, 1, 1, -3, 0, 3, 2, 2)
-    hi = witness.bound.hi
+    # the row's |value|: the bound decided at 64 bits is 2e-8 wider in log10
+    # than this record, so the record is checked on a finer re-enclosure
+    hi = enclose_radical_sum(witness.value, 4 * witness.bound.precision_bits).abs().hi
     assert abs(math.log10(hi.numerator) - math.log10(hi.denominator) + 11.01517101575832) < 1e-9
 
 

@@ -17,9 +17,11 @@ import pytest
 from sqrtgap import bounds
 from sqrtgap.cli import MAX_POWER_BITS, _build_parser, _parse_bigint, main
 from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_instance
-from sqrtgap.exactnum import DEFAULT_START_BITS, RadicalSum, enclose_radical_sum
+from sqrtgap.exactnum import RadicalSum, enclose_radical_sum
 from sqrtgap.lattice import BASIS_MAX_BITS, BASIS_MAX_DIM, check_basis_size
 from sqrtgap.squarefree import MAX_SIEVE_LIMIT
+
+from reference import first_deciding_rung
 
 
 def _run(capsys, *argv):
@@ -270,16 +272,6 @@ def test_qian_wang_json(capsys):
     assert result["rhs_sq"] == {"num": "1", "den": "16"}
 
 
-def _first_deciding_rung(value: RadicalSum, bound_sq: Fraction) -> int:
-    """The first rung of the 64, 128, ... ladder whose Enclosure decides |value|^2 <= bound_sq."""
-    bits = DEFAULT_START_BITS
-    while True:
-        enc = enclose_radical_sum(value, bits).abs()
-        if enc.hi * enc.hi <= bound_sq or enc.lo * enc.lo > bound_sq:
-            return bits
-        bits *= 2
-
-
 @pytest.mark.parametrize("k, t", [(2, "1"), (4, "100"), (10, "10^6"), (400, "10^6")])
 def test_qian_wang_report_certifies_its_verdict(capsys, k, t):
     code, out, _ = _run(capsys, "qian-wang", "--k", str(k), "--t", t)
@@ -291,7 +283,7 @@ def test_qian_wang_report_certifies_its_verdict(capsys, k, t):
     assert result["inequality_holds"] is True
     assert hi * hi <= rhs_sq  # the printed enclosure shows the printed verdict
     inst = qian_wang_instance(k, _parse_bigint(t))
-    assert printed["precision_bits"] == _first_deciding_rung(inst.value, inst.rhs_sq)
+    assert printed["precision_bits"] == first_deciding_rung(inst.value, inst.rhs_sq)
 
 
 def test_input_error_exit_code(capsys):

@@ -25,7 +25,7 @@ from sqrtgap.lattice import (
     quoted_int,
     scaled_nearest_sqrt,
 )
-from sqrtgap.exactnum import Enclosure, RadicalSum
+from sqrtgap.exactnum import Enclosure, RadicalSum, certify_sign, enclose_radical_sum
 from sqrtgap.reduction import HKZ_MAX_DIM, bkz, enumerate_shortest
 from sqrtgap.squarefree import prime_count, squarefree_upto
 
@@ -437,6 +437,9 @@ def test_projected_rows_match_rational_projections():
                 assert got == [d[s] * a for a in v]
 
 
+PAST_FLOAT = RadicalSum.from_terms([(1, 2)], offset=10**400)  # sqrt(2) - 10^400
+
+
 @pytest.mark.parametrize(
     "call, expected",
     [
@@ -444,6 +447,9 @@ def test_projected_rows_match_rational_projections():
         (lambda: scaled_nearest_sqrt(2, 0), (ValueError, "scale must be >= 1, got 0")),
         (lambda: Enclosure(Fraction(0), Fraction(0), 0), (ValueError, "precision_bits must be >= 1, got 0")),
         (lambda: repr(Enclosure(Fraction(1, 3), Fraction(1, 2), 64)), "Enclosure(0.333333, 0.5, bits=64)"),
+        # endpoints past double range, which float() cannot write
+        (lambda: repr(enclose_radical_sum(PAST_FLOAT)), "Enclosure(-1.00000e+400, -1.00000e+400, bits=64)"),
+        (lambda: str(certify_sign(PAST_FLOAT)), "(-1, Enclosure(-1.00000e+400, -1.00000e+400, bits=64))"),
         (lambda: str(RadicalSum(())), "0"),
         (lambda: str(RadicalSum((), 5)), "-5"),
         (lambda: squarefree_upto(0), (ValueError, "count must be >= 1, got 0")),
@@ -453,8 +459,8 @@ def test_projected_rows_match_rational_projections():
         (lambda: fraction_gso([(1, 2), (2, 4)]), (DependentRowsError, "row 1 is dependent on earlier rows")),
     ],
     ids=[
-        "sqrt_radicand", "sqrt_scale", "enclosure_bits", "enclosure_repr", "zero_sum_str",
-        "offset_only_str", "squarefree_count", "prime_count", "det_shape", "det_singular", "gso_dependent",
+        "sqrt_radicand", "sqrt_scale", "enclosure_bits", "enclosure_repr", "enclosure_repr_past_float",
+        "certify_sign_str_past_float", "zero_sum_str", "offset_only_str", "squarefree_count", "prime_count", "det_shape", "det_singular", "gso_dependent",
     ],
 )
 def test_rarely_reached_checks_pin_their_results(call, expected):

@@ -9,6 +9,7 @@ from sqrtgap.bounds import QIAN_WANG_MAX_K, certify_lower_bound, qian_wang_insta
 from sqrtgap.exactnum import Enclosure, RadicalSum
 from sqrtgap.lattice import BASIS_MAX_DIM, build_basis, scaled_nearest_sqrt
 from sqrtgap.oracle import brute_force
+from sqrtgap.reduction import complete_to_unimodular
 from sqrtgap.squarefree import (
     MAX_SIEVE_LIMIT,
     is_squarefree,
@@ -228,6 +229,8 @@ DIGITS = "1" + "0" * 5000  # HUGE in decimal, past the default int-to-str limit 
     pytest.param(lambda: Enclosure(0, 1, -HUGE), f"precision_bits must be >= 1, got -{DIGITS}", id="enclosure"),
     pytest.param(lambda: RadicalSum.from_terms([(1, -HUGE)]), f"radicand must be >= 1, got -{DIGITS}",
                  id="radical-sum"),
+    pytest.param(lambda: complete_to_unimodular([2 * HUGE, 4 * HUGE], [[1, 0], [0, 1]]),
+                 f"vector is not primitive (gcd 2{'0' * 5000})", id="complete_to_unimodular"),
 ])
 def test_a_huge_integer_is_quoted_in_the_library_message(call, message):
     # every module quotes a caller's integer through squarefree.quoted_int, so
